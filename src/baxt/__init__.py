@@ -18,9 +18,8 @@ from .trees import (BST, Node, TwinPair, insert_left_strict,
 from .monoid import (BaxtElement, RankMismatchError, canonical, equivalent,
                      evaluation, identity_element, invariant_key, lpi,
                      multiply, rewrite_neighbors, rpi, sharp, sharp_word)
-from .semiring import (TROPICAL, Semiring, TropicalInt, UTMatrix, block_diag,
-                       gen_J, gen_K, gen_P, gen_Q, identity_matrix, mat_mul,
-                       skew_transpose)
+from .semiring import (NEG_INF, UTMatrix, block_diag, gen_J, gen_K, gen_P,
+                       gen_Q, identity_matrix, mat_mul, skew_transpose)
 from .represent import (PairElement, TupleElement, materialize, phi1, phi2,
                         phi2_closed, phi3, phi3_closed, phi_ij, phi_n,
                         tuple_equal)

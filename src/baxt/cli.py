@@ -12,8 +12,7 @@ import json
 import sys
 
 from . import checker, families, oracle
-from .monoid import (canonical, element_to_json_obj, equivalent, sharp_word,
-                     sorted_lpi, sorted_rpi)
+from .monoid import canonical, element_to_json_obj, equivalent, sharp_word
 from .represent import (materialize, phi1, phi2, phi3, phi_n,
                         tuple_to_json_obj)
 from .semiring import matrix_to_json
@@ -108,8 +107,8 @@ def _cmd_canon(args):
         ev, lp, rp = e.key
         print(f"word: {w}")
         print(f"ev:  {list(ev)}")
-        print(f"lpi: {[tuple(t) for t in sorted_lpi(lp)]}")
-        print(f"rpi: {[tuple(t) for t in sorted_rpi(rp)]}")
+        print(f"lpi: {sorted(lp)}")
+        print(f"rpi: {sorted(rp)}")
     return 0
 
 

@@ -55,16 +55,14 @@ def basis2_rows() -> list[tuple[str, Identity]]:
     return [(tag, _row(p1, p2, p3, p4)) for tag, p1, p2, p3, p4 in _BASIS2_SLOTS]
 
 
-def basis2(include_reverses: bool = True) -> list[Identity]:
-    """The rank-2 basis: every displayed row, plus (by default) the reverse
-    of every row, which the basis statement includes."""
-    rows = [ident for _, ident in basis2_rows()]
-    if include_reverses:
-        rows = rows + [ident.reversed() for ident in rows]
-    return rows
+def basis2() -> list[Identity]:
+    """The rank-2 basis: every displayed row, then the reverse of every row,
+    which the basis statement includes."""
+    return [ident for _, ident in basis2_rows()] + basis2_reverses()
 
 
 def basis2_reverses() -> list[Identity]:
+    """The reverse of every displayed rank-2 basis row, in display order."""
     return [ident.reversed() for _, ident in basis2_rows()]
 
 

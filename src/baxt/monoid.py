@@ -87,16 +87,6 @@ def lpi(w: AWord) -> frozenset[tuple[int, int, int]]:
     return _lpi(_positions(w.symbols))
 
 
-def sorted_rpi(entries) -> list[tuple[int, int, int]]:
-    """Deterministic listing, sorted by the non-unique (larger) letter."""
-    return sorted(entries)
-
-
-def sorted_lpi(entries) -> list[tuple[int, int, int]]:
-    """Deterministic listing, sorted by the non-unique (smaller) letter."""
-    return sorted(entries)
-
-
 InvariantKey = tuple  # (evaluation, lpi frozenset, rpi frozenset)
 
 
@@ -223,8 +213,8 @@ def element_to_json_obj(e: BaxtElement) -> dict:
         "n": e.rank,
         "representative": str(e.representative),
         "ev": list(ev),
-        "lpi": [list(t) for t in sorted_lpi(lp)],
-        "rpi": [list(t) for t in sorted_rpi(rp)],
+        "lpi": [list(t) for t in sorted(lp)],
+        "rpi": [list(t) for t in sorted(rp)],
     }
 
 

@@ -1,23 +1,26 @@
 """Faithful tropical matrix representations of the rank-n Baxter monoids.
 
-Ranks 1..3 map straight into upper triangular matrices (dims 2, 6, 15) built
-from four 2x2 generator blocks.  For rank n >= 4 each index pair (i, j) with
-i < j yields a homomorphism into rank-3 pairs, split into four map families
-by how i, j sit relative to their order-reversed partners; the tuple of all
-of them is a complete invariant, and can be materialized as one block
-diagonal matrix of dimension 30 * n(n-1)/2 compatible with skew transposition.
+Ranks 1..3 map straight into upper triangular tropical matrices (dims 2, 6,
+15), block diagonal with 1x1 and 2x2 blocks built from four 2x2 generators.
+The generator fold multiplies block by block; the closed forms write each
+block straight from the invariants, as an independent route to the same
+matrices.  For rank n >= 4 each index pair (i, j) with i < j yields a
+homomorphism into rank-3 pairs, split into four map families by how i, j sit
+relative to their order-reversed partners; the tuple of all of them is a
+complete invariant, and can be materialized as one block diagonal matrix of
+dimension 30 * n(n-1)/2 compatible with skew transposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 from .monoid import (BaxtElement, RankMismatchError, canonical, rpi, lpi,
                      element_to_json_obj, evaluation, sharp, support)
-from .semiring import (Semiring, TROPICAL, UTMatrix, block_diag, gen_J, gen_K,
-                       gen_P, gen_Q, identity_matrix, mat_mul, mat_power,
-                       scalar)
+from .semiring import (NEG_INF, UTMatrix, block_diag, from_rows, gen_J, gen_K,
+                       gen_P, gen_Q, identity_matrix, mat_mul, scalar)
 from .words import AWord
 
 
@@ -26,23 +29,24 @@ def _check_rank(w: AWord, n: int):
         raise RankMismatchError(f"expected a rank-{n} word, got rank {w.rank}")
 
 
-def _generator_images_1(sr: Semiring) -> dict[int, UTMatrix]:
-    return {1: mat_mul(gen_P(sr), gen_Q(sr))}
+def _generator_images_1() -> dict[int, UTMatrix]:
+    return {1: mat_mul(gen_P(), gen_Q())}
 
 
-def _generator_images_2(sr: Semiring) -> dict[int, UTMatrix]:
-    one = scalar(sr, sr.one)
-    s = scalar(sr, sr.s)
+def _generator_images_2() -> dict[int, UTMatrix]:
+    one, s = scalar(0), scalar(1)
     return {
-        1: block_diag([s, gen_P(sr), gen_J(sr), one]),
-        2: block_diag([one, gen_K(sr), gen_Q(sr), s]),
+        1: block_diag([s, gen_P(), gen_J(), one]),
+        2: block_diag([one, gen_K(), gen_Q(), s]),
     }
 
 
-def _generator_images_3(sr: Semiring) -> dict[int, UTMatrix]:
-    one = scalar(sr, sr.one)
-    s = scalar(sr, sr.s)
-    P, Q, J, K, E2 = gen_P(sr), gen_Q(sr), gen_J(sr), gen_K(sr), identity_matrix(sr, 2)
+def _generator_images_3() -> dict[int, UTMatrix]:
+    one, s = scalar(0), scalar(1)
+    P, Q, J, K = gen_P(), gen_Q(), gen_J(), gen_K()
+    # one 2x2 block: identity_matrix(2) is two 1x1 blocks, which would give
+    # these images different block splits
+    E2 = from_rows([[0, NEG_INF], [NEG_INF, 0]])
     return {
         1: block_diag([s, P, P, E2, one, J, E2, J, one]),
         2: block_diag([one, K, K, P, s, Q, J, J, one]),
@@ -50,181 +54,160 @@ def _generator_images_3(sr: Semiring) -> dict[int, UTMatrix]:
     }
 
 
-def _fold(images: dict[int, UTMatrix], w: AWord, dim: int, sr: Semiring) -> UTMatrix:
-    acc = identity_matrix(sr, dim)
-    for a in w.symbols:
-        acc = mat_mul(acc, images[a])
-    return acc
+def _fold(images: dict[int, UTMatrix], w: AWord, dim: int) -> UTMatrix:
+    """The product of the letters' images.  All images of one rank share a
+    block split, so every product runs block by block."""
+    if not w.symbols:
+        return identity_matrix(dim)
+    return reduce(mat_mul, map(images.__getitem__, w.symbols))
 
 
-def phi1(w: AWord, sr: Semiring = TROPICAL) -> UTMatrix:
+def phi1(w: AWord) -> UTMatrix:
     _check_rank(w, 1)
-    return _fold(_generator_images_1(sr), w, 2, sr)
+    return _fold(_generator_images_1(), w, 2)
 
 
-def phi2(w: AWord, sr: Semiring = TROPICAL) -> UTMatrix:
+def phi2(w: AWord) -> UTMatrix:
     _check_rank(w, 2)
-    return _fold(_generator_images_2(sr), w, 6, sr)
+    return _fold(_generator_images_2(), w, 6)
 
 
-def phi3(w: AWord, sr: Semiring = TROPICAL) -> UTMatrix:
+def phi3(w: AWord) -> UTMatrix:
     _check_rank(w, 3)
-    return _fold(_generator_images_3(sr), w, 15, sr)
+    return _fold(_generator_images_3(), w, 15)
 
 
-def generator_images(n: int, sr: Semiring = TROPICAL) -> dict[int, UTMatrix]:
+def generator_images(n: int) -> dict[int, UTMatrix]:
     if n == 1:
-        return _generator_images_1(sr)
+        return _generator_images_1()
     if n == 2:
-        return _generator_images_2(sr)
+        return _generator_images_2()
     if n == 3:
-        return _generator_images_3(sr)
+        return _generator_images_3()
     raise ValueError("generator matrices exist for ranks 1..3 only")
 
 
 # ---------------------------------------------------------------------------
 # Closed-form block evaluators (independent route to the same matrices)
 # ---------------------------------------------------------------------------
+#
+# Each block is written out from the invariants; with s = 1 the tropical
+# power s^k is k.  The 2x2 blocks are P^k, Q^k, P^l K and J Q^r; K = P^0 K,
+# J = J Q^0 and the 2x2 identity is P^0.
 
-def _lpi_index(lp, a: int, b: int):
-    for (x, y, ell) in lp:
-        if x == a and y == b:
-            return ell
-    return None
-
-
-def _rpi_index(rp, b: int, a: int):
-    for (x, y, r) in rp:
-        if x == b and y == a:
-            return r
-    return None
+def _P(k):
+    return ((k, NEG_INF), (NEG_INF, 0))
 
 
-def phi2_closed(w: AWord, sr: Semiring = TROPICAL) -> UTMatrix:
+def _Q(k):
+    return ((0, NEG_INF), (NEG_INF, k))
+
+
+def _PK(ell):
+    return ((NEG_INF, ell), (NEG_INF, 0))
+
+
+def _JQ(r):
+    return ((0, r), (NEG_INF, NEG_INF))
+
+
+def _index(triples) -> dict:
+    """{(x, y): count} for lpi triples (a, b, l) or rpi triples (b, a, r)."""
+    return {(x, y): c for x, y, c in triples}
+
+
+def phi2_closed(w: AWord) -> UTMatrix:
     """phi2 computed from (ev, lpi, rpi) alone, no letter-by-letter product."""
     _check_rank(w, 2)
     if not w.symbols:
-        return identity_matrix(sr, 6)
+        return identity_matrix(6)
     ev = evaluation(w)
     supp = support(w)
-    lp, rp = lpi(w), rpi(w)
-    P, Q, J, K = gen_P(sr), gen_Q(sr), gen_J(sr), gen_K(sr)
+    # a missing precedence leaves K = P^0 K, or J = J Q^0
+    b2 = _P(ev[0]) if supp == {1} else _PK(_index(lpi(w)).get((1, 2), 0))
+    b3 = _Q(ev[1]) if supp == {2} else _JQ(_index(rpi(w)).get((2, 1), 0))
 
-    b1 = scalar(sr, sr.power(sr.s, ev[0]) if 1 in supp else sr.one)
-
-    l12 = _lpi_index(lp, 1, 2)
-    if supp == {1}:
-        b2 = mat_power(P, ev[0])
-    elif l12 is None:
-        b2 = K
-    else:
-        b2 = mat_mul(mat_power(P, l12), K)
-
-    r21 = _rpi_index(rp, 2, 1)
-    if supp == {2}:
-        b3 = mat_power(Q, ev[1])
-    elif r21 is None:
-        b3 = J
-    else:
-        b3 = mat_mul(J, mat_power(Q, r21))
-
-    b4 = scalar(sr, sr.power(sr.s, ev[1]) if 2 in supp else sr.one)
-    return block_diag([b1, b2, b3, b4])
+    return UTMatrix([((ev[0],),), b2, b3, ((ev[1],),)])
 
 
-def phi3_closed(w: AWord, sr: Semiring = TROPICAL) -> UTMatrix:
+def phi3_closed(w: AWord) -> UTMatrix:
     """phi3 from the invariant triple; the nine blocks follow the case split
     in the faithfulness proof, first matching case wins."""
     _check_rank(w, 3)
     if not w.symbols:
-        return identity_matrix(sr, 15)
+        return identity_matrix(15)
     ev = evaluation(w)
     supp = support(w)
-    lp, rp = lpi(w), rpi(w)
-    P, Q, J, K = gen_P(sr), gen_Q(sr), gen_J(sr), gen_K(sr)
-    E2 = identity_matrix(sr, 2)
+    lp, rp = _index(lpi(w)), _index(rpi(w))
+    E2, K, J = _P(0), _PK(0), _JQ(0)
 
-    def spow(k):
-        return scalar(sr, sr.power(sr.s, k))
-
-    def PK(ell):
-        return mat_mul(mat_power(P, ell), K)
-
-    def JQ(r):
-        return mat_mul(J, mat_power(Q, r))
-
-    l12 = _lpi_index(lp, 1, 2)
-    l13 = _lpi_index(lp, 1, 3)
-    l23 = _lpi_index(lp, 2, 3)
-    r21 = _rpi_index(rp, 2, 1)
-    r31 = _rpi_index(rp, 3, 1)
-    r32 = _rpi_index(rp, 3, 2)
-
-    b1 = spow(ev[0]) if 1 in supp else scalar(sr, sr.one)
+    l12 = lp.get((1, 2))
+    l13 = lp.get((1, 3))
+    l23 = lp.get((2, 3))
+    r21 = rp.get((2, 1))
+    r31 = rp.get((3, 1))
+    r32 = rp.get((3, 2))
 
     if supp == {1}:
-        b2 = mat_power(P, ev[0])
+        b2 = _P(ev[0])
     elif supp == {1, 2} and l12 is not None:
-        b2 = PK(l12)
+        b2 = _PK(l12)
     elif {1, 3} <= supp and l13 is not None:
-        b2 = PK(l13)
+        b2 = _PK(l13)
     elif supp == {1, 2, 3} and l12 is not None and l23 is not None:
-        b2 = PK(l12)
+        b2 = _PK(l12)
     else:
         b2 = K
 
     if supp in ({1}, {1, 3}):
-        b3 = mat_power(P, ev[0])
+        b3 = _P(ev[0])
     elif supp == {3}:
         b3 = E2
     elif {1, 2} <= supp and l12 is not None:
-        b3 = PK(l12)
+        b3 = _PK(l12)
     else:
         b3 = K
 
     if supp == {1}:
         b4 = E2
     elif supp in ({2}, {1, 2}):
-        b4 = mat_power(P, ev[1])
+        b4 = _P(ev[1])
     elif {2, 3} <= supp and l23 is not None:
-        b4 = PK(l23)
+        b4 = _PK(l23)
     else:
         b4 = K
 
-    b5 = spow(ev[1]) if 2 in supp else scalar(sr, sr.one)
-
     if supp in ({2}, {2, 3}):
-        b6 = mat_power(Q, ev[1])
+        b6 = _Q(ev[1])
     elif supp == {3}:
         b6 = E2
     elif {1, 2} <= supp and r21 is not None:
-        b6 = JQ(r21)
+        b6 = _JQ(r21)
     else:
         b6 = J
 
     if supp == {1}:
         b7 = E2
     elif supp in ({3}, {1, 3}):
-        b7 = mat_power(Q, ev[2])
+        b7 = _Q(ev[2])
     elif {2, 3} <= supp and r32 is not None:
-        b7 = JQ(r32)
+        b7 = _JQ(r32)
     else:
         b7 = J
 
     if supp == {3}:
-        b8 = mat_power(Q, ev[2])
+        b8 = _Q(ev[2])
     elif {1, 3} <= supp and r31 is not None:
-        b8 = JQ(r31)
+        b8 = _JQ(r31)
     elif supp == {2, 3} and r32 is not None:
-        b8 = JQ(r32)
+        b8 = _JQ(r32)
     elif supp == {1, 2, 3} and r21 is not None and r32 is not None:
-        b8 = JQ(r32)
+        b8 = _JQ(r32)
     else:
         b8 = J
 
-    b9 = spow(ev[2]) if 3 in supp else scalar(sr, sr.one)
-
-    return block_diag([b1, b2, b3, b4, b5, b6, b7, b8, b9])
+    return UTMatrix([((ev[0],),), b2, b3, b4, ((ev[1],),), b6, b7, b8,
+                     ((ev[2],),)])
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +340,7 @@ def tuple_sharp(t: TupleElement) -> TupleElement:
     return TupleElement(t.rank, tuple((ij, pair_sharp(p)) for ij, p in t.coords))
 
 
-def materialize(t: TupleElement, sr: Semiring = TROPICAL) -> UTMatrix:
+def materialize(t: TupleElement) -> UTMatrix:
     """Flatten the tuple to one matrix: first components in lexicographic
     (i, j) order, then second components in reverse lexicographic order, each
     through the rank-3 representation, assembled block diagonally.
@@ -367,8 +350,7 @@ def materialize(t: TupleElement, sr: Semiring = TROPICAL) -> UTMatrix:
     """
     firsts = [p.first for _, p in t.coords]
     seconds = [p.second for _, p in reversed(t.coords)]
-    blocks = [phi3(e.representative, sr) for e in firsts + seconds]
-    return block_diag(blocks)
+    return block_diag(phi3(e.representative) for e in firsts + seconds)
 
 
 def tuple_to_json_obj(t: TupleElement):

@@ -1,91 +1,119 @@
-"""Commutative idempotent semirings and upper triangular matrices over them.
+"""The integer tropical semiring and block-diagonal upper triangular matrices.
 
-The canonical instance is the integer tropical semiring (Z u {-inf}, max, +):
-exact, idempotent, commutative, with 1 as an element of infinite
-multiplicative order.  Matrices carry the skew transposition (reflection
-across the secondary diagonal), which is an involution antihomomorphism on
-upper triangular matrices.
+The semiring is (Z u {-inf}, max, +): exact, idempotent, commutative, with 1
+as an element of infinite multiplicative order (1^k = k).  Every matrix the
+package builds is block diagonal with small upper triangular blocks, so a
+UTMatrix stores only its diagonal blocks; every entry outside them is -inf.
+Products go block by block.  The skew transposition (reflection across the
+secondary diagonal), an involution antihomomorphism on upper triangular
+matrices, reverses the block order and skews each block.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-
-
-class Semiring:
-    """Interface: zero, one, add, mul, and a distinguished element s of
-    infinite multiplicative order.  Values are plain Python objects."""
-
-    zero = None
-    one = None
-    s = None
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def power(self, a, k: int):
-        """k-fold product of a (k >= 0); the empty product is one."""
-        if k < 0:
-            raise ValueError("negative power")
-        acc = self.one
-        for _ in range(k):
-            acc = self.mul(acc, a)
-        return acc
-
+from itertools import accumulate
 
 NEG_INF = float("-inf")
 
 
-class TropicalInt(Semiring):
-    """(Z u {-inf}, max, +) with s = 1.
+def add(a, b):
+    """Tropical sum: the maximum; -inf is its identity."""
+    return a if a >= b else b
 
-    Non-bottom values are arbitrary-precision Python ints, so products cannot
-    silently wrap; -inf is the additive identity and absorbs multiplication.
+
+def mul(a, b):
+    """Tropical product: the integer sum; 0 is its identity and -inf absorbs.
+    Values are arbitrary-precision ints, so products cannot silently wrap."""
+    if a == NEG_INF or b == NEG_INF:
+        return NEG_INF
+    return a + b
+
+
+class UTMatrix:
+    """Square upper triangular matrix stored as its diagonal blocks.
+
+    ``blocks`` is a tuple of square upper triangular blocks, each a tuple of
+    row tuples; every entry outside the blocks is -inf.  A dense matrix is a
+    single block.  Equality and hashing compare the matrices themselves,
+    whatever the block split.  Matrices are immutable.
     """
 
-    zero = NEG_INF
-    one = 0
-    s = 1
+    __slots__ = ("blocks",)
 
-    def add(self, a, b):
-        return a if a >= b else b
+    def __init__(self, blocks):
+        blocks = tuple(tuple(tuple(row) for row in b) for b in blocks)
+        for b in blocks:
+            for i, row in enumerate(b):
+                if len(row) != len(b):
+                    raise ValueError("blocks must be square")
+                if any(x != NEG_INF for x in row[:i]):
+                    raise ValueError(f"block entry in row {i} below the diagonal "
+                                     "is not -inf")
+        object.__setattr__(self, "blocks", blocks)
 
-    def mul(self, a, b):
-        if a == NEG_INF or b == NEG_INF:
-            return NEG_INF
-        return a + b
+    @classmethod
+    def _of(cls, blocks: tuple) -> "UTMatrix":
+        """Wrap blocks that are square and upper triangular by construction."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "blocks", blocks)
+        return m
 
+    def __setattr__(self, name, value):
+        raise AttributeError("UTMatrix is immutable")
 
-TROPICAL = TropicalInt()
+    def __delattr__(self, name):
+        raise AttributeError("UTMatrix is immutable")
 
+    def __reduce__(self):
+        return UTMatrix, (self.blocks,)
 
-@dataclass(frozen=True)
-class UTMatrix:
-    """Square upper triangular matrix over a semiring; rows are tuples."""
+    @property
+    def sizes(self) -> tuple:
+        return tuple(map(len, self.blocks))
 
-    semiring: Semiring
-    dim: int
-    rows: tuple  # tuple of row tuples
+    @property
+    def dim(self) -> int:
+        return sum(map(len, self.blocks))
 
-    def __post_init__(self):
-        zero = self.semiring.zero
-        if len(self.rows) != self.dim or any(len(r) != self.dim for r in self.rows):
-            raise ValueError("shape mismatch")
-        for i in range(self.dim):
-            for j in range(i):
-                if self.rows[i][j] != zero:
-                    raise ValueError(f"entry ({i},{j}) below the diagonal is nonzero")
+    @property
+    def rows(self) -> tuple:
+        """The dense rows; built on each access."""
+        return _dense(self.blocks)
+
+    def _entries(self):
+        """(i, j, x) for every entry x != -inf, in row-major order."""
+        off = 0
+        for b in self.blocks:
+            for i, row in enumerate(b, off):
+                for j, x in enumerate(row, off):
+                    if x != NEG_INF:
+                        yield i, j, x
+            off += len(b)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"entry ({i},{j}) outside a {self.dim}x{self.dim} matrix")
+        off = 0
+        for b in self.blocks:
+            if i < off + len(b):
+                return b[i - off][j - off] if off <= j < off + len(b) else NEG_INF
+            off += len(b)
+
+    def __eq__(self, other):
+        if not isinstance(other, UTMatrix):
+            return NotImplemented
+        return self.dim == other.dim and tuple(self._entries()) == tuple(other._entries())
+
+    def __hash__(self):
+        return hash(tuple(self._entries()))
 
     def __matmul__(self, other: "UTMatrix") -> "UTMatrix":
         return mat_mul(self, other)
+
+    def __repr__(self):
+        return f"UTMatrix({self.blocks!r})"
 
     def __str__(self):
         return "\n".join(" ".join(_fmt_entry(x) for x in row) for row in self.rows)
@@ -95,114 +123,109 @@ def _fmt_entry(x) -> str:
     return "-inf" if x == NEG_INF else str(x)
 
 
-def from_rows(sr: Semiring, rows) -> UTMatrix:
-    tup = tuple(tuple(r) for r in rows)
-    return UTMatrix(sr, len(tup), tup)
+def _dense(blocks) -> tuple:
+    """Rows of the block diagonal matrix with the given blocks."""
+    n = sum(map(len, blocks))
+    rows = []
+    off = 0
+    for b in blocks:
+        pad = (NEG_INF,) * (n - off - len(b))
+        rows.extend((NEG_INF,) * off + row + pad for row in b)
+        off += len(b)
+    return tuple(rows)
 
 
-def identity_matrix(sr: Semiring, n: int) -> UTMatrix:
-    return UTMatrix(sr, n, tuple(
-        tuple(sr.one if i == j else sr.zero for j in range(n)) for i in range(n)
-    ))
+def from_rows(rows) -> UTMatrix:
+    """A matrix from its dense rows, kept as one block."""
+    return UTMatrix([rows])
 
 
-def scalar(sr: Semiring, value) -> UTMatrix:
+def identity_matrix(n: int) -> UTMatrix:
+    return UTMatrix._of((((0,),),) * n)
+
+
+def scalar(value) -> UTMatrix:
     """A 1x1 block."""
-    return UTMatrix(sr, 1, ((value,),))
+    return UTMatrix([[[value]]])
+
+
+def _block_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two upper triangular blocks of one size: C[i][j] is the
+    tropical sum over i <= k <= j of A[i][k] * B[k][j], with add and mul
+    written out inline because this is the hot loop."""
+    n = len(a)
+    rows = []
+    for i in range(n):
+        arow = a[i]
+        crow = [NEG_INF] * n
+        for j in range(i, n):
+            acc = NEG_INF
+            for k in range(i, j + 1):
+                x, y = arow[k], b[k][j]
+                if x != NEG_INF and y != NEG_INF and x + y > acc:
+                    acc = x + y
+            crow[j] = acc
+        rows.append(tuple(crow))
+    return tuple(rows)
+
+
+def _regroup(A: UTMatrix, cuts: set) -> tuple:
+    """A's blocks merged so that block boundaries fall only on ``cuts``."""
+    out, group, off = [], [], 0
+    for b in A.blocks:
+        group.append(b)
+        off += len(b)
+        if off in cuts:
+            out.append(group[0] if len(group) == 1 else _dense(group))
+            group = []
+    return tuple(out)
 
 
 def mat_mul(A: UTMatrix, B: UTMatrix) -> UTMatrix:
-    """C[i][j] = add over k of A[i][k] * B[k][j]; only k in i..j contributes."""
-    if A.semiring is not B.semiring and type(A.semiring) is not type(B.semiring):
-        raise ValueError("semiring mismatch")
+    """Block by block when A and B share a block split; otherwise both are
+    first merged up to the block boundaries they share."""
     if A.dim != B.dim:
         raise ValueError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    sr = A.semiring
-    zero = sr.zero
-    n = A.dim
-    rows = []
-    for i in range(n):
-        arow = A.rows[i]
-        crow = [zero] * n
-        for j in range(i, n):
-            acc = zero
-            for k in range(i, j + 1):
-                acc = sr.add(acc, sr.mul(arow[k], B.rows[k][j]))
-            crow[j] = acc
-        rows.append(tuple(crow))
-    return UTMatrix(sr, n, tuple(rows))
-
-
-def mat_power(A: UTMatrix, k: int) -> UTMatrix:
-    if k < 0:
-        raise ValueError("negative power")
-    acc = identity_matrix(A.semiring, A.dim)
-    base = A
-    while k:
-        if k & 1:
-            acc = mat_mul(acc, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return acc
+    a, b = A.blocks, B.blocks
+    if A.sizes != B.sizes:
+        cuts = set(accumulate(A.sizes)) & set(accumulate(B.sizes))
+        a, b = _regroup(A, cuts), _regroup(B, cuts)
+    return UTMatrix._of(tuple(map(_block_mul, a, b)))
 
 
 def skew_transpose(A: UTMatrix) -> UTMatrix:
-    """Reflect across the secondary diagonal: (A^D)[i][j] = A[n-1-j][n-1-i]."""
-    n = A.dim
-    rows = tuple(
-        tuple(A.rows[n - 1 - j][n - 1 - i] for j in range(n)) for i in range(n)
-    )
-    return UTMatrix(A.semiring, n, rows)
+    """Reflect across the secondary diagonal: (A^D)[i][j] = A[n-1-j][n-1-i].
+    The block order reverses and each block is reflected the same way."""
+    def skew(b):
+        k = len(b)
+        return tuple(tuple(b[k - 1 - j][k - 1 - i] for j in range(k)) for i in range(k))
+    return UTMatrix._of(tuple(skew(b) for b in reversed(A.blocks)))
 
 
-def block_diag(blocks) -> UTMatrix:
-    """Block diagonal assembly; off-block entries are zero.  diag{} is 0x0."""
-    blocks = list(blocks)
-    if not blocks:
-        return UTMatrix(TROPICAL, 0, ())
-    sr = blocks[0].semiring
-    n = sum(b.dim for b in blocks)
-    zero = sr.zero
-    rows = [[zero] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i in range(b.dim):
-            rows[off + i][off:off + b.dim] = b.rows[i]
-        off += b.dim
-    return UTMatrix(sr, n, tuple(tuple(r) for r in rows))
+def block_diag(matrices) -> UTMatrix:
+    """Block diagonal assembly: the blocks of each matrix in turn.
+    diag{} is 0x0."""
+    return UTMatrix._of(tuple(b for m in matrices for b in m.blocks))
 
 
 # The four 2x2 generator blocks used by every representation in this package.
 
-def gen_P(sr: Semiring = TROPICAL) -> UTMatrix:
-    return from_rows(sr, [[sr.s, sr.zero], [sr.zero, sr.one]])
+def gen_P() -> UTMatrix:
+    return from_rows([[1, NEG_INF], [NEG_INF, 0]])
 
 
-def gen_Q(sr: Semiring = TROPICAL) -> UTMatrix:
-    return from_rows(sr, [[sr.one, sr.zero], [sr.zero, sr.s]])
+def gen_Q() -> UTMatrix:
+    return from_rows([[0, NEG_INF], [NEG_INF, 1]])
 
 
-def gen_J(sr: Semiring = TROPICAL) -> UTMatrix:
-    return from_rows(sr, [[sr.one, sr.one], [sr.zero, sr.zero]])
+def gen_J() -> UTMatrix:
+    return from_rows([[0, 0], [NEG_INF, NEG_INF]])
 
 
-def gen_K(sr: Semiring = TROPICAL) -> UTMatrix:
-    return from_rows(sr, [[sr.zero, sr.one], [sr.zero, sr.one]])
-
-
-GENERATORS = {"P": gen_P, "Q": gen_Q, "J": gen_J, "K": gen_K}
+def gen_K() -> UTMatrix:
+    return from_rows([[NEG_INF, 0], [NEG_INF, 0]])
 
 
 def matrix_to_json(A: UTMatrix) -> str:
     entries = [["-inf" if x == NEG_INF else x for x in row] for row in A.rows]
     return json.dumps({"dim": A.dim, "entries": entries}, separators=(",", ":"))
-
-
-def matrix_from_json(text: str, sr: Semiring = TROPICAL) -> UTMatrix:
-    obj = json.loads(text)
-    rows = [[NEG_INF if x == "-inf" else x for x in row] for row in obj["entries"]]
-    A = from_rows(sr, rows)
-    if A.dim != obj["dim"]:
-        raise ValueError("dim field disagrees with entries")
-    return A

@@ -21,7 +21,7 @@ from baxt.oracle import (brute_force_check, comm_assignments, comm_check,
                          comm_eval, sample_check)
 from baxt.represent import (materialize, phi2, phi2_closed, phi3, phi3_closed,
                             phi_n, tuple_equal, tuple_sharp)
-from baxt.semiring import TROPICAL, identity_matrix, mat_mul, skew_transpose
+from baxt.semiring import identity_matrix, mat_mul, skew_transpose
 from baxt.trees import p_baxt, p_sylv, p_sylv_sharp
 from baxt.words import (AWord, Identity, IVar, flatten, ident, iword, occ,
                         occ_after, occ_before, parse_aword, parse_term,
@@ -216,7 +216,7 @@ def test_criterion_04_involution():
 
 def _images_by_word(n, max_len, gens, dim):
     """phi images for all words of A_n^<=max_len, computed incrementally."""
-    images = {(): identity_matrix(TROPICAL, dim)}
+    images = {(): identity_matrix(dim)}
     frontier = [()]
     for _ in range(max_len):
         nxt = []

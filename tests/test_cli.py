@@ -1,4 +1,8 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from baxt.cli import run
 from baxt.monoid import canonical, element_to_json_obj
@@ -64,6 +68,23 @@ def test_repr_tuple(capsys):
     assert run(["repr", "1234", "--n", "4", "--materialize", "--format",
                 "json"]) == 0
     assert json.loads(out_of(capsys))["dim"] == 180
+
+
+# `repr` output recorded before the block-diagonal matrix rewrite; large
+# outputs are kept as a sha256 digest of the UTF-8 bytes.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "repr_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
+def test_repr_golden_output(capsys, case):
+    assert run(case["argv"]) == 0
+    out = out_of(capsys)
+    if "stdout" in case:
+        assert out == case["stdout"]
+    else:
+        data = out.encode()
+        assert len(data) == case["bytes"]
+        assert hashlib.sha256(data).hexdigest() == case["sha256"]
 
 
 def test_check_id(capsys):

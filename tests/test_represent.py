@@ -9,8 +9,8 @@ from baxt.represent import (PairElement, _letter_pair_words, generator_images,
                             index_pairs, materialize, pair_sharp, phi1, phi2,
                             phi2_closed, phi3, phi3_closed, phi_ij, phi_n,
                             tuple_equal, tuple_sharp)
-from baxt.semiring import (TROPICAL, block_diag, gen_J, gen_P, identity_matrix,
-                           mat_mul, scalar, skew_transpose)
+from baxt.semiring import (block_diag, gen_J, gen_P, identity_matrix, mat_mul,
+                           scalar, skew_transpose)
 from baxt.words import AWord, parse_aword
 
 
@@ -26,14 +26,14 @@ def rank_words(n, max_len=8):
 
 def test_phi2_generators():
     images = generator_images(2)
-    s1, one = scalar(TROPICAL, 1), scalar(TROPICAL, 0)
+    s1, one = scalar(1), scalar(0)
     assert images[1] == block_diag([s1, gen_P(), gen_J(), one])
     assert phi2(parse_aword("1", 2)) == images[1]
-    assert phi2(AWord((), 2)) == identity_matrix(TROPICAL, 6)
+    assert phi2(AWord((), 2)) == identity_matrix(6)
 
 
 def test_phi1():
-    assert phi1(AWord((), 1)) == identity_matrix(TROPICAL, 2)
+    assert phi1(AWord((), 1)) == identity_matrix(2)
     m = phi1(parse_aword("111", 1))
     assert m[0, 0] == 3 == m[1, 1]
 
@@ -169,7 +169,7 @@ def test_materialize():
     t = phi_n(AWord((), 4))
     m = materialize(t)
     assert m.dim == 180
-    assert m == identity_matrix(TROPICAL, 180)
+    assert m == identity_matrix(180)
 
 
 @settings(max_examples=15, deadline=None)
