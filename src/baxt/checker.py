@@ -7,9 +7,17 @@ variable prefix/suffix (with the adjacent variable), and the longest prefix/
 suffix free of a mixed pair {x, x*} (content and multiplicities, plus the
 adjacent variable at rank 3); rank 3 adds directional occurrence-count sums
 around first/last occurrences, and rank >= 4 collapses to exact directional
-counts for every ordered letter pair.  All statistics are computed from
-per-letter position indexes, so a check runs in O(|u| + k^2 log |u|) for k
-distinct variables.
+counts for every ordered letter pair.
+
+Costs, for sides of |u| letters over k variables.  Ranks 2 and 3 read each
+side once in each direction and record, at the first occurrence of every
+letter, the count of every letter before it (mirrored: after the last
+occurrence); every statistic is then a table lookup, so a check runs in
+O(|u| + k^2) time and O(k^2) memory.  Rank >= 4 and the plain variant
+decide with one sweep per direction in O(|u|): the same order of first
+occurrences and equal multisets between consecutive ones (mirrored for last
+occurrences).  Only a NO builds the tables, to name the first differing
+(pivot, letter, side).
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on materialized
@@ -26,9 +34,9 @@ non-self-dual image refutes them at every rank.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .words import IVar, IWord, Identity
@@ -120,80 +128,107 @@ def _no(n, violated, witness, mode="involution"):
 
 
 # ---------------------------------------------------------------------------
-# Position index
+# Letter tables
 # ---------------------------------------------------------------------------
 
-class _WordIndex:
-    __slots__ = ("word", "positions", "first", "last", "base_letters")
-
-    def __init__(self, u: IWord):
-        positions: dict[IVar, list[int]] = {}
-        for i, x in enumerate(u):
-            positions.setdefault(x, []).append(i)
-        self.word = u
-        self.positions = positions
-        self.first = {x: p[0] for x, p in positions.items()}
-        self.last = {x: p[-1] for x, p in positions.items()}
-        base_letters: dict[str, list[IVar]] = {}
-        for x in positions:
-            base_letters.setdefault(x.base, []).append(x)
-        for group in base_letters.values():
-            group.sort()
-        self.base_letters = base_letters
-
-    def count_before(self, x: IVar, pos: int) -> int:
-        p = self.positions.get(x)
-        return bisect_left(p, pos) if p else 0
-
-    def count_after(self, x: IVar, pos: int) -> int:
-        p = self.positions.get(x)
-        return len(p) - bisect_right(p, pos) if p else 0
+def _letter_ids(ident: Identity):
+    """Sorted base names, and both sides with every letter replaced by its
+    id 2 * (index of the base) + starred; ids sort like the letters."""
+    letters = set(ident.lhs)
+    letters.update(ident.rhs)
+    names = sorted({base for base, _ in letters})
+    index = {b: 2 * i for i, b in enumerate(names)}
+    ids = {x: index[x[0]] + x[1] for x in letters}
+    return (names, list(map(ids.__getitem__, ident.lhs)),
+            list(map(ids.__getitem__, ident.rhs)))
 
 
-def _pre_stat(idx: _WordIndex, letters):
-    """(leading letter, run length, following letter) of the restriction."""
-    lead = min(letters, key=idx.first.__getitem__)
-    m1 = min(idx.first[t] for t in letters if t != lead)
-    follower = next(t for t in letters if t != lead and idx.first[t] == m1)
-    return lead, idx.count_before(lead, m1), follower
+def _letter(names, a: int) -> IVar:
+    return IVar(names[a >> 1], bool(a & 1))
 
 
-def _suf_stat(idx: _WordIndex, letters):
-    tail = max(letters, key=idx.last.__getitem__)
-    m1 = max(idx.last[t] for t in letters if t != tail)
-    preceder = next(t for t in letters if t != tail and idx.last[t] == m1)
-    return tail, idx.count_after(tail, m1), preceder
+class _View:
+    """One side of an identity as letter ids, read left to right (or, for
+    the suffix statistics, right to left): per letter id, its first
+    position and the count of every letter id before it."""
+
+    __slots__ = ("at", "before")
+
+    def __init__(self, ids, size: int):
+        at = [len(ids)] * size
+        before = [None] * size
+        counts = [0] * size
+        for i, a in enumerate(ids):
+            if before[a] is None:
+                before[a] = counts[:]
+                at[a] = i
+            counts[a] += 1
+        self.at, self.before = at, before
 
 
-def _pren_stat(idx: _WordIndex, base_names, letters):
-    """Occurrence counts inside the mixed-pair-free prefix of the
-    restriction, plus the letter just after it; None when the restriction
-    has no mixed pair at all (then balance settles everything)."""
-    stop = None
-    for b in base_names:
-        group = idx.base_letters.get(b)
-        if group and len(group) == 2:
-            c = max(idx.first[group[0]], idx.first[group[1]])
-            if stop is None or c < stop:
-                stop = c
-    if stop is None:
+class _BaseView(_View):
+    """A _View that also knows, per base, its letters in order of first
+    occurrence; the second one is None when only one of x, x* occurs."""
+
+    __slots__ = ("one", "two", "two_at")
+
+    def __init__(self, ids, size: int):
+        super().__init__(ids, size)
+        at, end = self.at, len(ids)
+        self.one = [x if at[x] < at[x + 1] else x + 1 for x in range(0, size, 2)]
+        self.two_at = [at[x ^ 1] for x in self.one]
+        self.two = [x ^ 1 if t < end else None
+                    for x, t in zip(self.one, self.two_at)]
+
+    def stats(self, i: int, j: int, strict: bool) -> tuple:
+        """Statistics of the restriction to bases i and j (i == j: one base
+        with both letters).  pre: leading letter, its run length, the letter
+        that ends the run.  pren: the counts of the letters of i and j in
+        the longest prefix free of a mixed pair {x, x*} and, when strict,
+        the letter just after it; all None when neither base has both."""
+        at, a, f = self.at, self.one[i], self.two[i]
+        if j != i:
+            b = self.one[j]
+            if at[b] < at[a]:
+                a, b, f = b, a, self.two[j]
+            if f is None or at[b] < at[f]:
+                f = b
+        s = self.two[i] if self.two_at[i] <= self.two_at[j] else self.two[j]
+        if s is None:
+            return a, self.before[f][a], f, None, None, None, None, None
+        row = self.before[s]
+        i, j = 2 * i, 2 * j
+        return (a, self.before[f][a], f,
+                row[i], row[i + 1], row[j], row[j + 1], s if strict else None)
+
+
+def _first_diff(p, q, lo: int, hi: int):
+    """First index outside lo..hi-1 at which p and q differ, or None."""
+    if p[:lo] == q[:lo] and p[hi:] == q[hi:]:
         return None
-    counts = tuple(idx.count_before(t, stop) for t in letters)
-    return counts, idx.word[stop]
+    for i, (a, b) in enumerate(zip(p, q)):
+        if a != b and not lo <= i < hi:
+            return i
+    return None
 
 
-def _sufn_stat(idx: _WordIndex, base_names, letters):
-    start = None
-    for b in base_names:
-        group = idx.base_letters.get(b)
-        if group and len(group) == 2:
-            c = min(idx.last[group[0]], idx.last[group[1]])
-            if start is None or c > start:
-                start = c
-    if start is None:
-        return None
-    counts = tuple(idx.count_after(t, start) for t in letters)
-    return counts, idx.word[start]
+def _pivot_diff(du, dv, y: int, lo: int, hi: int, sums: bool):
+    """First coordinate, outside lo..hi-1, at which the two sides' count
+    vectors differ just before the first occurrence of letter y in the
+    views' reading direction (per base when sums); None if they agree."""
+    p, q = du.before[y], dv.before[y]
+    if sums:
+        p = list(map(add, p[::2], p[1::2]))
+        q = list(map(add, q[::2], q[1::2]))
+    return _first_diff(p, q, lo, hi)
+
+
+def _first_witness(left, right):
+    """Loops that test, per coordinate, the left side before the right
+    one meet the earlier difference first, the left one on a tie."""
+    if right is None or (left is not None and left <= right):
+        return "left", left
+    return "right", right
 
 
 # ---------------------------------------------------------------------------
@@ -216,103 +251,85 @@ def _balance_witness(ident: Identity) -> dict:
 def check_baxt1(ident: Identity) -> CheckReport:
     """Rank 1 is the free monogenic monoid with trivial star: only the
     star-blind per-base counts matter."""
-    cu = Counter(x.bare() for x in ident.lhs)
-    cv = Counter(x.bare() for x in ident.rhs)
+    cu = Counter(x.base for x in ident.lhs)
+    cv = Counter(x.base for x in ident.rhs)
     if cu == cv:
         return _yes(1)
-    bad = next(x for x in sorted(set(cu) | set(cv)) if cu[x] != cv[x])
-    return _no(1, "Balanced",
-               {"letter": str(bad), "lhs": cu[bad], "rhs": cv[bad]})
+    bad = next(b for b in sorted(set(cu) | set(cv)) if cu[b] != cv[b])
+    return _no(1, "Balanced", {"letter": bad, "lhs": cu[bad], "rhs": cv[bad]})
 
 
 # ---------------------------------------------------------------------------
 # Ranks 2 and 3: the restriction procedure
 # ---------------------------------------------------------------------------
 
-def _base_subsets(iu: _WordIndex):
-    names = sorted(iu.base_letters)
-    subsets = [(b,) for b in names]
-    subsets += [(names[i], names[j])
-                for i in range(len(names)) for j in range(i + 1, len(names))]
-    subsets.sort()
-    return subsets
+def _views(names, u, v, view=_View):
+    """The left-to-right and the right-to-left views of both sides."""
+    size = 2 * len(names)
+    return ((view(u, size), view(v, size)),
+            (view(u[::-1], size), view(v[::-1], size)))
+
+
+_CHECKS = (("left", "pre", "pren"), ("right", "suf", "sufn"))
 
 
 def _procedure_check(ident: Identity, n: int) -> CheckReport:
-    if not is_balanced(ident):
+    names, u, v = _letter_ids(ident)
+    if sorted(u) != sorted(v):
         return _no(n, "Balanced", _balance_witness(ident))
-    iu, iv = _WordIndex(ident.lhs), _WordIndex(ident.rhs)
+    (fu, fv), (bu, bv) = _views(names, u, v, _BaseView)
     strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
+    k = len(names)
 
-    def differ(stat_u, stat_v):
-        # rank 2 compares the counts only; rank 3 also the adjacent letter
-        if stat_u is None or stat_v is None:
-            return stat_u is not stat_v
-        return stat_u != stat_v if strict else stat_u[0] != stat_v[0]
-
-    def run_tag(stat):
-        # a run broken by the star partner is an (I) pattern, else a (II) one
-        return "I" if stat[2] == stat[0].star() else "II"
-
-    for B in _base_subsets(iu):
-        letters = sorted(t for b in B for t in iu.base_letters.get(b, ()))
-        if len(letters) <= 1:
-            continue
-        pair = [str(b) for b in B]
-        pu = _pre_stat(iu, letters)
-        if pu != _pre_stat(iv, letters):
-            return _no(n, run_tag(pu), {"pair": pair, "side": "left",
-                                        "check": "pre"})
-        if differ(_pren_stat(iu, B, letters), _pren_stat(iv, B, letters)):
-            return _no(n, "III", {"pair": pair, "side": "left", "check": "pren"})
-        su = _suf_stat(iu, letters)
-        if su != _suf_stat(iv, letters):
-            return _no(n, run_tag(su), {"pair": pair, "side": "right",
-                                        "check": "suf"})
-        if differ(_sufn_stat(iu, B, letters), _sufn_stat(iv, B, letters)):
-            return _no(n, "III", {"pair": pair, "side": "right", "check": "sufn"})
+    # every base, then every pair of bases, in sorted order
+    for i in range(k):
+        for j in range(i, k):
+            if j == i and fu.two[i] is None:
+                continue  # one letter alone has no statistics
+            left = fu.stats(i, j, strict), fv.stats(i, j, strict)
+            right = bu.stats(i, j, strict), bv.stats(i, j, strict)
+            if left[0] != left[1] or right[0] != right[1]:
+                return _no(n, *_subset_violation(names, i, j, left, right))
 
     if n == 2:
         return _yes(2)
 
-    # rank 3: directional occurrence sums per (base, pivot letter) ...
-    pivots = sorted(iu.positions)
-    names = sorted(iu.base_letters)
+    # rank 3: directional occurrence sums per (pivot letter, base) ...
+    pivots = [y for y in range(2 * k) if fu.before[y] is not None]
     for y in pivots:
-        fu, fv = iu.first[y], iv.first[y]
-        lu, lv = iu.last[y], iv.last[y]
-        for b in names:
-            if b == y.base:
-                continue
-            xs = iu.base_letters[b]
-            if sum(iu.count_before(x, fu) for x in xs) != \
-                    sum(iv.count_before(x, fv) for x in xs):
-                return _no(3, "IV", {"pivot": str(y), "base": b, "side": "left"})
-            if sum(iu.count_after(x, lu) for x in xs) != \
-                    sum(iv.count_after(x, lv) for x in xs):
-                return _no(3, "IV", {"pivot": str(y), "base": b, "side": "right"})
+        b = y >> 1
+        side, d = _first_witness(_pivot_diff(fu, fv, y, b, b + 1, True),
+                                 _pivot_diff(bu, bv, y, b, b + 1, True))
+        if d is not None:
+            return _no(3, "IV", {"pivot": str(_letter(names, y)),
+                                 "base": names[d], "side": side})
 
     # ... and exact directional counts for pivots whose star partner does not
     # occur on the relevant side of them
     for y in pivots:
-        ystar = y.star()
-        fu, fv = iu.first[y], iv.first[y]
-        lu, lv = iu.last[y], iv.last[y]
-        if iu.count_before(ystar, fu) == 0:
-            for x in pivots:
-                if x.base == y.base:
-                    continue
-                if iu.count_before(x, fu) != iv.count_before(x, fv):
-                    return _no(3, "V", {"pivot": str(y), "letter": str(x),
-                                        "side": "left"})
-        if iu.count_after(ystar, lu) == 0:
-            for x in pivots:
-                if x.base == y.base:
-                    continue
-                if iu.count_after(x, lu) != iv.count_after(x, lv):
-                    return _no(3, "V", {"pivot": str(y), "letter": str(x),
-                                        "side": "right"})
+        b = y & ~1
+        for side, du, dv in (("left", fu, fv), ("right", bu, bv)):
+            if du.before[y][y ^ 1] == 0:
+                d = _pivot_diff(du, dv, y, b, b + 2, False)
+                if d is not None:
+                    return _no(3, "V", {"pivot": str(_letter(names, y)),
+                                        "letter": str(_letter(names, d)),
+                                        "side": side})
     return _yes(3)
+
+
+def _subset_violation(names, i: int, j: int, left, right):
+    """The pattern and witness of the first statistic of bases i, j that
+    differs, in the order pre, pren, suf, sufn."""
+    pair = [names[i]] if i == j else [names[i], names[j]]
+    for (su, sv), (side, run, mixed) in zip((left, right), _CHECKS):
+        if su[:3] != sv[:3]:
+            # a run broken by the star partner is an (I) pattern, else (II)
+            tag = "I" if su[2] == su[0] ^ 1 else "II"
+            return tag, {"pair": pair, "side": side, "check": run}
+        if su[3:] != sv[3:]:
+            return "III", {"pair": pair, "side": side, "check": mixed}
+    raise AssertionError("no statistic differs")
 
 
 def check_baxt2(ident: Identity) -> CheckReport:
@@ -327,24 +344,44 @@ def check_baxt3(ident: Identity) -> CheckReport:
 # Rank >= 4 and the plain variant
 # ---------------------------------------------------------------------------
 
+def _first_segments(u: list) -> list:
+    """The multisets of the pieces of u cut just before the first
+    occurrence of each letter.  A piece of up to 256 letters is sorted, a
+    longer one counted: sorting is cheaper below that length, hashing
+    above it.  Equal multisets have equal lengths, so they are always
+    compared in the same form."""
+    first = dict(zip(reversed(u), range(len(u) - 1, -1, -1)))
+    cuts = sorted(first.values())
+    cuts.append(len(u))
+    pieces = [u[a:b] for a, b in zip(cuts, cuts[1:])]
+    return [sorted(p) if len(p) <= 256 else Counter(p) for p in pieces]
+
+
 def _occ_lr_check(ident: Identity, n: int, mode: str) -> CheckReport:
-    if not is_balanced(ident):
+    """Every pivot x sees the same count of every other letter before its
+    first occurrence, and after its last, on both sides.  Counts before
+    every first occurrence agree exactly when the first occurrences come in
+    the same order and the pieces between consecutive ones are equal as
+    multisets; mirrored for last occurrences.  Equal pieces also make the
+    sides balanced, so balance is only tested on a NO."""
+    names, u, v = _letter_ids(ident)
+    if (_first_segments(u) == _first_segments(v)
+            and _first_segments(u[::-1]) == _first_segments(v[::-1])):
+        return CheckReport(True, n, mode)
+    if sorted(u) != sorted(v):
         return _no(n, "Balanced", _balance_witness(ident), mode)
-    iu, iv = _WordIndex(ident.lhs), _WordIndex(ident.rhs)
-    pivots = sorted(iu.positions)
-    for x in pivots:
-        fu, fv = iu.first[x], iv.first[x]
-        lu, lv = iu.last[x], iv.last[x]
-        for y in pivots:
-            if y == x:
-                continue
-            if iu.count_before(y, fu) != iv.count_before(y, fv):
-                return _no(n, "OccLR", {"pivot": str(x), "letter": str(y),
-                                        "side": "left"}, mode)
-            if iu.count_after(y, lu) != iv.count_after(y, lv):
-                return _no(n, "OccLR", {"pivot": str(x), "letter": str(y),
-                                        "side": "right"}, mode)
-    return CheckReport(True, n, mode)
+    # the first (pivot, letter, side) in sorted order that differs
+    (fu, fv), (bu, bv) = _views(names, u, v)
+    for x in range(2 * len(names)):
+        if fu.before[x] is None:
+            continue
+        side, d = _first_witness(_pivot_diff(fu, fv, x, x, x + 1, False),
+                                 _pivot_diff(bu, bv, x, x, x + 1, False))
+        if d is not None:
+            return _no(n, "OccLR", {"pivot": str(_letter(names, x)),
+                                    "letter": str(_letter(names, d)),
+                                    "side": side}, mode)
+    raise AssertionError("segment sweep and pivot counts disagree")
 
 
 def check_baxt4plus(ident: Identity, n: int = 4) -> CheckReport:
@@ -358,7 +395,7 @@ def check_baxt4plus(ident: Identity, n: int = 4) -> CheckReport:
 def check_plain(ident: Identity, n: int = 2) -> CheckReport:
     """Plain monoids of rank >= 2 all satisfy the same identities: balanced
     plus equal directional counts."""
-    if any(x.starred for x in ident.lhs + ident.rhs):
+    if any(x.starred for x in {*ident.lhs, *ident.rhs}):
         raise PlainModeError("starred letter present; use the involution checker")
     if n < 2:
         r = check_baxt1(ident)
@@ -428,6 +465,10 @@ def _conditions(ident: Identity, n: int) -> bool:
     letters = sorted(set(u))
     role_pairs = [(x, y) for x in letters for y in letters if y.base != x.base]
     same_base = [(x, x.star()) for x in letters if x.star() in set(letters)]
+    # (III) and (V) also fire on roles whose letter does not occur itself
+    # (only its star partner does), so they range over the star closure
+    closed = sorted(set(letters) | {x.star() for x in letters})
+    closed_pairs = [(x, y) for x in closed for y in closed if y.base != x.base]
 
     for x, y in role_pairs + same_base:
         ru = _restriction(u, x.base, y.base)
@@ -442,7 +483,7 @@ def _conditions(ident: Identity, n: int) -> bool:
             if a is not None and _leading_run_then(s, y, x) != a:
                 return False
 
-    for x, y in role_pairs:
+    for x, y in closed_pairs:
         ru = _restriction(u, x.base, y.base)
         rv = _restriction(v, x.base, y.base)
         # (III): starred-prefix block before the first plain letter

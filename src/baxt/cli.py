@@ -21,6 +21,18 @@ from .words import (ParseError, RangeError, format_iword, iword,
                     parse_aword, parse_identity)
 
 
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than lo; anything else is a
+    usage error (exit 2), never a silently empty search."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="baxt",
@@ -68,16 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="bounded refutation search (stdin if omitted)")
     p.add_argument("identity", nargs="?")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--max-len", type=_at_least(0), default=None)
+    p.add_argument("--samples", type=_at_least(1), default=None,
                    help="sample the grid instead of scanning all of it")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     fmt(p)
 
     p = sub.add_parser("family", help="emit a named identity family")
     p.add_argument("name", choices=("basis2", "basis4", "pkqk", "reverses"))
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_at_least(1), default=2)
 
     p = sub.add_parser("isoterm", help="search for identity partners of a word")
     p.add_argument("word", help="involution word, e.g. 'x x* y y*'")

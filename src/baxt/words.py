@@ -11,6 +11,7 @@ to the letters using (t*)* = t and (st)* = t* s*.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -241,18 +242,23 @@ def flatten(t: Term) -> IWord:
     """Convert a term to its unique word form: stars distribute by reversing
     factor order and toggling letter flags; double stars cancel."""
     out = []
-
-    def walk(node, starred: bool):
-        if isinstance(node, Atom):
-            out.append(node.var.star() if starred else node.var)
-        elif isinstance(node, Star):
-            walk(node.inner, not starred)
+    # open concatenations: an iterator over the parts still to walk, and
+    # whether an odd number of stars sits above them
+    stack = [(iter((t,)), False)]
+    while stack:
+        parts, starred = stack[-1]
+        for node in parts:
+            flip = starred
+            while type(node) is Star:
+                node, flip = node.inner, not flip
+            if type(node) is Atom:
+                out.append(node.var.star() if flip else node.var)
+            else:
+                stack.append((reversed(node.parts) if flip else iter(node.parts),
+                              flip))
+                break
         else:
-            parts = reversed(node.parts) if starred else node.parts
-            for p in parts:
-                walk(p, starred)
-
-    walk(t, False)
+            stack.pop()
     return tuple(out)
 
 
@@ -262,68 +268,63 @@ def parse_term(text: str) -> Term:
     Juxtaposition is concatenation, postfix ``*`` is star (binds tighter than
     concatenation), parentheses group, identifiers start with a letter or
     underscore.  Whitespace only separates tokens; bare digits are not
-    variables.
+    variables.  Nesting depth is not limited by the interpreter's stack.
     """
-    tokens = _lex_term(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def parse_concat():
-        nonlocal pos
-        parts = []
-        while True:
-            tok = peek()
-            if tok is None or tok in (")",):
-                break
-            if tok == "*":
+    leaves = {}     # token -> its Atom, or Star chain over the Atom
+    groups = []     # parts of the enclosing, still open parentheses
+    parts = []
+    for tok in _lex_term(text):
+        node = leaves.get(tok)
+        if node is None:
+            c = tok[0]
+            if c == "(":
+                groups.append(parts)
+                parts = []
+                continue
+            if c == "*":
                 raise ParseError("dangling star")
-            if tok == "(":
-                pos += 1
-                inner = parse_concat()
-                if peek() != ")":
-                    raise ParseError("unbalanced parentheses")
-                pos += 1
-                node = inner
+            if c == ")":
+                if not parts:
+                    raise ParseError("empty term")
+                if not groups:
+                    raise ParseError("unexpected token ')'")
+                node = parts[0] if len(parts) == 1 else Concat(tuple(parts))
+                parts = groups.pop()
             else:
-                pos += 1
-                node = Atom(IVar(tok, False))
-            while peek() == "*":
-                pos += 1
+                # an identifier holds no star and no space
+                node = Atom(IVar(tok.partition("*")[0].rstrip(), False))
+            for _ in range(tok.count("*")):
                 node = Star(node)
-            parts.append(node)
-        if not parts:
-            raise ParseError("empty term")
-        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
+            if c != ")":
+                leaves[tok] = node
+        parts.append(node)
+    if not parts:
+        raise ParseError("empty term")
+    if groups:
+        raise ParseError("unbalanced parentheses")
+    return parts[0] if len(parts) == 1 else Concat(tuple(parts))
 
-    term = parse_concat()
-    if pos != len(tokens):
-        raise ParseError(f"unexpected token {tokens[pos]!r}")
-    return term
+
+# One token per match: an identifier or a closing parenthesis together with
+# the stars that follow it, an opening parenthesis, a star that follows
+# nothing, or any other single non-space character (always an error).
+_TOKEN = re.compile(r"(?:\w+|\))(?:\s*\*)*|[(*]|\S")
 
 
 def _lex_term(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()*":
-            tokens.append(c)
-            i += 1
-        elif c.isalpha() or c == "_":
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"bad character {c!r} at position {i}")
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty term")
+    if not all(map(_well_formed, set(tokens))):
+        for m in _TOKEN.finditer(text):
+            if not _well_formed(m.group()):
+                raise ParseError(f"bad character {m.group()[0]!r} at position {m.start()}")
     return tokens
+
+
+def _well_formed(tok: str) -> bool:
+    c = tok[0]
+    return c in "()*" or c.isalpha() or c == "_"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,316 @@
+"""Reference routes kept for differential tests.
+
+These are the straightforward implementations that the library's fast paths
+replaced: the rank-2/3 restriction procedure and the rank >= 4 / plain
+occurrence check built on per-letter position lists and bisection (O(k^2)
+pair loops), and the recursive term parser with its character-by-character
+lexer.  The tests assert that the library returns the same reports, words
+and errors.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from collections import Counter
+
+from baxt.checker import CheckReport, _balance_witness, _no, _yes, is_balanced
+from baxt.words import Atom, Concat, Identity, IVar, IWord, ParseError, Star, Term
+
+
+# ---------------------------------------------------------------------------
+# Checker: position index and per-restriction statistics
+# ---------------------------------------------------------------------------
+
+class _WordIndex:
+    __slots__ = ("word", "positions", "first", "last", "base_letters")
+
+    def __init__(self, u: IWord):
+        positions: dict[IVar, list[int]] = {}
+        for i, x in enumerate(u):
+            positions.setdefault(x, []).append(i)
+        self.word = u
+        self.positions = positions
+        self.first = {x: p[0] for x, p in positions.items()}
+        self.last = {x: p[-1] for x, p in positions.items()}
+        base_letters: dict[str, list[IVar]] = {}
+        for x in positions:
+            base_letters.setdefault(x.base, []).append(x)
+        for group in base_letters.values():
+            group.sort()
+        self.base_letters = base_letters
+
+    def count_before(self, x: IVar, pos: int) -> int:
+        p = self.positions.get(x)
+        return bisect_left(p, pos) if p else 0
+
+    def count_after(self, x: IVar, pos: int) -> int:
+        p = self.positions.get(x)
+        return len(p) - bisect_right(p, pos) if p else 0
+
+
+def _pre_stat(idx: _WordIndex, letters):
+    """(leading letter, run length, following letter) of the restriction."""
+    lead = min(letters, key=idx.first.__getitem__)
+    m1 = min(idx.first[t] for t in letters if t != lead)
+    follower = next(t for t in letters if t != lead and idx.first[t] == m1)
+    return lead, idx.count_before(lead, m1), follower
+
+
+def _suf_stat(idx: _WordIndex, letters):
+    tail = max(letters, key=idx.last.__getitem__)
+    m1 = max(idx.last[t] for t in letters if t != tail)
+    preceder = next(t for t in letters if t != tail and idx.last[t] == m1)
+    return tail, idx.count_after(tail, m1), preceder
+
+
+def _pren_stat(idx: _WordIndex, base_names, letters):
+    """Occurrence counts inside the mixed-pair-free prefix of the
+    restriction, plus the letter just after it; None when the restriction
+    has no mixed pair at all (then balance settles everything)."""
+    stop = None
+    for b in base_names:
+        group = idx.base_letters.get(b)
+        if group and len(group) == 2:
+            c = max(idx.first[group[0]], idx.first[group[1]])
+            if stop is None or c < stop:
+                stop = c
+    if stop is None:
+        return None
+    counts = tuple(idx.count_before(t, stop) for t in letters)
+    return counts, idx.word[stop]
+
+
+def _sufn_stat(idx: _WordIndex, base_names, letters):
+    start = None
+    for b in base_names:
+        group = idx.base_letters.get(b)
+        if group and len(group) == 2:
+            c = min(idx.last[group[0]], idx.last[group[1]])
+            if start is None or c > start:
+                start = c
+    if start is None:
+        return None
+    counts = tuple(idx.count_after(t, start) for t in letters)
+    return counts, idx.word[start]
+
+
+# ---------------------------------------------------------------------------
+# Checker: rank 1, ranks 2 and 3, rank >= 4 and plain
+# ---------------------------------------------------------------------------
+
+def check_rank1(ident: Identity, mode: str = "involution") -> CheckReport:
+    """Rank 1: the per-base counts, blind to stars, agree."""
+    cu = Counter(x.base for x in ident.lhs)
+    cv = Counter(x.base for x in ident.rhs)
+    for b in sorted(set(cu) | set(cv)):
+        if cu[b] != cv[b]:
+            return CheckReport(False, 1, mode, "Balanced",
+                               {"letter": b, "lhs": cu[b], "rhs": cv[b]})
+    return CheckReport(True, 1, mode)
+
+
+def _base_subsets(iu: _WordIndex):
+    names = sorted(iu.base_letters)
+    subsets = [(b,) for b in names]
+    subsets += [(names[i], names[j])
+                for i in range(len(names)) for j in range(i + 1, len(names))]
+    subsets.sort()
+    return subsets
+
+
+def _procedure_check(ident: Identity, n: int) -> CheckReport:
+    if not is_balanced(ident):
+        return _no(n, "Balanced", _balance_witness(ident))
+    iu, iv = _WordIndex(ident.lhs), _WordIndex(ident.rhs)
+    strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
+
+    def differ(stat_u, stat_v):
+        # rank 2 compares the counts only; rank 3 also the adjacent letter
+        if stat_u is None or stat_v is None:
+            return stat_u is not stat_v
+        return stat_u != stat_v if strict else stat_u[0] != stat_v[0]
+
+    def run_tag(stat):
+        # a run broken by the star partner is an (I) pattern, else a (II) one
+        return "I" if stat[2] == stat[0].star() else "II"
+
+    for B in _base_subsets(iu):
+        letters = sorted(t for b in B for t in iu.base_letters.get(b, ()))
+        if len(letters) <= 1:
+            continue
+        pair = [str(b) for b in B]
+        pu = _pre_stat(iu, letters)
+        if pu != _pre_stat(iv, letters):
+            return _no(n, run_tag(pu), {"pair": pair, "side": "left",
+                                        "check": "pre"})
+        if differ(_pren_stat(iu, B, letters), _pren_stat(iv, B, letters)):
+            return _no(n, "III", {"pair": pair, "side": "left", "check": "pren"})
+        su = _suf_stat(iu, letters)
+        if su != _suf_stat(iv, letters):
+            return _no(n, run_tag(su), {"pair": pair, "side": "right",
+                                        "check": "suf"})
+        if differ(_sufn_stat(iu, B, letters), _sufn_stat(iv, B, letters)):
+            return _no(n, "III", {"pair": pair, "side": "right", "check": "sufn"})
+
+    if n == 2:
+        return _yes(2)
+
+    # rank 3: directional occurrence sums per (base, pivot letter) ...
+    pivots = sorted(iu.positions)
+    names = sorted(iu.base_letters)
+    for y in pivots:
+        fu, fv = iu.first[y], iv.first[y]
+        lu, lv = iu.last[y], iv.last[y]
+        for b in names:
+            if b == y.base:
+                continue
+            xs = iu.base_letters[b]
+            if sum(iu.count_before(x, fu) for x in xs) != \
+                    sum(iv.count_before(x, fv) for x in xs):
+                return _no(3, "IV", {"pivot": str(y), "base": b, "side": "left"})
+            if sum(iu.count_after(x, lu) for x in xs) != \
+                    sum(iv.count_after(x, lv) for x in xs):
+                return _no(3, "IV", {"pivot": str(y), "base": b, "side": "right"})
+
+    # ... and exact directional counts for pivots whose star partner does not
+    # occur on the relevant side of them
+    for y in pivots:
+        ystar = y.star()
+        fu, fv = iu.first[y], iv.first[y]
+        lu, lv = iu.last[y], iv.last[y]
+        if iu.count_before(ystar, fu) == 0:
+            for x in pivots:
+                if x.base == y.base:
+                    continue
+                if iu.count_before(x, fu) != iv.count_before(x, fv):
+                    return _no(3, "V", {"pivot": str(y), "letter": str(x),
+                                        "side": "left"})
+        if iu.count_after(ystar, lu) == 0:
+            for x in pivots:
+                if x.base == y.base:
+                    continue
+                if iu.count_after(x, lu) != iv.count_after(x, lv):
+                    return _no(3, "V", {"pivot": str(y), "letter": str(x),
+                                        "side": "right"})
+    return _yes(3)
+
+
+def _occ_lr_check(ident: Identity, n: int, mode: str) -> CheckReport:
+    if not is_balanced(ident):
+        return _no(n, "Balanced", _balance_witness(ident), mode)
+    iu, iv = _WordIndex(ident.lhs), _WordIndex(ident.rhs)
+    pivots = sorted(iu.positions)
+    for x in pivots:
+        fu, fv = iu.first[x], iv.first[x]
+        lu, lv = iu.last[x], iv.last[x]
+        for y in pivots:
+            if y == x:
+                continue
+            if iu.count_before(y, fu) != iv.count_before(y, fv):
+                return _no(n, "OccLR", {"pivot": str(x), "letter": str(y),
+                                        "side": "left"}, mode)
+            if iu.count_after(y, lu) != iv.count_after(y, lv):
+                return _no(n, "OccLR", {"pivot": str(x), "letter": str(y),
+                                        "side": "right"}, mode)
+    return CheckReport(True, n, mode)
+
+
+# ---------------------------------------------------------------------------
+# Terms: recursive parser, character-loop lexer
+# ---------------------------------------------------------------------------
+
+def flatten(t: Term) -> IWord:
+    """Convert a term to its unique word form: stars distribute by reversing
+    factor order and toggling letter flags; double stars cancel."""
+    out = []
+
+    def walk(node, starred: bool):
+        if isinstance(node, Atom):
+            out.append(node.var.star() if starred else node.var)
+        elif isinstance(node, Star):
+            walk(node.inner, not starred)
+        else:
+            parts = reversed(node.parts) if starred else node.parts
+            for p in parts:
+                walk(p, starred)
+
+    walk(t, False)
+    return tuple(out)
+
+
+def parse_term(text: str) -> Term:
+    """Parse the textual term grammar.
+
+    Juxtaposition is concatenation, postfix ``*`` is star (binds tighter than
+    concatenation), parentheses group, identifiers start with a letter or
+    underscore.  Whitespace only separates tokens; bare digits are not
+    variables.
+    """
+    tokens = _lex_term(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def parse_concat():
+        nonlocal pos
+        parts = []
+        while True:
+            tok = peek()
+            if tok is None or tok in (")",):
+                break
+            if tok == "*":
+                raise ParseError("dangling star")
+            if tok == "(":
+                pos += 1
+                inner = parse_concat()
+                if peek() != ")":
+                    raise ParseError("unbalanced parentheses")
+                pos += 1
+                node = inner
+            else:
+                pos += 1
+                node = Atom(IVar(tok, False))
+            while peek() == "*":
+                pos += 1
+                node = Star(node)
+            parts.append(node)
+        if not parts:
+            raise ParseError("empty term")
+        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
+
+    term = parse_concat()
+    if pos != len(tokens):
+        raise ParseError(f"unexpected token {tokens[pos]!r}")
+    return term
+
+
+def _lex_term(text: str) -> list:
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()*":
+            tokens.append(c)
+            i += 1
+        elif c.isalpha() or c == "_":
+            j = i + 1
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ParseError(f"bad character {c!r} at position {i}")
+    if not tokens:
+        raise ParseError("empty term")
+    return tokens
+
+
+def parse_identity(text: str) -> Identity:
+    for sep in ("≈", "~="):
+        if sep in text:
+            left, right = text.split(sep, 1)
+            return Identity(flatten(parse_term(left)), flatten(parse_term(right)))
+    raise ParseError("identity needs a '≈' or '~=' separator")

@@ -151,3 +151,33 @@ def test_error_exits(capsys):
     assert "letter 4" in capsys.readouterr().err
     assert run(["check-id", "x y", "--n", "2"]) == 2
     assert run(["bogus"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "x ~= x", "--n", "2", "--max-len", "-1"],
+    ["oracle", "x ~= x", "--n", "2", "--jobs", "0"],
+    ["oracle", "x ~= x", "--n", "2", "--samples", "0"],
+    ["family", "pkqk", "--k", "0"],
+], ids=["max-len", "jobs", "samples", "k"])
+def test_invalid_bounds_are_usage_errors(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --" in captured.err and "must be >=" in captured.err
+
+
+def test_smallest_valid_bounds(capsys):
+    assert run(["oracle", "x ~= x", "--n", "2", "--max-len", "0"]) == 0
+    assert run(["oracle", "x ~= x", "--n", "2", "--samples", "1", "--jobs", "1"]) == 0
+    assert run(["family", "basis4", "--k", "1"]) == 0
+
+
+def test_deeply_nested_term(capsys):
+    depth = 3000
+    deep = "(" * depth + "x y" + ")" * depth
+    assert run(["check-id", f"{deep} ~= x y", "--n", "4"]) == 0
+    assert out_of(capsys).strip() == "YES"
+    assert run(["check-id", f"{deep} ~= y x", "--n", "4", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["violated"] == "OccLR"
+    assert "Traceback" not in captured.err
