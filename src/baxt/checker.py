@@ -9,15 +9,14 @@ adjacent variable at rank 3); rank 3 adds directional occurrence-count sums
 around first/last occurrences, and rank >= 4 collapses to exact directional
 counts for every ordered letter pair.
 
-Costs, for sides of |u| letters over k variables.  Ranks 2 and 3 read each
-side once in each direction and record, at the first occurrence of every
-letter, the count of every letter before it (mirrored: after the last
-occurrence); every statistic is then a table lookup, so a check runs in
-O(|u| + k^2) time and O(k^2) memory.  Rank >= 4 and the plain variant
-decide with one sweep per direction in O(|u|): the same order of first
-occurrences and equal multisets between consecutive ones (mirrored for last
-occurrences).  Only a NO builds the tables, to name the first differing
-(pivot, letter, side).
+Costs, for sides of |u| letters over k variables.  Ranks >= 2 decide with
+one sweep per direction over the pieces of each side cut at first
+occurrences (mirrored: at last occurrences), in O(|u| log |u|) time for
+the sorting of the pieces; rank 3 adds a piece-by-piece count of both sides
+that compares the count vectors at each first occurrence, O(|u| + k^2).
+Memory is O(|u| + k).  Only a NO runs the reference-ordered search that
+names the witness: O(k^2) bisections over per-letter position lists, and
+it stops at the first difference.
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on materialized
@@ -34,6 +33,7 @@ non-self-dual image refutes them at every rank.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
@@ -147,88 +147,24 @@ def _letter(names, a: int) -> IVar:
     return IVar(names[a >> 1], bool(a & 1))
 
 
-class _View:
-    """One side of an identity as letter ids, read left to right (or, for
-    the suffix statistics, right to left): per letter id, its first
-    position and the count of every letter id before it."""
-
-    __slots__ = ("at", "before")
-
-    def __init__(self, ids, size: int):
-        at = [len(ids)] * size
-        before = [None] * size
-        counts = [0] * size
-        for i, a in enumerate(ids):
-            if before[a] is None:
-                before[a] = counts[:]
-                at[a] = i
-            counts[a] += 1
-        self.at, self.before = at, before
+def _pieces(u: list):
+    """The first position of every letter of u, and the (start, end) of the
+    pieces of u cut just before each of them.  The last piece ends after
+    its first letter: sides that are balanced and agree on every earlier
+    piece agree on the rest."""
+    if not u:
+        return {}, []
+    first = dict(zip(reversed(u), range(len(u) - 1, -1, -1)))
+    cuts = sorted(first.values())
+    return first, list(zip(cuts, cuts[1:] + [cuts[-1] + 1]))
 
 
-class _BaseView(_View):
-    """A _View that also knows, per base, its letters in order of first
-    occurrence; the second one is None when only one of x, x* occurs."""
-
-    __slots__ = ("one", "two", "two_at")
-
-    def __init__(self, ids, size: int):
-        super().__init__(ids, size)
-        at, end = self.at, len(ids)
-        self.one = [x if at[x] < at[x + 1] else x + 1 for x in range(0, size, 2)]
-        self.two_at = [at[x ^ 1] for x in self.one]
-        self.two = [x ^ 1 if t < end else None
-                    for x, t in zip(self.one, self.two_at)]
-
-    def stats(self, i: int, j: int, strict: bool) -> tuple:
-        """Statistics of the restriction to bases i and j (i == j: one base
-        with both letters).  pre: leading letter, its run length, the letter
-        that ends the run.  pren: the counts of the letters of i and j in
-        the longest prefix free of a mixed pair {x, x*} and, when strict,
-        the letter just after it; all None when neither base has both."""
-        at, a, f = self.at, self.one[i], self.two[i]
-        if j != i:
-            b = self.one[j]
-            if at[b] < at[a]:
-                a, b, f = b, a, self.two[j]
-            if f is None or at[b] < at[f]:
-                f = b
-        s = self.two[i] if self.two_at[i] <= self.two_at[j] else self.two[j]
-        if s is None:
-            return a, self.before[f][a], f, None, None, None, None, None
-        row = self.before[s]
-        i, j = 2 * i, 2 * j
-        return (a, self.before[f][a], f,
-                row[i], row[i + 1], row[j], row[j + 1], s if strict else None)
-
-
-def _first_diff(p, q, lo: int, hi: int):
-    """First index outside lo..hi-1 at which p and q differ, or None."""
-    if p[:lo] == q[:lo] and p[hi:] == q[hi:]:
-        return None
-    for i, (a, b) in enumerate(zip(p, q)):
-        if a != b and not lo <= i < hi:
-            return i
-    return None
-
-
-def _pivot_diff(du, dv, y: int, lo: int, hi: int, sums: bool):
-    """First coordinate, outside lo..hi-1, at which the two sides' count
-    vectors differ just before the first occurrence of letter y in the
-    views' reading direction (per base when sums); None if they agree."""
-    p, q = du.before[y], dv.before[y]
-    if sums:
-        p = list(map(add, p[::2], p[1::2]))
-        q = list(map(add, q[::2], q[1::2]))
-    return _first_diff(p, q, lo, hi)
-
-
-def _first_witness(left, right):
-    """Loops that test, per coordinate, the left side before the right
-    one meet the earlier difference first, the left one on a tie."""
-    if right is None or (left is not None and left <= right):
-        return "left", left
-    return "right", right
+def _positions(ids, size: int) -> list:
+    """Per letter id, its positions in ids."""
+    pos = [[] for _ in range(size)]
+    for i, a in enumerate(ids):
+        pos[a].append(i)
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +184,15 @@ def _balance_witness(ident: Identity) -> dict:
     return {}
 
 
-def check_baxt1(ident: Identity) -> CheckReport:
+def check_baxt1(ident: Identity, witness: bool = True) -> CheckReport:
     """Rank 1 is the free monogenic monoid with trivial star: only the
     star-blind per-base counts matter."""
     cu = Counter(x.base for x in ident.lhs)
     cv = Counter(x.base for x in ident.rhs)
     if cu == cv:
         return _yes(1)
+    if not witness:
+        return CheckReport(False, 1, "involution")
     bad = next(b for b in sorted(set(cu) | set(cv)) if cu[b] != cv[b])
     return _no(1, "Balanced", {"letter": bad, "lhs": cu[bad], "rhs": cv[bad]})
 
@@ -263,81 +201,198 @@ def check_baxt1(ident: Identity) -> CheckReport:
 # Ranks 2 and 3: the restriction procedure
 # ---------------------------------------------------------------------------
 
-def _views(names, u, v, view=_View):
-    """The left-to-right and the right-to-left views of both sides."""
-    size = 2 * len(names)
-    return ((view(u, size), view(v, size)),
-            (view(u[::-1], size), view(v[::-1], size)))
+class _View:
+    """One side of an identity as letter ids, read left to right (or, for
+    the suffix statistics, right to left): per letter id, its positions and
+    its first position (the side's length when it does not occur); per
+    base, its letters in order of first occurrence (the second one is None
+    when only one of x, x* occurs) and the count of the first one before
+    the second one."""
+
+    __slots__ = ("pos", "at", "one", "two", "two_at", "own")
+
+    def __init__(self, ids, size: int):
+        self.pos = _positions(ids, size)
+        end = len(ids)
+        self.at = at = [p[0] if p else end for p in self.pos]
+        self.one = [x if at[x] < at[x + 1] else x + 1 for x in range(0, size, 2)]
+        self.two_at = [at[x ^ 1] for x in self.one]
+        self.two = [x ^ 1 if t < end else None
+                    for x, t in zip(self.one, self.two_at)]
+        self.own = list(map(bisect_left, map(self.pos.__getitem__, self.one),
+                            self.two_at))
+
+    def stats(self, i: int, j: int, strict: bool) -> tuple:
+        """Statistics of the restriction to bases i and j (i == j: one base
+        with both letters).  pre: leading letter, its run length, the letter
+        that ends the run.  pren: the longest prefix free of a mixed pair
+        {x, x*} holds no second letter of i or j, so it is given by the
+        counts of their first letters (each with the letter when nonzero)
+        and, when strict, the letter just after it; all None when neither
+        base has both letters."""
+        at, one, a, f = self.at, self.one, self.one[i], self.two[i]
+        if j != i:
+            b = one[j]
+            if at[b] < at[a]:
+                a, b, f = b, a, self.two[j]
+            if f is None or at[b] < at[f]:
+                f = b
+        run = self.own[a >> 1] if f == a ^ 1 else bisect_left(self.pos[a], at[f])
+        s = self.two[i] if self.two_at[i] <= self.two_at[j] else self.two[j]
+        if s is None:
+            return a, run, f, None, None, None, None, None
+        p, c = at[s], s >> 1
+        ci = self.own[i] if c == i else bisect_left(self.pos[one[i]], p)
+        cj = self.own[j] if c == j else bisect_left(self.pos[one[j]], p)
+        return (a, run, f, one[i] if ci else None, ci, one[j] if cj else None, cj,
+                s if strict else None)
+
+
+def _open_segments(u: list, size: int, strict: bool) -> list:
+    """Per piece of u (see _pieces): its first letter, and its sorted
+    letters whose star partner has not occurred yet.  Unless strict, first
+    occurrences of second letters (x after x*, or x* after x) with no such
+    letter between them form one group, sorted, as rank 2 does not fix
+    their order."""
+    first, pieces = _pieces(u)
+    late = [first.get(x ^ 1, len(u)) for x in range(size)]
+    out = []
+    for a, b in pieces:
+        x, open_letters = u[a], sorted([y for y in u[a:b] if late[y] > a])
+        if not strict and late[x] < a and out and not out[-1][1]:
+            out[-1] = (tuple(sorted(out[-1][0] + (x,))), open_letters)
+        else:
+            out.append(((x,), open_letters))
+    return out
+
+
+def _first_diff(p, q, lo: int, hi: int):
+    """First index outside lo..hi-1 at which p and q differ, or None."""
+    if p[:lo] == q[:lo] and p[hi:] == q[hi:]:
+        return None
+    for i, (a, b) in enumerate(zip(p, q)):
+        if a != b and not lo <= i < hi:
+            return i
+    return None
+
+
+def _base_sums(p: list) -> list:
+    """Per-letter counts summed per base (star-blind)."""
+    return list(map(add, p[::2], p[1::2]))
+
+
+def _pivot_sweep(u: list, v: list, size: int):
+    """Both sides, with the same order of first occurrences, read piece by
+    piece.  At the first occurrence of each letter y, compare the counts of
+    every letter before it: the first base, outside y's own, whose star-
+    blind counts differ (IV); and, when y's star partner has not occurred
+    in u, the first letter outside y's base whose counts differ (V).  Two
+    dicts, keyed by the pivots that fail."""
+    cu, cv = [0] * size, [0] * size
+    bad_iv, bad_v = {}, {}
+    for (a, b), (c, d) in zip(_pieces(u)[1], _pieces(v)[1]):
+        y = u[a]
+        z = y & ~1
+        if cu[:z] != cv[:z] or cu[z + 2:] != cv[z + 2:]:
+            w = _first_diff(_base_sums(cu), _base_sums(cv), z >> 1, (z >> 1) + 1)
+            if w is not None:
+                bad_iv[y] = w
+            if cu[y ^ 1] == 0:
+                bad_v[y] = _first_diff(cu, cv, z, z + 2)
+        for x in u[a:b]:
+            cu[x] += 1
+        for x in v[c:d]:
+            cv[x] += 1
+    return bad_iv, bad_v
+
+
+def _first_witness(left, right):
+    """Loops that test, per coordinate, the left side before the right
+    one meet the earlier difference first, the left one on a tie."""
+    if right is None or (left is not None and left <= right):
+        return "left", left
+    return "right", right
 
 
 _CHECKS = (("left", "pre", "pren"), ("right", "suf", "sufn"))
 
 
-def _procedure_check(ident: Identity, n: int) -> CheckReport:
+def _procedure_check(ident: Identity, n: int, witness: bool) -> CheckReport:
+    """Equal statistics on every restriction to one or two bases fix the
+    order of first occurrences (at rank 2 up to the order of second letters
+    of bases, x after x* or x* after x, with no letter between them whose
+    partner has not occurred) and, at every first occurrence, the count of
+    the first letter of every base whose second letter has not occurred.
+    With the order fixed, these counts agree exactly when the pieces
+    between consecutive first occurrences agree on the letters whose
+    partner has not occurred.  Mirrored for last occurrences.  Only on a
+    NO does the loop over base subsets run, to name the first one that
+    differs."""
     names, u, v = _letter_ids(ident)
-    if sorted(u) != sorted(v):
-        return _no(n, "Balanced", _balance_witness(ident))
-    (fu, fv), (bu, bv) = _views(names, u, v, _BaseView)
     strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
-    k = len(names)
+    size, ru, rv = 2 * len(names), u[::-1], v[::-1]
+    balanced = sorted(u) == sorted(v)
+    pairs = balanced and (
+        _open_segments(u, size, strict) == _open_segments(v, size, strict)
+        and _open_segments(ru, size, strict) == _open_segments(rv, size, strict))
+    # rank 3: directional occurrence sums per (pivot letter, base) (IV), and
+    # exact directional counts for pivots whose star partner does not occur
+    # on the relevant side of them (V)
+    (left_iv, left_v), (right_iv, right_v) = (
+        (_pivot_sweep(u, v, size), _pivot_sweep(ru, rv, size))
+        if pairs and strict else (({}, {}), ({}, {})))
+    if pairs and not (left_iv or right_iv or left_v or right_v):
+        return _yes(n)
+    if not witness:
+        return CheckReport(False, n, "involution")
+    if not balanced:
+        return _no(n, "Balanced", _balance_witness(ident))
+    if not pairs:
+        return _no(n, *_subset_violation(names, u, v, strict))
+    # the first pivot in sorted order, every (IV) one before every (V) one
+    if left_iv or right_iv:
+        y = min(left_iv.keys() | right_iv.keys())
+        side, d = _first_witness(left_iv.get(y), right_iv.get(y))
+        return _no(3, "IV", {"pivot": str(_letter(names, y)),
+                             "base": names[d], "side": side})
+    y = min(left_v.keys() | right_v.keys())
+    side, d = ("left", left_v[y]) if y in left_v else ("right", right_v[y])
+    return _no(3, "V", {"pivot": str(_letter(names, y)),
+                        "letter": str(_letter(names, d)), "side": side})
 
-    # every base, then every pair of bases, in sorted order
+
+def _subset_violation(names, u, v, strict: bool):
+    """The pattern and witness of the first base subset, in sorted order
+    (every base, then every pair of bases), whose statistics differ, in
+    the order pre, pren, suf, sufn."""
+    k = len(names)
+    fu, fv, bu, bv = (_View(w, 2 * k) for w in (u, v, u[::-1], v[::-1]))
     for i in range(k):
         for j in range(i, k):
             if j == i and fu.two[i] is None:
                 continue  # one letter alone has no statistics
             left = fu.stats(i, j, strict), fv.stats(i, j, strict)
             right = bu.stats(i, j, strict), bv.stats(i, j, strict)
-            if left[0] != left[1] or right[0] != right[1]:
-                return _no(n, *_subset_violation(names, i, j, left, right))
-
-    if n == 2:
-        return _yes(2)
-
-    # rank 3: directional occurrence sums per (pivot letter, base) ...
-    pivots = [y for y in range(2 * k) if fu.before[y] is not None]
-    for y in pivots:
-        b = y >> 1
-        side, d = _first_witness(_pivot_diff(fu, fv, y, b, b + 1, True),
-                                 _pivot_diff(bu, bv, y, b, b + 1, True))
-        if d is not None:
-            return _no(3, "IV", {"pivot": str(_letter(names, y)),
-                                 "base": names[d], "side": side})
-
-    # ... and exact directional counts for pivots whose star partner does not
-    # occur on the relevant side of them
-    for y in pivots:
-        b = y & ~1
-        for side, du, dv in (("left", fu, fv), ("right", bu, bv)):
-            if du.before[y][y ^ 1] == 0:
-                d = _pivot_diff(du, dv, y, b, b + 2, False)
-                if d is not None:
-                    return _no(3, "V", {"pivot": str(_letter(names, y)),
-                                        "letter": str(_letter(names, d)),
-                                        "side": side})
-    return _yes(3)
+            if left[0] == left[1] and right[0] == right[1]:
+                continue
+            pair = [names[i]] if i == j else [names[i], names[j]]
+            for (su, sv), (side, run, mixed) in zip((left, right), _CHECKS):
+                if su[:3] != sv[:3]:
+                    # a run broken by the star partner is an (I) pattern,
+                    # else (II)
+                    tag = "I" if su[2] == su[0] ^ 1 else "II"
+                    return tag, {"pair": pair, "side": side, "check": run}
+                if su[3:] != sv[3:]:
+                    return "III", {"pair": pair, "side": side, "check": mixed}
+    raise AssertionError("segment sweep and subset statistics disagree")
 
 
-def _subset_violation(names, i: int, j: int, left, right):
-    """The pattern and witness of the first statistic of bases i, j that
-    differs, in the order pre, pren, suf, sufn."""
-    pair = [names[i]] if i == j else [names[i], names[j]]
-    for (su, sv), (side, run, mixed) in zip((left, right), _CHECKS):
-        if su[:3] != sv[:3]:
-            # a run broken by the star partner is an (I) pattern, else (II)
-            tag = "I" if su[2] == su[0] ^ 1 else "II"
-            return tag, {"pair": pair, "side": side, "check": run}
-        if su[3:] != sv[3:]:
-            return "III", {"pair": pair, "side": side, "check": mixed}
-    raise AssertionError("no statistic differs")
+def check_baxt2(ident: Identity, witness: bool = True) -> CheckReport:
+    return _procedure_check(ident, 2, witness)
 
 
-def check_baxt2(ident: Identity) -> CheckReport:
-    return _procedure_check(ident, 2)
-
-
-def check_baxt3(ident: Identity) -> CheckReport:
-    return _procedure_check(ident, 3)
+def check_baxt3(ident: Identity, witness: bool = True) -> CheckReport:
+    return _procedure_check(ident, 3, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -345,79 +400,83 @@ def check_baxt3(ident: Identity) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _first_segments(u: list) -> list:
-    """The multisets of the pieces of u cut just before the first
-    occurrence of each letter.  A piece of up to 256 letters is sorted, a
-    longer one counted: sorting is cheaper below that length, hashing
-    above it.  Equal multisets have equal lengths, so they are always
-    compared in the same form."""
-    first = dict(zip(reversed(u), range(len(u) - 1, -1, -1)))
-    cuts = sorted(first.values())
-    cuts.append(len(u))
-    pieces = [u[a:b] for a, b in zip(cuts, cuts[1:])]
-    return [sorted(p) if len(p) <= 256 else Counter(p) for p in pieces]
+    """The pieces of u (see _pieces), each sorted."""
+    return [sorted(u[a:b]) for a, b in _pieces(u)[1]]
 
 
-def _occ_lr_check(ident: Identity, n: int, mode: str) -> CheckReport:
+def _occ_lr_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckReport:
     """Every pivot x sees the same count of every other letter before its
     first occurrence, and after its last, on both sides.  Counts before
     every first occurrence agree exactly when the first occurrences come in
     the same order and the pieces between consecutive ones are equal as
-    multisets; mirrored for last occurrences.  Equal pieces also make the
-    sides balanced, so balance is only tested on a NO."""
+    multisets; mirrored for last occurrences."""
     names, u, v = _letter_ids(ident)
-    if (_first_segments(u) == _first_segments(v)
-            and _first_segments(u[::-1]) == _first_segments(v[::-1])):
+    balanced = sorted(u) == sorted(v)
+    if balanced and (_first_segments(u) == _first_segments(v)
+                     and _first_segments(u[::-1]) == _first_segments(v[::-1])):
         return CheckReport(True, n, mode)
-    if sorted(u) != sorted(v):
+    if not witness:
+        return CheckReport(False, n, mode)
+    if not balanced:
         return _no(n, "Balanced", _balance_witness(ident), mode)
     # the first (pivot, letter, side) in sorted order that differs
-    (fu, fv), (bu, bv) = _views(names, u, v)
-    for x in range(2 * len(names)):
-        if fu.before[x] is None:
-            continue
-        side, d = _first_witness(_pivot_diff(fu, fv, x, x, x + 1, False),
-                                 _pivot_diff(bu, bv, x, x, x + 1, False))
-        if d is not None:
+    pu, pv = _positions(u, 2 * len(names)), _positions(v, 2 * len(names))
+    letters = [x for x, p in enumerate(pu) if p]
+    for x in letters:
+        fu, fv, lu, lv = pu[x][0], pv[x][0], pu[x][-1], pv[x][-1]
+        for y in letters:
+            if y == x:
+                continue
+            p, q = pu[y], pv[y]
+            if bisect_left(p, fu) != bisect_left(q, fv):
+                side = "left"
+            elif len(p) - bisect_right(p, lu) != len(q) - bisect_right(q, lv):
+                side = "right"
+            else:
+                continue
             return _no(n, "OccLR", {"pivot": str(_letter(names, x)),
-                                    "letter": str(_letter(names, d)),
+                                    "letter": str(_letter(names, y)),
                                     "side": side}, mode)
     raise AssertionError("segment sweep and pivot counts disagree")
 
 
-def check_baxt4plus(ident: Identity, n: int = 4) -> CheckReport:
+def check_baxt4plus(ident: Identity, n: int = 4, witness: bool = True) -> CheckReport:
     """Rank >= 4: balanced plus equal directional counts for every ordered
     letter pair; the verdict does not depend on n beyond 4."""
     if n < 4:
         raise ValueError("check_baxt4plus is for rank >= 4")
-    return _occ_lr_check(ident, n, "involution")
+    return _occ_lr_check(ident, n, "involution", witness)
 
 
-def check_plain(ident: Identity, n: int = 2) -> CheckReport:
+def check_plain(ident: Identity, n: int = 2, witness: bool = True) -> CheckReport:
     """Plain monoids of rank >= 2 all satisfy the same identities: balanced
     plus equal directional counts."""
     if any(x.starred for x in {*ident.lhs, *ident.rhs}):
         raise PlainModeError("starred letter present; use the involution checker")
     if n < 2:
-        r = check_baxt1(ident)
+        r = check_baxt1(ident, witness)
         return CheckReport(r.verdict, 1, "plain", r.violated, r.witness)
-    return _occ_lr_check(ident, n, "plain")
+    return _occ_lr_check(ident, n, "plain", witness)
 
 
-def check(ident: Identity, n: int, mode: str = "involution") -> CheckReport:
-    """Dispatch on rank (involution mode) or to the plain checker."""
+def check(ident: Identity, n: int, mode: str = "involution",
+          witness: bool = True) -> CheckReport:
+    """Dispatch on rank (involution mode) or to the plain checker.  With
+    witness=False a NO report names no violated pattern and no witness,
+    which saves the search for them."""
     if mode == "plain":
-        return check_plain(ident, n)
+        return check_plain(ident, n, witness)
     if mode != "involution":
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1:
         raise ValueError("rank must be >= 1")
     if n == 1:
-        return check_baxt1(ident)
+        return check_baxt1(ident, witness)
     if n == 2:
-        return check_baxt2(ident)
+        return check_baxt2(ident, witness)
     if n == 3:
-        return check_baxt3(ident)
-    return check_baxt4plus(ident, n)
+        return check_baxt3(ident, witness)
+    return check_baxt4plus(ident, n, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +524,6 @@ def _conditions(ident: Identity, n: int) -> bool:
     letters = sorted(set(u))
     role_pairs = [(x, y) for x in letters for y in letters if y.base != x.base]
     same_base = [(x, x.star()) for x in letters if x.star() in set(letters)]
-    # (III) and (V) also fire on roles whose letter does not occur itself
-    # (only its star partner does), so they range over the star closure
-    closed = sorted(set(letters) | {x.star() for x in letters})
-    closed_pairs = [(x, y) for x in closed for y in closed if y.base != x.base]
 
     for x, y in role_pairs + same_base:
         ru = _restriction(u, x.base, y.base)
@@ -483,7 +538,7 @@ def _conditions(ident: Identity, n: int) -> bool:
             if a is not None and _leading_run_then(s, y, x) != a:
                 return False
 
-    for x, y in closed_pairs:
+    for x, y in role_pairs:
         ru = _restriction(u, x.base, y.base)
         rv = _restriction(v, x.base, y.base)
         # (III): starred-prefix block before the first plain letter

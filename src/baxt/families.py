@@ -129,6 +129,6 @@ def isoterm_search(u: IWord, n: int, max_len: int = 10) -> list[IWord]:
         raise ValueError(f"word of length {len(u)} exceeds the bound {max_len}")
     out = []
     for cand in _multiset_permutations(u):
-        if cand != u and check(Identity(u, cand), n).verdict:
+        if cand != u and check(Identity(u, cand), n, witness=False).verdict:
             out.append(cand)
     return out

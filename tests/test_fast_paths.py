@@ -1,14 +1,15 @@
-"""Differential tests: the checker's table-driven statistics and the
-iterative, regex-lexed parser against the reference routes they replaced
-(`reference_routes.py`), on a fixed-seed corpus and on generated input."""
+"""Differential tests: the checker's sweeps and the iterative, regex-lexed
+parser against the reference routes they replaced (`reference_routes.py`),
+on a fixed-seed corpus and on generated input."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_routes as ref
-from baxt.checker import check
+from baxt.checker import CheckReport, check
 from baxt.families import basis2, basis4, pk_qk
 from baxt.words import Identity, IVar, ParseError, parse_identity, parse_term
 
@@ -115,6 +116,41 @@ def shuffled_identities(draw):
 @given(shuffled_identities(), st.sampled_from([2, 3, 4, 7]))
 def test_generated_reports_match_the_reference_routes(idn, n):
     assert check(idn, n) == reference_check(idn, n)
+
+
+@settings(max_examples=300)
+@given(shuffled_identities(), st.sampled_from([1, 2, 3, 4]))
+def test_verdicts_without_witness(idn, n):
+    report = check(idn, n)
+    assert check(idn, n, witness=False) == CheckReport(report.verdict, n, "involution")
+
+
+def test_rank2_leaves_the_order_of_second_letters_free():
+    # x* and y* first occur in a different order from the right (x before
+    # y on the left side, y before x on the right one) with no x* or y*
+    # between them: rank 2 accepts, rank 3 pins that order
+    idn = parse_identity("y x y y x x* y* ~= y x y x y x* y*")
+    assert check(idn, 2).verdict
+    for n in (2, 3, 4):
+        assert check(idn, n) == reference_check(idn, n)
+
+
+def test_wide_checks_take_memory_linear_in_the_input():
+    # 3000 letters: tables indexed by pairs of letters would take 4 * 3000^2
+    # entries, hundreds of MB
+    rng = random.Random(3)
+    pool = [IVar(f"v{i:04}", s) for i in range(1500) for s in (False, True)]
+    u = (pool[0], pool[2]) + tuple(rng.choices(pool, k=6000)) + tuple(pool)
+    swapped = (u[1], u[0]) + u[2:]  # a NO whose witness comes first in order
+    tracemalloc.start()
+    try:
+        for n in (2, 3, 4):
+            assert check(Identity(u, u), n).verdict
+            assert not check(Identity(u, swapped), n).verdict
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
