@@ -451,6 +451,8 @@ def check_baxt4plus(ident: Identity, n: int = 4, witness: bool = True) -> CheckR
 def check_plain(ident: Identity, n: int = 2, witness: bool = True) -> CheckReport:
     """Plain monoids of rank >= 2 all satisfy the same identities: balanced
     plus equal directional counts."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     if any(x.starred for x in {*ident.lhs, *ident.rhs}):
         raise PlainModeError("starred letter present; use the involution checker")
     if n < 2:

@@ -2,7 +2,8 @@
 
 Every subcommand has a machine-readable JSON mode next to the human-readable
 text mode.  Exit codes: 0 for YES/success, 1 for NO/refuted, 2 for usage or
-input errors.
+input errors (a rank --n below 1 included) and for any unexpected internal
+error, which never ends in a traceback.
 """
 
 from __future__ import annotations
@@ -45,41 +46,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canon", help="canonical invariants of a word")
     p.add_argument("word")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     fmt(p)
 
     p = sub.add_parser("equiv", help="are two words congruent?")
     p.add_argument("word1")
     p.add_argument("word2")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     fmt(p)
 
     p = sub.add_parser("sharp", help="order-reversing involution of a word")
     p.add_argument("word")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     fmt(p)
 
     p = sub.add_parser("trees", help="twin insertion trees of a word")
     p.add_argument("word")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     fmt(p, ("text", "json", "dot"))
 
     p = sub.add_parser("repr", help="tropical matrix / tuple representation")
     p.add_argument("word")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--materialize", action="store_true",
                    help="for rank >= 4, emit the block matrix instead of the tuple")
     fmt(p)
 
     p = sub.add_parser("check-id", help="decide an identity (stdin if omitted)")
     p.add_argument("identity", nargs="?")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--mode", choices=("involution", "plain"), default="involution")
     fmt(p)
 
     p = sub.add_parser("oracle", help="bounded refutation search (stdin if omitted)")
     p.add_argument("identity", nargs="?")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--max-len", type=_at_least(0), default=None)
     p.add_argument("--samples", type=_at_least(1), default=None,
                    help="sample the grid instead of scanning all of it")
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isoterm", help="search for identity partners of a word")
     p.add_argument("word", help="involution word, e.g. 'x x* y y*'")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     fmt(p)
 
     return ap
@@ -281,6 +282,10 @@ def run(argv, stdin_text=None) -> int:
     except (ParseError, RangeError, checker.PlainModeError,
             oracle.BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means NO, so an unexpected failure must never end with it
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -207,15 +207,16 @@ def congruence_class(w: AWord, limit: int = 100000) -> set[AWord]:
     return seen
 
 
+def key_to_json_obj(key: InvariantKey) -> dict:
+    """(ev, lpi, rpi) as JSON lists, the triples in sorted order."""
+    ev, lp, rp = key
+    return {"ev": list(ev), "lpi": [list(t) for t in sorted(lp)],
+            "rpi": [list(t) for t in sorted(rp)]}
+
+
 def element_to_json_obj(e: BaxtElement) -> dict:
-    ev, lp, rp = e.key
-    return {
-        "n": e.rank,
-        "representative": str(e.representative),
-        "ev": list(ev),
-        "lpi": [list(t) for t in sorted(lp)],
-        "rpi": [list(t) for t in sorted(rp)],
-    }
+    return {"n": e.rank, "representative": str(e.representative),
+            **key_to_json_obj(e.key)}
 
 
 def element_to_json(e: BaxtElement) -> str:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from .monoid import BaxtElement, key_of, sharp_word
+from .monoid import BaxtElement, key_of, key_to_json_obj, sharp_word
 from .words import AWord, Identity, IWord
 
 
@@ -192,8 +192,8 @@ def witness_to_json_obj(ident: Identity, result: OracleResult):
     rhs_key = key_of(_image_symbols(ident.rhs, sub), result.n)
     return {
         "assignment": {b: str(e.representative) for b, e in sorted(sub.items())},
-        "lhs_key": _key_json(lhs_key),
-        "rhs_key": _key_json(rhs_key),
+        "lhs_key": key_to_json_obj(lhs_key),
+        "rhs_key": key_to_json_obj(rhs_key),
     }
 
 
@@ -203,12 +203,6 @@ def _image_symbols(side: IWord, sub) -> tuple:
         w = sub[letter.base].representative
         out.extend(sharp_word(w).symbols if letter.starred else w.symbols)
     return tuple(out)
-
-
-def _key_json(key):
-    ev, lp, rp = key
-    return {"ev": list(ev), "lpi": sorted(list(t) for t in lp),
-            "rpi": sorted(list(t) for t in rp)}
 
 
 # ---------------------------------------------------------------------------

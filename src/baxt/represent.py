@@ -2,13 +2,20 @@
 
 Ranks 1..3 map straight into upper triangular tropical matrices (dims 2, 6,
 15), block diagonal with 1x1 and 2x2 blocks built from four 2x2 generators.
-The generator fold multiplies block by block; the closed forms write each
-block straight from the invariants, as an independent route to the same
-matrices.  For rank n >= 4 each index pair (i, j) with i < j yields a
-homomorphism into rank-3 pairs, split into four map families by how i, j sit
-relative to their order-reversed partners; the tuple of all of them is a
-complete invariant, and can be materialized as one block diagonal matrix of
-dimension 30 * n(n-1)/2 compatible with skew transposition.
+The generator images are built once, at import; the generator fold
+multiplies them block by block, and the closed forms write each block
+straight from the invariants, as an independent route to the same matrices.
+
+For rank n >= 4 each index pair (i, j) with i < j yields a homomorphism into
+rank-3 pairs.  Both components are interval letter maps: the map a/b on
+lo..hi sends lo to a, hi to b, every letter strictly between to b a and every
+other letter to the empty word.  They are chosen from the sorted points s of
+{i, j, i#, j#}, where i# = n+1-i: 2 points give 1/3 on i..j twice; 3 points,
+or 4 with i and j on the same side of the centre, give 1/2 on s0..s1 and 2/3
+on s[-2]..s[-1]; 4 points on opposite sides give 1/2 on s0..s2 and 2/3 on
+s1..s3.  The tuple of all components is a complete invariant, and can be
+materialized as one block diagonal matrix of dimension 30 * n(n-1)/2
+compatible with skew transposition.
 """
 
 from __future__ import annotations
@@ -29,62 +36,53 @@ def _check_rank(w: AWord, n: int):
         raise RankMismatchError(f"expected a rank-{n} word, got rank {w.rank}")
 
 
-def _generator_images_1() -> dict[int, UTMatrix]:
-    return {1: mat_mul(gen_P(), gen_Q())}
-
-
-def _generator_images_2() -> dict[int, UTMatrix]:
-    one, s = scalar(0), scalar(1)
-    return {
-        1: block_diag([s, gen_P(), gen_J(), one]),
-        2: block_diag([one, gen_K(), gen_Q(), s]),
-    }
-
-
-def _generator_images_3() -> dict[int, UTMatrix]:
+def _generator_table() -> dict[int, dict[int, UTMatrix]]:
+    """{rank: {letter: image}} for ranks 1..3."""
     one, s = scalar(0), scalar(1)
     P, Q, J, K = gen_P(), gen_Q(), gen_J(), gen_K()
     # one 2x2 block: identity_matrix(2) is two 1x1 blocks, which would give
-    # these images different block splits
+    # the rank-3 images different block splits
     E2 = from_rows([[0, NEG_INF], [NEG_INF, 0]])
     return {
-        1: block_diag([s, P, P, E2, one, J, E2, J, one]),
-        2: block_diag([one, K, K, P, s, Q, J, J, one]),
-        3: block_diag([one, K, E2, K, one, E2, Q, Q, s]),
+        1: {1: mat_mul(P, Q)},
+        2: {1: block_diag([s, P, J, one]),
+            2: block_diag([one, K, Q, s])},
+        3: {1: block_diag([s, P, P, E2, one, J, E2, J, one]),
+            2: block_diag([one, K, K, P, s, Q, J, J, one]),
+            3: block_diag([one, K, E2, K, one, E2, Q, Q, s])},
     }
 
 
-def _fold(images: dict[int, UTMatrix], w: AWord, dim: int) -> UTMatrix:
-    """The product of the letters' images.  All images of one rank share a
-    block split, so every product runs block by block."""
+_IMAGES = _generator_table()
+
+
+def _fold(w: AWord, n: int) -> UTMatrix:
+    """phi_n for n <= 3: the product of the letters' generator images.  All
+    images of one rank share a block split, so every product runs block by
+    block."""
+    _check_rank(w, n)
+    images = _IMAGES[n]
     if not w.symbols:
-        return identity_matrix(dim)
+        return identity_matrix(images[1].dim)
     return reduce(mat_mul, map(images.__getitem__, w.symbols))
 
 
 def phi1(w: AWord) -> UTMatrix:
-    _check_rank(w, 1)
-    return _fold(_generator_images_1(), w, 2)
+    return _fold(w, 1)
 
 
 def phi2(w: AWord) -> UTMatrix:
-    _check_rank(w, 2)
-    return _fold(_generator_images_2(), w, 6)
+    return _fold(w, 2)
 
 
 def phi3(w: AWord) -> UTMatrix:
-    _check_rank(w, 3)
-    return _fold(_generator_images_3(), w, 15)
+    return _fold(w, 3)
 
 
 def generator_images(n: int) -> dict[int, UTMatrix]:
-    if n == 1:
-        return _generator_images_1()
-    if n == 2:
-        return _generator_images_2()
-    if n == 3:
-        return _generator_images_3()
-    raise ValueError("generator matrices exist for ranks 1..3 only")
+    if n not in _IMAGES:
+        raise ValueError("generator matrices exist for ranks 1..3 only")
+    return dict(_IMAGES[n])
 
 
 # ---------------------------------------------------------------------------
@@ -224,72 +222,30 @@ def pair_sharp(p: PairElement) -> PairElement:
     return PairElement(sharp(p.second), sharp(p.first))
 
 
+def _interval(a: int, b: int, lo: int, hi: int) -> dict[int, tuple]:
+    """The letter map lo -> a, hi -> b, every letter strictly between them
+    -> b a; letters missing from the dict map to the empty word."""
+    return {lo: (a,), **dict.fromkeys(range(lo + 1, hi), (b, a)), hi: (b,)}
+
+
 def _letter_pair_words(n: int, i: int, j: int) -> dict[int, tuple[tuple, tuple]]:
     """For each letter k of 1..n, the pair of rank-3 words it maps to under
-    the (i, j) component map.  The family is selected by the relative order
-    of i, j and their complements i# = n+1-i, j# = n+1-j."""
+    the (i, j) component map.  The maps are chosen from the sorted points s
+    of {i, j, i#, j#}, where i# = n+1-i and j# = n+1-j: with 2 points both
+    components are the interval map 1/3 on i..j; with 3 points, or 4 with i
+    and j on the same side of the centre, they are 1/2 on s0..s1 and 2/3 on
+    s[-2]..s[-1]; with 4 points on opposite sides, 1/2 on s0..s2 and 2/3 on
+    s1..s3."""
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j}) at n={n}")
-    isharp, jsharp = n + 1 - i, n + 1 - j
-
-    def lam(k):
-        if k == i:
-            return (1,)
-        if k == j:
-            return (3,)
-        if i < k < j:
-            return (3, 1)
-        return ()
-
-    def low_map(i1, i2):
-        # 1 on i1, 2 on i2, 21 strictly between
-        def f(k):
-            if k == i1:
-                return (1,)
-            if k == i2:
-                return (2,)
-            if i1 < k < i2:
-                return (2, 1)
-            return ()
-        return f
-
-    def high_map(i1, i2):
-        # 2 on i1, 3 on i2, 32 strictly between
-        def f(k):
-            if k == i1:
-                return (2,)
-            if k == i2:
-                return (3,)
-            if i1 < k < i2:
-                return (3, 2)
-            return ()
-        return f
-
-    if isharp == j:
-        first = second = lam
-    elif i < j == jsharp < isharp or jsharp < i == isharp < j:
-        if i < j == jsharp < isharp:
-            i1, i2, i3 = i, j, isharp
-        else:
-            i1, i2, i3 = jsharp, i, j
-        first, second = low_map(i1, i2), high_map(i2, i3)
-    elif i < j < jsharp < isharp or jsharp < isharp < i < j:
-        if i < j < jsharp < isharp:
-            i1, i2, i3, i4 = i, j, jsharp, isharp
-        else:
-            i1, i2, i3, i4 = jsharp, isharp, i, j
-        first, second = low_map(i1, i2), high_map(i3, i4)
-    elif i < jsharp < j < isharp or jsharp < i < isharp < j:
-        if i < jsharp < j < isharp:
-            i1, i2, i3, i4 = i, jsharp, j, isharp
-        else:
-            i1, i2, i3, i4 = jsharp, i, isharp, j
-        # the low map here spans i1..i3 (i2 falls in its middle range)
-        first, second = low_map(i1, i3), high_map(i2, i4)
+    s = sorted({i, j, n + 1 - i, n + 1 - j})
+    if len(s) == 2:
+        first = second = _interval(1, 3, i, j)
+    elif len(s) == 4 and (2 * i <= n) != (2 * j <= n):
+        first, second = _interval(1, 2, s[0], s[2]), _interval(2, 3, s[1], s[3])
     else:
-        raise AssertionError(f"index pair ({i},{j}) at n={n} matches no case")
-
-    return {k: (first(k), second(k)) for k in range(1, n + 1)}
+        first, second = _interval(1, 2, s[0], s[1]), _interval(2, 3, s[-2], s[-1])
+    return {k: (first.get(k, ()), second.get(k, ())) for k in range(1, n + 1)}
 
 
 def phi_ij(w: AWord, i: int, j: int) -> PairElement:

@@ -3,9 +3,10 @@
 These are the straightforward implementations that the library's fast paths
 replaced: the rank-2/3 restriction procedure and the rank >= 4 / plain
 occurrence check built on per-letter position lists and bisection (O(k^2)
-pair loops), and the recursive term parser with its character-by-character
-lexer.  The tests assert that the library returns the same reports, words
-and errors.
+pair loops), the recursive term parser with its character-by-character
+lexer, and the rank >= 4 component letter maps written out as four families.
+The tests assert that the library returns the same reports, words, errors
+and letter maps.
 """
 
 from __future__ import annotations
@@ -314,3 +315,75 @@ def parse_identity(text: str) -> Identity:
             left, right = text.split(sep, 1)
             return Identity(flatten(parse_term(left)), flatten(parse_term(right)))
     raise ParseError("identity needs a '≈' or '~=' separator")
+
+
+# ---------------------------------------------------------------------------
+# Rank >= 4 component maps: four families picked by the order of i, j, i#, j#
+# ---------------------------------------------------------------------------
+
+def _letter_pair_words(n: int, i: int, j: int) -> dict[int, tuple[tuple, tuple]]:
+    """For each letter k of 1..n, the pair of rank-3 words it maps to under
+    the (i, j) component map.  The family is selected by the relative order
+    of i, j and their complements i# = n+1-i, j# = n+1-j."""
+    if not (1 <= i < j <= n):
+        raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j}) at n={n}")
+    isharp, jsharp = n + 1 - i, n + 1 - j
+
+    def lam(k):
+        if k == i:
+            return (1,)
+        if k == j:
+            return (3,)
+        if i < k < j:
+            return (3, 1)
+        return ()
+
+    def low_map(i1, i2):
+        # 1 on i1, 2 on i2, 21 strictly between
+        def f(k):
+            if k == i1:
+                return (1,)
+            if k == i2:
+                return (2,)
+            if i1 < k < i2:
+                return (2, 1)
+            return ()
+        return f
+
+    def high_map(i1, i2):
+        # 2 on i1, 3 on i2, 32 strictly between
+        def f(k):
+            if k == i1:
+                return (2,)
+            if k == i2:
+                return (3,)
+            if i1 < k < i2:
+                return (3, 2)
+            return ()
+        return f
+
+    if isharp == j:
+        first = second = lam
+    elif i < j == jsharp < isharp or jsharp < i == isharp < j:
+        if i < j == jsharp < isharp:
+            i1, i2, i3 = i, j, isharp
+        else:
+            i1, i2, i3 = jsharp, i, j
+        first, second = low_map(i1, i2), high_map(i2, i3)
+    elif i < j < jsharp < isharp or jsharp < isharp < i < j:
+        if i < j < jsharp < isharp:
+            i1, i2, i3, i4 = i, j, jsharp, isharp
+        else:
+            i1, i2, i3, i4 = jsharp, isharp, i, j
+        first, second = low_map(i1, i2), high_map(i3, i4)
+    elif i < jsharp < j < isharp or jsharp < i < isharp < j:
+        if i < jsharp < j < isharp:
+            i1, i2, i3, i4 = i, jsharp, j, isharp
+        else:
+            i1, i2, i3, i4 = jsharp, i, isharp, j
+        # the low map here spans i1..i3 (i2 falls in its middle range)
+        first, second = low_map(i1, i3), high_map(i2, i4)
+    else:
+        raise AssertionError(f"index pair ({i},{j}) at n={n} matches no case")
+
+    return {k: (first(k), second(k)) for k in range(1, n + 1)}

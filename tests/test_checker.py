@@ -104,6 +104,10 @@ def test_dispatcher():
     with pytest.raises(ValueError):
         check(ident("x", "x"), 0)
     with pytest.raises(ValueError):
+        check(ident("x", "x"), 0, "plain")
+    with pytest.raises(ValueError):
+        check_plain(ident("x", "x"), 0)
+    with pytest.raises(ValueError):
         check(ident("x", "x"), 2, mode="bogus")
 
 

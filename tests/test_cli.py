@@ -158,12 +158,24 @@ def test_error_exits(capsys):
     ["oracle", "x ~= x", "--n", "2", "--jobs", "0"],
     ["oracle", "x ~= x", "--n", "2", "--samples", "0"],
     ["family", "pkqk", "--k", "0"],
-], ids=["max-len", "jobs", "samples", "k"])
+    ["isoterm", "x", "--n", "0"],
+    ["check-id", "x ~= x", "--n", "0", "--mode", "plain"],
+    ["canon", "", "--n", "-1"],
+], ids=["max-len", "jobs", "samples", "k", "isoterm-n", "plain-n", "canon-n"])
 def test_invalid_bounds_are_usage_errors(capsys, argv):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument --" in captured.err and "must be >=" in captured.err
+
+
+def test_unexpected_errors_exit_2_without_traceback(capsys):
+    # the recursive tree insertion overflows the stack on 1500 equal letters
+    assert run(["trees", "1" * 1500, "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_smallest_valid_bounds(capsys):

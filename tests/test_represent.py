@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_routes as ref
 from baxt.monoid import (RankMismatchError, canonical, equivalent,
                          invariant_key, sharp_word)
 from baxt.represent import (PairElement, _letter_pair_words, generator_images,
@@ -30,6 +31,17 @@ def test_phi2_generators():
     assert images[1] == block_diag([s1, gen_P(), gen_J(), one])
     assert phi2(parse_aword("1", 2)) == images[1]
     assert phi2(AWord((), 2)) == identity_matrix(6)
+
+
+def test_generator_images_are_copies():
+    images = generator_images(2)
+    before = phi2(parse_aword("12", 2))
+    images[1] = images[2] = identity_matrix(6)
+    assert phi2(parse_aword("12", 2)) == before
+    assert generator_images(2)[1] == block_diag([scalar(1), gen_P(), gen_J(),
+                                                 scalar(0)])
+    with pytest.raises(ValueError):
+        generator_images(4)
 
 
 def test_phi1():
@@ -134,9 +146,16 @@ def test_letter_maps_interleaved_case():
 
 
 def test_every_index_pair_dispatches():
-    for n in range(4, 9):
+    # the sorted-points rule gives the maps of the four-family reference
+    for n in range(2, 41):
         for (i, j) in index_pairs(n):
-            _letter_pair_words(n, i, j)  # raises if no case matches
+            assert _letter_pair_words(n, i, j) == ref._letter_pair_words(n, i, j)
+
+
+def test_letter_pair_words_rejects_bad_pairs():
+    for n, i, j in [(4, 2, 2), (4, 3, 1), (4, 0, 2), (4, 1, 5)]:
+        with pytest.raises(ValueError):
+            _letter_pair_words(n, i, j)
 
 
 def test_phi_ij_empty_word():
