@@ -9,14 +9,14 @@ adjacent variable at rank 3); rank 3 adds directional occurrence-count sums
 around first/last occurrences, and rank >= 4 collapses to exact directional
 counts for every ordered letter pair.
 
-Costs, for sides of |u| letters over k variables.  Ranks >= 2 decide with
-one sweep per direction over the pieces of each side cut at first
-occurrences (mirrored: at last occurrences), in O(|u| log |u|) time for
-the sorting of the pieces; rank 3 adds a piece-by-piece count of both sides
-that compares the count vectors at each first occurrence, O(|u| + k^2).
-Memory is O(|u| + k).  Only a NO runs the reference-ordered search that
-names the witness: O(k^2) bisections over per-letter position lists, and
-it stops at the first difference.
+One sweep driver, `_sweep_check`, decides every rank >= 2 and the plain
+variant: balance, then the pieces of each side cut at first occurrences,
+read forward and reversed (sorted at rank >= 4 and in plain mode, first and
+open letters at ranks 2 and 3), then at rank 3 the pivot sweep.  For sides
+of |u| letters over k variables that takes O(|u| log |u|) time, plus
+O(|u| + k^2) for the pivot sweep, and O(|u| + k) memory.  Only a NO runs
+the witness search of its rank, in the reference order: O(k^2) bisections
+over per-letter position lists, stopping at the first difference.
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on materialized
@@ -159,6 +159,11 @@ def _pieces(u: list):
     return first, list(zip(cuts, cuts[1:] + [cuts[-1] + 1]))
 
 
+def _first_segments(u: list) -> list:
+    """The pieces of u (see _pieces), each sorted."""
+    return [sorted(u[a:b]) for a, b in _pieces(u)[1]]
+
+
 def _positions(ids, size: int) -> list:
     """Per letter id, its positions in ids."""
     pos = [[] for _ in range(size)]
@@ -198,7 +203,7 @@ def check_baxt1(ident: Identity, witness: bool = True) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Ranks 2 and 3: the restriction procedure
+# Ranks 2 and 3: open-letter pieces, pivot sweep, restriction witnesses
 # ---------------------------------------------------------------------------
 
 class _View:
@@ -317,50 +322,6 @@ def _first_witness(left, right):
 _CHECKS = (("left", "pre", "pren"), ("right", "suf", "sufn"))
 
 
-def _procedure_check(ident: Identity, n: int, witness: bool) -> CheckReport:
-    """Equal statistics on every restriction to one or two bases fix the
-    order of first occurrences (at rank 2 up to the order of second letters
-    of bases, x after x* or x* after x, with no letter between them whose
-    partner has not occurred) and, at every first occurrence, the count of
-    the first letter of every base whose second letter has not occurred.
-    With the order fixed, these counts agree exactly when the pieces
-    between consecutive first occurrences agree on the letters whose
-    partner has not occurred.  Mirrored for last occurrences.  Only on a
-    NO does the loop over base subsets run, to name the first one that
-    differs."""
-    names, u, v = _letter_ids(ident)
-    strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
-    size, ru, rv = 2 * len(names), u[::-1], v[::-1]
-    balanced = sorted(u) == sorted(v)
-    pairs = balanced and (
-        _open_segments(u, size, strict) == _open_segments(v, size, strict)
-        and _open_segments(ru, size, strict) == _open_segments(rv, size, strict))
-    # rank 3: directional occurrence sums per (pivot letter, base) (IV), and
-    # exact directional counts for pivots whose star partner does not occur
-    # on the relevant side of them (V)
-    (left_iv, left_v), (right_iv, right_v) = (
-        (_pivot_sweep(u, v, size), _pivot_sweep(ru, rv, size))
-        if pairs and strict else (({}, {}), ({}, {})))
-    if pairs and not (left_iv or right_iv or left_v or right_v):
-        return _yes(n)
-    if not witness:
-        return CheckReport(False, n, "involution")
-    if not balanced:
-        return _no(n, "Balanced", _balance_witness(ident))
-    if not pairs:
-        return _no(n, *_subset_violation(names, u, v, strict))
-    # the first pivot in sorted order, every (IV) one before every (V) one
-    if left_iv or right_iv:
-        y = min(left_iv.keys() | right_iv.keys())
-        side, d = _first_witness(left_iv.get(y), right_iv.get(y))
-        return _no(3, "IV", {"pivot": str(_letter(names, y)),
-                             "base": names[d], "side": side})
-    y = min(left_v.keys() | right_v.keys())
-    side, d = ("left", left_v[y]) if y in left_v else ("right", right_v[y])
-    return _no(3, "V", {"pivot": str(_letter(names, y)),
-                        "letter": str(_letter(names, d)), "side": side})
-
-
 def _subset_violation(names, u, v, strict: bool):
     """The pattern and witness of the first base subset, in sorted order
     (every base, then every pair of bases), whose statistics differ, in
@@ -387,39 +348,13 @@ def _subset_violation(names, u, v, strict: bool):
     raise AssertionError("segment sweep and subset statistics disagree")
 
 
-def check_baxt2(ident: Identity, witness: bool = True) -> CheckReport:
-    return _procedure_check(ident, 2, witness)
-
-
-def check_baxt3(ident: Identity, witness: bool = True) -> CheckReport:
-    return _procedure_check(ident, 3, witness)
-
-
 # ---------------------------------------------------------------------------
-# Rank >= 4 and the plain variant
+# Rank >= 4 and the plain variant: the pivot witness
 # ---------------------------------------------------------------------------
 
-def _first_segments(u: list) -> list:
-    """The pieces of u (see _pieces), each sorted."""
-    return [sorted(u[a:b]) for a, b in _pieces(u)[1]]
-
-
-def _occ_lr_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckReport:
-    """Every pivot x sees the same count of every other letter before its
-    first occurrence, and after its last, on both sides.  Counts before
-    every first occurrence agree exactly when the first occurrences come in
-    the same order and the pieces between consecutive ones are equal as
-    multisets; mirrored for last occurrences."""
-    names, u, v = _letter_ids(ident)
-    balanced = sorted(u) == sorted(v)
-    if balanced and (_first_segments(u) == _first_segments(v)
-                     and _first_segments(u[::-1]) == _first_segments(v[::-1])):
-        return CheckReport(True, n, mode)
-    if not witness:
-        return CheckReport(False, n, mode)
-    if not balanced:
-        return _no(n, "Balanced", _balance_witness(ident), mode)
-    # the first (pivot, letter, side) in sorted order that differs
+def _occ_lr_witness(names, u, v) -> dict:
+    """The first (pivot, letter, side) in sorted order whose directional
+    counts differ."""
     pu, pv = _positions(u, 2 * len(names)), _positions(v, 2 * len(names))
     letters = [x for x, p in enumerate(pu) if p]
     for x in letters:
@@ -434,10 +369,74 @@ def _occ_lr_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRep
                 side = "right"
             else:
                 continue
-            return _no(n, "OccLR", {"pivot": str(_letter(names, x)),
-                                    "letter": str(_letter(names, y)),
-                                    "side": side}, mode)
+            return {"pivot": str(_letter(names, x)),
+                    "letter": str(_letter(names, y)), "side": side}
     raise AssertionError("segment sweep and pivot counts disagree")
+
+
+# ---------------------------------------------------------------------------
+# The sweep driver
+# ---------------------------------------------------------------------------
+
+def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckReport:
+    """Every rank >= 2 and the plain variant.  Rank >= 4 and plain: every
+    pivot x sees the same count of every other letter before its first
+    occurrence, and after its last, on both sides; these counts agree
+    exactly when the first occurrences come in the same order and the
+    pieces between consecutive ones are equal as multisets.  Ranks 2 and 3:
+    equal statistics on every restriction to one or two bases fix the order
+    of first occurrences (at rank 2 up to the order of second letters of
+    bases, x after x* or x* after x, with no letter between them whose
+    partner has not occurred) and, at every first occurrence, the count of
+    the first letter of every base whose second letter has not occurred.
+    With the order fixed, these counts agree exactly when the pieces agree
+    on their first letter and on the letters whose partner has not
+    occurred.  Mirrored for last occurrences.  Only on a NO does the
+    witness search of the rank run."""
+    names, u, v = _letter_ids(ident)
+    size, ru, rv = 2 * len(names), u[::-1], v[::-1]
+    occ_lr = n >= 4 or mode == "plain"
+    strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
+
+    def pieces(w):
+        return _first_segments(w) if occ_lr else _open_segments(w, size, strict)
+
+    balanced = sorted(u) == sorted(v)
+    same = balanced and pieces(u) == pieces(v) and pieces(ru) == pieces(rv)
+    # rank 3: directional occurrence sums per (pivot letter, base) (IV), and
+    # exact directional counts for pivots whose star partner does not occur
+    # on the relevant side of them (V)
+    (left_iv, left_v), (right_iv, right_v) = (
+        (_pivot_sweep(u, v, size), _pivot_sweep(ru, rv, size))
+        if same and n == 3 and not occ_lr else (({}, {}), ({}, {})))
+    if same and not (left_iv or right_iv or left_v or right_v):
+        return CheckReport(True, n, mode)
+    if not witness:
+        return CheckReport(False, n, mode)
+    if not balanced:
+        return _no(n, "Balanced", _balance_witness(ident), mode)
+    if occ_lr:
+        return _no(n, "OccLR", _occ_lr_witness(names, u, v), mode)
+    if not same:
+        return _no(n, *_subset_violation(names, u, v, strict))
+    # the first pivot in sorted order, every (IV) one before every (V) one
+    if left_iv or right_iv:
+        y = min(left_iv.keys() | right_iv.keys())
+        side, d = _first_witness(left_iv.get(y), right_iv.get(y))
+        return _no(3, "IV", {"pivot": str(_letter(names, y)),
+                             "base": names[d], "side": side})
+    y = min(left_v.keys() | right_v.keys())
+    side, d = ("left", left_v[y]) if y in left_v else ("right", right_v[y])
+    return _no(3, "V", {"pivot": str(_letter(names, y)),
+                        "letter": str(_letter(names, d)), "side": side})
+
+
+def check_baxt2(ident: Identity, witness: bool = True) -> CheckReport:
+    return _sweep_check(ident, 2, "involution", witness)
+
+
+def check_baxt3(ident: Identity, witness: bool = True) -> CheckReport:
+    return _sweep_check(ident, 3, "involution", witness)
 
 
 def check_baxt4plus(ident: Identity, n: int = 4, witness: bool = True) -> CheckReport:
@@ -445,7 +444,7 @@ def check_baxt4plus(ident: Identity, n: int = 4, witness: bool = True) -> CheckR
     letter pair; the verdict does not depend on n beyond 4."""
     if n < 4:
         raise ValueError("check_baxt4plus is for rank >= 4")
-    return _occ_lr_check(ident, n, "involution", witness)
+    return _sweep_check(ident, n, "involution", witness)
 
 
 def check_plain(ident: Identity, n: int = 2, witness: bool = True) -> CheckReport:
@@ -458,7 +457,7 @@ def check_plain(ident: Identity, n: int = 2, witness: bool = True) -> CheckRepor
     if n < 2:
         r = check_baxt1(ident, witness)
         return CheckReport(r.verdict, 1, "plain", r.violated, r.witness)
-    return _occ_lr_check(ident, n, "plain", witness)
+    return _sweep_check(ident, n, "plain", witness)
 
 
 def check(ident: Identity, n: int, mode: str = "involution",

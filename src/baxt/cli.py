@@ -1,9 +1,11 @@
 """Command line front end.
 
-Every subcommand has a machine-readable JSON mode next to the human-readable
-text mode.  Exit codes: 0 for YES/success, 1 for NO/refuted, 2 for usage or
-input errors (a rank --n below 1 included) and for any unexpected internal
-error, which never ends in a traceback.
+Each subcommand binds its handler, a `_cmd_*(args, stdin_text)` function,
+in the parser, and `run` parses the arguments and calls that handler.
+Every subcommand but `family` has a machine-readable JSON mode next to the
+human-readable text mode.  Exit codes: 0 for YES/success, 1 for NO/refuted,
+2 for usage or input errors (a rank --n below 1 included) and for any
+unexpected internal error, which never ends in a traceback.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from .represent import (materialize, phi1, phi2, phi3, phi_n,
                         tuple_to_json_obj)
 from .semiring import matrix_to_json
 from .trees import p_baxt, to_dot, to_json_obj
-from .words import (ParseError, RangeError, format_iword, iword,
-                    parse_aword, parse_identity)
+from .words import format_iword, iword, parse_aword, parse_identity
 
 
 def _at_least(lo: int):
@@ -41,62 +42,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "trees, tropical representations, identity checking.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def fmt(p, choices=("text", "json")):
-        p.add_argument("--format", choices=choices, default="text")
+    def command(name, handler, help, positionals, options=None,
+                formats=("text", "json")):
+        """A subcommand bound to its handler.  Its arguments, each a name
+        mapped to add_argument keywords, come in usage order: positionals,
+        --n, further options, --format."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        for arg, kwargs in positionals.items():
+            p.add_argument(arg, **kwargs)
+        p.add_argument("--n", type=_at_least(1), required=True)
+        for arg, kwargs in (options or {}).items():
+            p.add_argument(arg, **kwargs)
+        p.add_argument("--format", choices=formats, default="text")
 
-    p = sub.add_parser("canon", help="canonical invariants of a word")
-    p.add_argument("word")
-    p.add_argument("--n", type=_at_least(1), required=True)
-    fmt(p)
-
-    p = sub.add_parser("equiv", help="are two words congruent?")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.add_argument("--n", type=_at_least(1), required=True)
-    fmt(p)
-
-    p = sub.add_parser("sharp", help="order-reversing involution of a word")
-    p.add_argument("word")
-    p.add_argument("--n", type=_at_least(1), required=True)
-    fmt(p)
-
-    p = sub.add_parser("trees", help="twin insertion trees of a word")
-    p.add_argument("word")
-    p.add_argument("--n", type=_at_least(1), required=True)
-    fmt(p, ("text", "json", "dot"))
-
-    p = sub.add_parser("repr", help="tropical matrix / tuple representation")
-    p.add_argument("word")
-    p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--materialize", action="store_true",
-                   help="for rank >= 4, emit the block matrix instead of the tuple")
-    fmt(p)
-
-    p = sub.add_parser("check-id", help="decide an identity (stdin if omitted)")
-    p.add_argument("identity", nargs="?")
-    p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--mode", choices=("involution", "plain"), default="involution")
-    fmt(p)
-
-    p = sub.add_parser("oracle", help="bounded refutation search (stdin if omitted)")
-    p.add_argument("identity", nargs="?")
-    p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--max-len", type=_at_least(0), default=None)
-    p.add_argument("--samples", type=_at_least(1), default=None,
-                   help="sample the grid instead of scanning all of it")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_at_least(1), default=1)
-    fmt(p)
+    word = {"word": {}}
+    identity = {"identity": {"nargs": "?"}}
+    command("canon", _cmd_canon, "canonical invariants of a word", word)
+    command("equiv", _cmd_equiv, "are two words congruent?",
+            {"word1": {}, "word2": {}})
+    command("sharp", _cmd_sharp, "order-reversing involution of a word", word)
+    command("trees", _cmd_trees, "twin insertion trees of a word", word,
+            formats=("text", "json", "dot"))
+    command("repr", _cmd_repr, "tropical matrix / tuple representation", word, {
+        "--materialize": {"action": "store_true", "help": "for rank >= 4, "
+                          "emit the block matrix instead of the tuple"}})
+    command("check-id", _cmd_check_id, "decide an identity (stdin if omitted)",
+            identity, {"--mode": {"choices": ("involution", "plain"),
+                                  "default": "involution"}})
+    command("oracle", _cmd_oracle, "bounded refutation search (stdin if omitted)",
+            identity, {
+                "--max-len": {"type": _at_least(0), "default": None},
+                "--samples": {"type": _at_least(1), "default": None, "help":
+                              "sample the grid instead of scanning all of it"},
+                "--seed": {"type": int, "default": 0},
+                "--jobs": {"type": _at_least(1), "default": 1}})
 
     p = sub.add_parser("family", help="emit a named identity family")
-    p.add_argument("name", choices=("basis2", "basis4", "pkqk", "reverses"))
+    p.set_defaults(handler=_cmd_family)
+    p.add_argument("name", choices=tuple(_FAMILIES))
     p.add_argument("--k", type=_at_least(1), default=2)
 
-    p = sub.add_parser("isoterm", help="search for identity partners of a word")
-    p.add_argument("word", help="involution word, e.g. 'x x* y y*'")
-    p.add_argument("--n", type=_at_least(1), required=True)
-    fmt(p)
-
+    command("isoterm", _cmd_isoterm, "search for identity partners of a word",
+            {"word": {"help": "involution word, e.g. 'x x* y y*'"}})
     return ap
 
 
@@ -111,7 +99,7 @@ def _iter_identities(args, stdin_text):
             yield parse_identity(line)
 
 
-def _cmd_canon(args):
+def _cmd_canon(args, stdin_text):
     w = parse_aword(args.word, args.n)
     e = canonical(w)
     if args.format == "json":
@@ -125,7 +113,7 @@ def _cmd_canon(args):
     return 0
 
 
-def _cmd_equiv(args):
+def _cmd_equiv(args, stdin_text):
     u = parse_aword(args.word1, args.n)
     w = parse_aword(args.word2, args.n)
     same = equivalent(u, w)
@@ -136,14 +124,14 @@ def _cmd_equiv(args):
     return 0 if same else 1
 
 
-def _cmd_sharp(args):
+def _cmd_sharp(args, stdin_text):
     w = parse_aword(args.word, args.n)
     out = sharp_word(w)
     print(json.dumps({"sharp": str(out)}) if args.format == "json" else str(out))
     return 0
 
 
-def _cmd_trees(args):
+def _cmd_trees(args, stdin_text):
     w = parse_aword(args.word, args.n)
     pair = p_baxt(w)
     if args.format == "dot":
@@ -159,7 +147,7 @@ def _cmd_trees(args):
     return 0
 
 
-def _cmd_repr(args):
+def _cmd_repr(args, stdin_text):
     w = parse_aword(args.word, args.n)
     if args.n <= 3:
         mat = (phi1, phi2, phi3)[args.n - 1](w)
@@ -224,21 +212,21 @@ def _cmd_oracle(args, stdin_text):
     return worst
 
 
-def _cmd_family(args):
-    if args.name == "basis2":
-        idents = families.basis2()
-    elif args.name == "basis4":
-        idents = families.basis4()
-    elif args.name == "reverses":
-        idents = families.basis2_reverses()
-    else:
-        idents = [families.pk_qk(args.k)]
-    for ident in idents:
+_FAMILIES = {
+    "basis2": lambda k: families.basis2(),
+    "basis4": lambda k: families.basis4(),
+    "pkqk": lambda k: [families.pk_qk(k)],
+    "reverses": lambda k: families.basis2_reverses(),
+}
+
+
+def _cmd_family(args, stdin_text):
+    for ident in _FAMILIES[args.name](args.k):
         print(f"{format_iword(ident.lhs)} ~= {format_iword(ident.rhs)}")
     return 0
 
 
-def _cmd_isoterm(args):
+def _cmd_isoterm(args, stdin_text):
     u = iword(args.word)
     partners = families.isoterm_search(u, args.n)
     if args.format == "json":
@@ -254,33 +242,14 @@ def _cmd_isoterm(args):
 
 
 def run(argv, stdin_text=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if args.command == "canon":
-            return _cmd_canon(args)
-        if args.command == "equiv":
-            return _cmd_equiv(args)
-        if args.command == "sharp":
-            return _cmd_sharp(args)
-        if args.command == "trees":
-            return _cmd_trees(args)
-        if args.command == "repr":
-            return _cmd_repr(args)
-        if args.command == "check-id":
-            return _cmd_check_id(args, stdin_text)
-        if args.command == "oracle":
-            return _cmd_oracle(args, stdin_text)
-        if args.command == "family":
-            return _cmd_family(args)
-        if args.command == "isoterm":
-            return _cmd_isoterm(args)
-        raise AssertionError(args.command)
-    except (ParseError, RangeError, checker.PlainModeError,
-            oracle.BudgetExceededError, ValueError) as exc:
+        return args.handler(args, stdin_text)
+    except (ValueError, oracle.BudgetExceededError) as exc:
+        # ParseError, RangeError and PlainModeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

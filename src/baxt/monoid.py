@@ -13,7 +13,6 @@ provably congruent word pairs for tests.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -217,7 +216,3 @@ def key_to_json_obj(key: InvariantKey) -> dict:
 def element_to_json_obj(e: BaxtElement) -> dict:
     return {"n": e.rank, "representative": str(e.representative),
             **key_to_json_obj(e.key)}
-
-
-def element_to_json(e: BaxtElement) -> str:
-    return json.dumps(element_to_json_obj(e), separators=(",", ":"))

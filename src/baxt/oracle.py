@@ -51,27 +51,40 @@ def identity_bases(ident: Identity) -> list[str]:
     return sorted({x.base for x in ident.lhs + ident.rhs})
 
 
+def _side_keys(ident: Identity, bases, classes, n: int):
+    """A function from class indices, one per base in the order of bases,
+    to the keys of both sides with each base sent to its class.  Starred
+    letters go to the involution of the base image."""
+    plain = [e.representative.symbols for e in classes]
+    starred = [sharp_word(e.representative).symbols for e in classes]
+    base_pos = {b: i for i, b in enumerate(bases)}
+    lhs_ops = [(base_pos[x.base], x.starred) for x in ident.lhs]
+    rhs_ops = [(base_pos[x.base], x.starred) for x in ident.rhs]
+
+    def image(ops, idxs):
+        out = []
+        for bi, st in ops:
+            out.extend(starred[idxs[bi]] if st else plain[idxs[bi]])
+        return tuple(out)
+
+    def keys(idxs):
+        return key_of(image(lhs_ops, idxs), n), key_of(image(rhs_ops, idxs), n)
+    return keys
+
+
 def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
     """Multiply the images left to right on both sides and compare classes.
     Starred letters go to the involution of the base image."""
-    tables = {}
-    n = None
-    for b, e in sub.items():
-        tables[b] = (e.representative.symbols, sharp_word(e.representative).symbols)
-        n = e.rank
-    if n is None:
-        return ident.lhs == ident.rhs  # no variables assigned: both sides empty
-
-    def image(side: IWord) -> tuple:
-        out = []
-        for letter in side:
-            t = tables.get(letter.base)
-            if t is None:
-                raise UnassignedVariableError(f"no image for {letter.base}")
-            out.extend(t[1] if letter.starred else t[0])
-        return tuple(out)
-
-    return key_of(image(ident.lhs), n) == key_of(image(ident.rhs), n)
+    bases = identity_bases(ident)
+    for b in bases:
+        if b not in sub:
+            raise UnassignedVariableError(f"no image for {b}")
+    if not bases:
+        return True  # no variables: both sides are the empty word
+    images = [sub[b] for b in bases]
+    keys = _side_keys(ident, bases, images, images[0].rank)
+    lhs_key, rhs_key = keys(range(len(bases)))
+    return lhs_key == rhs_key
 
 
 @dataclass(frozen=True)
@@ -92,32 +105,17 @@ def default_max_len(num_bases: int) -> int:
 
 
 def _scan(ident, bases, classes, n, first_range):
-    """Scan assignments whose first-base class index lies in first_range;
-    row-major over the remaining bases.  Returns (flat index, sub) or count."""
-    plain = [e.representative.symbols for e in classes]
-    starred = [sharp_word(e.representative).symbols for e in classes]
-    base_pos = {b: i for i, b in enumerate(bases)}
-    lhs_ops = [(base_pos[x.base], x.starred) for x in ident.lhs]
-    rhs_ops = [(base_pos[x.base], x.starred) for x in ident.rhs]
-
-    def image(ops, idxs):
-        out = []
-        for bi, st in ops:
-            out.extend(starred[idxs[bi]] if st else plain[idxs[bi]])
-        return tuple(out)
-
+    """Scan assignments whose first-base class index lies in first_range,
+    row-major over the remaining bases.  Returns the first refuting
+    assignment (None if there is none) and the number of evaluations."""
+    keys = _side_keys(ident, bases, classes, n)
+    grid = product(first_range, *[range(len(classes))] * (len(bases) - 1))
     count = 0
-    rest = len(bases) - 1
-    width = len(classes) ** rest
-    for i0 in first_range:
-        for tail in product(range(len(classes)), repeat=rest):
-            idxs = (i0,) + tail
-            count += 1
-            if key_of(image(lhs_ops, idxs), n) != key_of(image(rhs_ops, idxs), n):
-                flat = i0 * width + sum(
-                    t * len(classes) ** (rest - 1 - k) for k, t in enumerate(tail))
-                return flat, {b: classes[idxs[i]] for i, b in enumerate(bases)}, count
-    return None, None, count
+    for count, idxs in enumerate(grid, 1):
+        lhs_key, rhs_key = keys(idxs)
+        if lhs_key != rhs_key:
+            return {b: classes[i] for b, i in zip(bases, idxs)}, count
+    return None, count
 
 
 def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
@@ -143,7 +141,7 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
     if jobs > 1:
         return _brute_force_parallel(ident, n, max_len, bases, classes, jobs)
 
-    flat, sub, count = _scan(ident, bases, classes, n, range(len(classes)))
+    sub, count = _scan(ident, bases, classes, n, range(len(classes)))
     return OracleResult(sub, count, n, max_len, True)
 
 
@@ -153,22 +151,22 @@ def _parallel_worker(args):
 
 
 def _brute_force_parallel(ident, n, max_len, bases, classes, jobs):
-    """Partition on the first base's class index; merge to the witness that
-    is minimal in enumeration order, so the outcome matches a serial run."""
+    """Partition on the first base's class index.  The chunks come back in
+    enumeration order, and every chunk before the first refuting one was
+    scanned in full, so the witness and the count match a serial run."""
     from concurrent.futures import ProcessPoolExecutor
 
     m = len(classes)
     bounds = [(i * m) // jobs for i in range(jobs + 1)]
     chunks = [(ident, bases, classes, n, lo, hi)
               for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    best = None
     count = 0
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for flat, sub, c in pool.map(_parallel_worker, chunks):
+        for sub, c in pool.map(_parallel_worker, chunks):
             count += c
-            if flat is not None and (best is None or flat < best[0]):
-                best = (flat, sub)
-    return OracleResult(best[1] if best else None, count, n, max_len, True)
+            if sub is not None:
+                return OracleResult(sub, count, n, max_len, True)
+    return OracleResult(None, count, n, max_len, True)
 
 
 def sample_check(ident: Identity, n: int, max_len: int, samples: int,
@@ -176,10 +174,13 @@ def sample_check(ident: Identity, n: int, max_len: int, samples: int,
     """Uniform random draws from the same grid; deterministic for a seed."""
     bases = identity_bases(ident)
     classes = enumerate_classes(n, max_len)
+    keys = _side_keys(ident, bases, classes, n)
     rng = random.Random(seed)
     for k in range(samples):
-        sub = {b: classes[rng.randrange(len(classes))] for b in bases}
-        if not eval_substitution(ident, sub):
+        idxs = [rng.randrange(len(classes)) for _ in bases]
+        lhs_key, rhs_key = keys(idxs)
+        if lhs_key != rhs_key:
+            sub = {b: classes[i] for b, i in zip(bases, idxs)}
             return OracleResult(sub, k + 1, n, max_len, False)
     return OracleResult(None, samples, n, max_len, False)
 
@@ -188,21 +189,14 @@ def witness_to_json_obj(ident: Identity, result: OracleResult):
     if result.witness is None:
         return None
     sub = result.witness
-    lhs_key = key_of(_image_symbols(ident.lhs, sub), result.n)
-    rhs_key = key_of(_image_symbols(ident.rhs, sub), result.n)
+    bases = identity_bases(ident)
+    keys = _side_keys(ident, bases, [sub[b] for b in bases], result.n)
+    lhs_key, rhs_key = keys(range(len(bases)))
     return {
         "assignment": {b: str(e.representative) for b, e in sorted(sub.items())},
         "lhs_key": key_to_json_obj(lhs_key),
         "rhs_key": key_to_json_obj(rhs_key),
     }
-
-
-def _image_symbols(side: IWord, sub) -> tuple:
-    out = []
-    for letter in side:
-        w = sub[letter.base].representative
-        out.extend(sharp_word(w).symbols if letter.starred else w.symbols)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

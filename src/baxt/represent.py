@@ -270,9 +270,6 @@ class TupleElement:
     rank: int
     coords: tuple  # tuple of ((i, j), PairElement), lexicographic in (i, j)
 
-    def coord(self, i: int, j: int) -> PairElement:
-        return dict(self.coords)[(i, j)]
-
 
 def index_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]

@@ -118,8 +118,6 @@ class IVar(NamedTuple):
 #: An IWord is just a tuple of IVars; the empty tuple is the empty word.
 IWord = tuple  # tuple[IVar, ...]
 
-EMPTY: IWord = ()
-
 
 def v(name: str) -> IVar:
     """Shorthand: ``v("x*")`` is the starred partner of ``v("x")``."""

@@ -87,6 +87,19 @@ def test_repr_golden_output(capsys, case):
         assert hashlib.sha256(data).hexdigest() == case["sha256"]
 
 
+# `--help` output of baxt and of every subcommand at 80 columns, recorded
+# before the subcommands bound their handlers in the parser.
+HELP_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_help_golden.json").read_text())
+
+
+def test_help_golden_output(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for case in HELP_GOLDEN:
+        assert run(case["argv"]) == 0
+        assert out_of(capsys) == case["stdout"], case["argv"]
+
+
 def test_check_id(capsys):
     assert run(["check-id", "x y ~= y x", "--n", "4", "--format", "json"]) == 1
     obj = json.loads(out_of(capsys))

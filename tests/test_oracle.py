@@ -39,6 +39,11 @@ def test_eval_substitution():
     assert not eval_substitution(ident("x x*", "x* x"), {"x": cls("1", 2)})
     with pytest.raises(UnassignedVariableError):
         eval_substitution(ident("x y", "y x"), {"x": cls("1", 2)})
+    # an empty assignment leaves every variable unassigned
+    for idn in (ident("x y", "y x"), ident("x", "x")):
+        with pytest.raises(UnassignedVariableError):
+            eval_substitution(idn, {})
+    assert eval_substitution(Identity((), ()), {})
 
 
 def test_brute_force_first_witness():
@@ -67,12 +72,19 @@ def test_brute_force_basis4_instance():
 
 
 def test_brute_force_parallel_matches_serial():
-    idn = ident("x y x*", "x* y x")
-    serial = brute_force_check(idn, 2, 2)
-    parallel = brute_force_check(idn, 2, 2, jobs=2)
-    assert serial.refuted == parallel.refuted
-    assert {b: str(e.representative) for b, e in serial.witness.items()} \
-        == {b: str(e.representative) for b, e in parallel.witness.items()}
+    cases = [
+        (ident("x y x*", "x* y x"), 2),   # witness in the first chunk
+        (ident("x y", "y x"), 1),         # witness in a later chunk
+        (ident("x y* x", "x y* x"), 2),   # no witness: every chunk is scanned
+    ]
+    for idn, max_len in cases:
+        serial = brute_force_check(idn, 2, max_len)
+        for jobs in (2, 3):
+            parallel = brute_force_check(idn, 2, max_len, jobs=jobs)
+            assert parallel == serial, (idn, jobs)
+            if serial.refuted:
+                assert {b: str(e.representative) for b, e in serial.witness.items()} \
+                    == {b: str(e.representative) for b, e in parallel.witness.items()}
 
 
 def test_sample_check_deterministic():
