@@ -8,7 +8,7 @@ brute-force substitution search.
 """
 
 from .words import (AWord, Identity, IVar, ParseError, PivotAbsentError,
-                    RangeError, aword, bar, content, flatten, format_iword,
+                    RangeError, bar, content, flatten, format_iword,
                     initial_part, final_part, ident, iword, occ, occ_after,
                     occ_before, parse_aword, parse_identity, parse_term,
                     restrict, reverse, star_word, v)
@@ -25,8 +25,7 @@ from .represent import (PairElement, TupleElement, materialize, phi1, phi2,
                         tuple_equal)
 from .checker import (CheckReport, check, check_baxt1, check_baxt2,
                       check_baxt3, check_baxt4plus, check_plain,
-                      conditions_baxt2, conditions_baxt3, is_balanced, pre,
-                      pren, suf, sufn)
+                      conditions_baxt2, conditions_baxt3, is_balanced)
 from .families import basis2, basis4, basis2_rows, isoterm_search, pk_qk
 from .oracle import (BudgetExceededError, OracleResult, brute_force_check,
                      comm_check, comm_eval, enumerate_classes,

@@ -19,8 +19,9 @@ the witness search of its rank, in the reference order: O(k^2) bisections
 over per-letter position lists, stopping at the first difference.
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
-evaluates the rank-2/3 pattern conditions literally on materialized
-restrictions; the test suite asserts both routes agree.
+evaluates the rank-2/3 pattern conditions literally on restrictions built
+by `words.restrict`, with the directional counts `words.occ_before` /
+`words.occ_after`; the test suite asserts both routes agree.
 
 The pattern conditions are evaluated for ordered role pairs over all letters,
 starred included, and also for the two orientations of each mixed base pair
@@ -39,56 +40,11 @@ from dataclasses import dataclass
 from operator import add
 from typing import Optional
 
-from .words import IVar, IWord, Identity
+from .words import IVar, IWord, Identity, occ_after, occ_before, restrict
 
 
 class PlainModeError(ValueError):
     """A starred letter reached the plain (involution-free) checker."""
-
-
-# ---------------------------------------------------------------------------
-# Segment views
-# ---------------------------------------------------------------------------
-
-def pre(u: IWord) -> IWord:
-    """Longest prefix over a single letter."""
-    if not u:
-        raise ValueError("pre of the empty word")
-    i = 1
-    while i < len(u) and u[i] == u[0]:
-        i += 1
-    return u[:i]
-
-
-def suf(u: IWord) -> IWord:
-    """Longest suffix over a single letter."""
-    if not u:
-        raise ValueError("suf of the empty word")
-    i = len(u) - 1
-    while i > 0 and u[i - 1] == u[-1]:
-        i -= 1
-    return u[i:]
-
-
-def pren(u: IWord) -> IWord:
-    """Longest prefix containing no mixed pair {x, x*}."""
-    seen = set()
-    for i, x in enumerate(u):
-        if x.star() in seen:
-            return u[:i]
-        seen.add(x)
-    return u
-
-
-def sufn(u: IWord) -> IWord:
-    """Longest suffix containing no mixed pair {x, x*}."""
-    seen = set()
-    for i in range(len(u) - 1, -1, -1):
-        x = u[i]
-        if x.star() in seen:
-            return u[i + 1:]
-        seen.add(x)
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +440,6 @@ def check(ident: Identity, n: int, mode: str = "involution",
 # Independent route: the pattern conditions, evaluated literally
 # ---------------------------------------------------------------------------
 
-def _restriction(u: IWord, b1: str, b2: str) -> IWord:
-    return tuple(x for x in u if x.base == b1 or x.base == b2)
-
-
 def _leading_run_then(r: IWord, run_letter: IVar, next_letter: IVar):
     """Length of the leading run_letter-run when followed by next_letter."""
     i = 0
@@ -527,8 +479,8 @@ def _conditions(ident: Identity, n: int) -> bool:
     same_base = [(x, x.star()) for x in letters if x.star() in set(letters)]
 
     for x, y in role_pairs + same_base:
-        ru = _restriction(u, x.base, y.base)
-        rv = _restriction(v, x.base, y.base)
+        ru = restrict(u, (x.base, y.base))
+        rv = restrict(v, (x.base, y.base))
         # (I): x^a x* prefix / x* x^a suffix transfer with the same a
         for r, s in ((ru, rv), (ru[::-1], rv[::-1])):
             a = _leading_run_then(r, x, x.star())
@@ -540,8 +492,8 @@ def _conditions(ident: Identity, n: int) -> bool:
                 return False
 
     for x, y in role_pairs:
-        ru = _restriction(u, x.base, y.base)
-        rv = _restriction(v, x.base, y.base)
+        ru = restrict(u, (x.base, y.base))
+        rv = restrict(v, (x.base, y.base))
         # (III): starred-prefix block before the first plain letter
         starred = frozenset((x.star(), y.star()))
         nexts = (x,) if n == 3 else (x, y)
@@ -560,15 +512,10 @@ def _conditions(ident: Identity, n: int) -> bool:
     if n == 3:
         # (IV): directional occurrence sums
         for x, y in role_pairs:
-            fu, fv = u.index(y), v.index(y)
-            if (u[:fu].count(x) + u[:fu].count(x.star())
-                    != v[:fv].count(x) + v[:fv].count(x.star())):
-                return False
-            lu = len(u) - 1 - u[::-1].index(y)
-            lv = len(v) - 1 - v[::-1].index(y)
-            if (u[lu:].count(x) + u[lu:].count(x.star())
-                    != v[lv:].count(x) + v[lv:].count(x.star())):
-                return False
+            for count in (occ_before, occ_after):
+                if (count(y, x, u) + count(y, x.star(), u)
+                        != count(y, x, v) + count(y, x.star(), v)):
+                    return False
     return True
 
 

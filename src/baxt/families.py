@@ -121,12 +121,14 @@ def _multiset_permutations(pool):
     yield from rec()
 
 
-def isoterm_search(u: IWord, n: int, max_len: int = 10) -> list[IWord]:
+def isoterm_search(u: IWord, n: int) -> list[IWord]:
     """All rearrangements v != u of u's letters the rank-n checker accepts as
     u ~ v.  An empty result certifies u is an isoterm: every identity of the
-    monoid is balanced, so only rearrangements could ever pair with u."""
-    if len(u) > max_len:
-        raise ValueError(f"word of length {len(u)} exceeds the bound {max_len}")
+    monoid is balanced, so only rearrangements could ever pair with u.
+    Words longer than 10 letters are refused: they have millions of
+    rearrangements."""
+    if len(u) > 10:
+        raise ValueError(f"word of length {len(u)} exceeds the bound 10")
     out = []
     for cand in _multiset_permutations(u):
         if cand != u and check(Identity(u, cand), n, witness=False).verdict:

@@ -189,23 +189,6 @@ def rewrite_neighbors(w: AWord) -> set[AWord]:
     return out
 
 
-def congruence_class(w: AWord, limit: int = 100000) -> set[AWord]:
-    """Closure of {w} under one-step rewriting (lengths are preserved)."""
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in rewrite_neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > limit:
-                        raise RuntimeError("congruence class exceeded limit")
-        frontier = nxt
-    return seen
-
-
 def key_to_json_obj(key: InvariantKey) -> dict:
     """(ev, lpi, rpi) as JSON lists, the triples in sorted order."""
     ev, lp, rp = key

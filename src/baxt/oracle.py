@@ -3,8 +3,13 @@
 The brute-force engine substitutes every tuple of monoid classes (built from
 words up to a length bound) for the variables of an identity and looks for a
 falsifying assignment.  It is a bounded refuter, never a decision procedure:
-its positive outcome only means no counterexample within the bound.  The
-second engine evaluates identities in the two-generator commutative
+its positive outcome only means no counterexample within the bound.  One
+loop scans the grid in chunks of first-base class indices, in order, and
+stops at the first refuting chunk; the chunks run in this process, or with
+jobs > 1 in a pool of processes, and give the same witness and evaluation
+count either way.
+
+The second engine evaluates identities in the two-generator commutative
 involution monoid a^m b^n (product adds exponents, star swaps them), whose
 identities are exactly the balanced ones.
 """
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Optional
 
@@ -22,7 +27,7 @@ from .words import AWord, Identity, IWord
 
 
 class BudgetExceededError(RuntimeError):
-    """The enumeration grid exceeds the configured evaluation budget."""
+    """The enumeration grid exceeds DEFAULT_BUDGET evaluations."""
 
 
 class UnassignedVariableError(ValueError):
@@ -119,13 +124,20 @@ def _scan(ident, bases, classes, n, first_range):
 
 
 def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
-                      budget: int = DEFAULT_BUDGET, jobs: int = 1) -> OracleResult:
+                      jobs: int = 1) -> OracleResult:
     """Exhaustive refutation search over all class assignments.
 
     Bases are tried in sorted order and classes in length-then-lex order, so
     the reported witness is the first in that fixed enumeration.  A grid
-    larger than the budget raises instead of silently truncating.
+    larger than DEFAULT_BUDGET raises instead of silently truncating.  The
+    grid is cut into one chunk per job.  The chunks come back in enumeration
+    order, and every chunk before the first refuting one was scanned in
+    full, so the witness and the count do not depend on jobs.
     """
+    if max_len is not None and max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     bases = identity_bases(ident)
     if max_len is None:
         max_len = default_max_len(len(bases))
@@ -134,44 +146,41 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
         # no variables at all: both sides are the empty word
         return OracleResult(None, 1, n, max_len, True)
     total = len(classes) ** len(bases)
-    if total > budget:
+    if total > DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"{total} evaluations exceed the budget of {budget}")
+            f"{total} evaluations exceed the budget of {DEFAULT_BUDGET}")
 
-    if jobs > 1:
-        return _brute_force_parallel(ident, n, max_len, bases, classes, jobs)
-
-    sub, count = _scan(ident, bases, classes, n, range(len(classes)))
-    return OracleResult(sub, count, n, max_len, True)
-
-
-def _parallel_worker(args):
-    ident, bases, classes, n, lo, hi = args
-    return _scan(ident, bases, classes, n, range(lo, hi))
-
-
-def _brute_force_parallel(ident, n, max_len, bases, classes, jobs):
-    """Partition on the first base's class index.  The chunks come back in
-    enumeration order, and every chunk before the first refuting one was
-    scanned in full, so the witness and the count match a serial run."""
-    from concurrent.futures import ProcessPoolExecutor
-
+    scan = partial(_scan, ident, bases, classes, n)
     m = len(classes)
     bounds = [(i * m) // jobs for i in range(jobs + 1)]
-    chunks = [(ident, bases, classes, n, lo, hi)
-              for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    count = 0
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    if jobs == 1:
+        return _first_refutation(map(scan, chunks), n, max_len)
+    # imported only here: the process pool machinery would add to the
+    # memory of every run that does not use it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for sub, c in pool.map(_parallel_worker, chunks):
-            count += c
-            if sub is not None:
-                return OracleResult(sub, count, n, max_len, True)
+        return _first_refutation(pool.map(scan, chunks), n, max_len)
+
+
+def _first_refutation(scans, n, max_len) -> OracleResult:
+    """The first refuting chunk's witness, and the evaluations up to and
+    including it."""
+    count = 0
+    for sub, c in scans:
+        count += c
+        if sub is not None:
+            return OracleResult(sub, count, n, max_len, True)
     return OracleResult(None, count, n, max_len, True)
 
 
 def sample_check(ident: Identity, n: int, max_len: int, samples: int,
                  seed: int = 0) -> OracleResult:
     """Uniform random draws from the same grid; deterministic for a seed."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     bases = identity_bases(ident)
     classes = enumerate_classes(n, max_len)
     keys = _side_keys(ident, bases, classes, n)
@@ -215,15 +224,16 @@ def comm_eval(word: IWord, assignment: dict[str, tuple[int, int]]) -> tuple[int,
     return (m, n)
 
 
-def comm_assignments(bases, coord_bound: int = 2):
-    vals = [(i, j) for i in range(coord_bound + 1) for j in range(coord_bound + 1)]
+def comm_assignments(bases):
+    """Every assignment of some a^m b^n with m, n <= 2 to each base."""
+    vals = list(product(range(3), repeat=2))
     for combo in product(vals, repeat=len(bases)):
         yield dict(zip(bases, combo))
 
 
-def comm_check(ident: Identity, coord_bound: int = 2) -> bool:
+def comm_check(ident: Identity) -> bool:
     """Does the identity hold in the commutative involution monoid?
-    Checked over all assignments with exponents up to coord_bound."""
+    Checked over all assignments with exponents up to 2."""
     bases = identity_bases(ident)
     return all(comm_eval(ident.lhs, a) == comm_eval(ident.rhs, a)
-               for a in comm_assignments(bases, coord_bound))
+               for a in comm_assignments(bases))

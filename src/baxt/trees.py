@@ -8,7 +8,6 @@ right.  The pair of both trees identifies an element of the Baxter monoid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -78,59 +77,11 @@ def tree_equal(a: BST, b: BST) -> bool:
             and tree_equal(a.right, b.right))
 
 
-def labels(t: BST) -> list[int]:
-    """All labels, in-order (a multiset witness)."""
-    if t is None:
-        return []
-    return labels(t.left) + [t.label] + labels(t.right)
-
-
-def is_right_strict(t: BST) -> bool:
-    """Full-traversal check of the right strict invariant."""
-    # In the left subtree of x every label <= x; in the right, strictly > x.
-    def check(node, low_excl, high_incl):
-        if node is None:
-            return True
-        if low_excl is not None and not node.label > low_excl:
-            return False
-        if high_incl is not None and not node.label <= high_incl:
-            return False
-        return (check(node.left, low_excl, node.label)
-                and check(node.right, node.label, high_incl))
-
-    return check(t, None, None)
-
-
-def is_left_strict(t: BST) -> bool:
-    """Full-traversal check of the left strict invariant."""
-    def check(node, low_incl, high_excl):
-        if node is None:
-            return True
-        if low_incl is not None and not node.label >= low_incl:
-            return False
-        if high_excl is not None and not node.label < high_excl:
-            return False
-        return (check(node.left, low_incl, node.label)
-                and check(node.right, node.label, high_excl))
-
-    return check(t, None, None)
-
-
 def to_json_obj(t: BST):
     """Nested {label, left, right} objects; null for absent children."""
     if t is None:
         return None
     return {"label": t.label, "left": to_json_obj(t.left), "right": to_json_obj(t.right)}
-
-
-def from_json_obj(obj) -> BST:
-    if obj is None:
-        return None
-    return Node(obj["label"], from_json_obj(obj["left"]), from_json_obj(obj["right"]))
-
-
-def to_json(t: BST) -> str:
-    return json.dumps(to_json_obj(t), separators=(",", ":"))
 
 
 def to_dot(t: BST, name: str = "bst") -> str:

@@ -63,10 +63,6 @@ class AWord:
         return AWord(self.symbols + other.symbols, self.rank)
 
 
-def aword(symbols, n: int) -> AWord:
-    return AWord(tuple(symbols), n)
-
-
 def parse_aword(text: str, n: int) -> AWord:
     """Parse ``"36131"`` (digit form, n <= 9) or ``"3,6,1"`` / ``"3 6 1"``.
 

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 from baxt.checker import (PlainModeError, check, check_baxt1,
                           check_baxt2, check_baxt3, check_baxt4plus,
                           check_plain, conditions_baxt2, conditions_baxt3,
-                          is_balanced, pre, pren, suf, sufn)
+                          is_balanced)
 from baxt.families import basis2, basis4, pk_qk
 from baxt.words import Identity, IVar, ident, iword, parse_identity, restrict
+from definitions import pre, pren, suf, sufn
 
 ivars = st.builds(IVar, st.sampled_from("xyz"), st.booleans())
 iwords = st.lists(ivars, min_size=1, max_size=10).map(tuple)

@@ -4,6 +4,7 @@ on a fixed-seed corpus and on generated input."""
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import reference_routes as ref
 from baxt.checker import CheckReport, check
 from baxt.families import basis2, basis4, pk_qk
-from baxt.words import Identity, IVar, ParseError, parse_identity, parse_term
+from baxt.words import (Identity, IVar, ParseError, occ_after, occ_before,
+                        parse_identity, parse_term, restrict, v)
+from definitions import pre, pren, suf, sufn
 
 TEMPLATES = basis2() + basis4() + [pk_qk(2), pk_qk(3)]
 PLAIN_TEMPLATES = basis4()
@@ -97,6 +100,64 @@ def test_corpus_reports_match_the_reference_routes():
     for n, tag in [(1, "Balanced"), (2, "I"), (2, "II"), (2, "III"), (3, "III"),
                    (3, "IV"), (3, "V"), (4, "OccLR"), (5, None)]:
         assert (n, tag) in verdicts, (n, tag)
+
+
+def named_statistic(u, report):
+    """The statistic a NO report's witness names, on the side u, from the
+    paper's definitions: of u restricted to the witness pair's bases for
+    the segment views, of u itself for the directional counts."""
+    w = report.witness
+    if "pair" in w:
+        r = restrict(u, w["pair"])
+        view = {"pre": pre, "pren": pren, "suf": suf, "sufn": sufn}[w["check"]]
+        seg = view(r)
+        if w["side"] == "left":
+            beside = r[len(seg):len(seg) + 1]  # the letter right after
+        else:
+            end = len(r) - len(seg)
+            beside = r[end - 1:end] if end else ()  # the letter right before
+        if w["check"] in ("pre", "suf"):
+            return seg, beside
+        # a multiset, pinned by its adjacent letter at rank 3 only
+        return Counter(seg), beside if report.rank == 3 else None
+    count = occ_before if w["side"] == "left" else occ_after
+    pivot = v(w["pivot"])
+    if report.violated == "IV":
+        return sum(count(pivot, IVar(w["base"], starred), u) for starred in (False, True))
+    return count(pivot, v(w["letter"]), u)  # V and OccLR
+
+
+def test_no_reports_name_a_statistic_that_differs():
+    checked = Counter()
+    for idn, plain in corpus():
+        runs = [(n, "involution") for n in (1, 2, 3, 4, 5)]
+        if plain:
+            runs += [(1, "plain"), (2, "plain")]
+        for n, mode in runs:
+            report = check(idn, n, mode)
+            if report.verdict:
+                continue
+            w = report.witness
+            if report.violated == "Balanced":
+                # rank 1 counts a base, star-blind; other ranks a letter
+                if report.rank == 1:
+                    lhs, rhs = ([x.base for x in side].count(w["letter"])
+                                for side in (idn.lhs, idn.rhs))
+                else:
+                    lhs, rhs = (side.count(v(w["letter"]))
+                                for side in (idn.lhs, idn.rhs))
+                assert lhs != rhs, (str(idn), n, mode)
+                assert (w["lhs"], w["rhs"]) == (lhs, rhs), (str(idn), n, mode)
+            else:
+                lhs, rhs = (named_statistic(side, report) for side in (idn.lhs, idn.rhs))
+                assert lhs != rhs, (str(idn), n, mode, w)
+            checked[n, mode, report.violated, w.get("check")] += 1
+    for key in [(1, "involution", "Balanced", None), (2, "involution", "I", "pre"),
+                (2, "involution", "II", "suf"), (2, "involution", "III", "pren"),
+                (3, "involution", "III", "sufn"), (3, "involution", "IV", None),
+                (3, "involution", "V", None), (4, "involution", "OccLR", None),
+                (2, "plain", "OccLR", None)]:
+        assert checked[key], key
 
 
 ivars = st.builds(IVar, st.sampled_from(["a", "b", "c", "d", "x1"]), st.booleans())

@@ -4,12 +4,13 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from baxt.monoid import (RankMismatchError, canonical, congruence_class,
-                         element_to_json_obj, equivalent, evaluation,
-                         identity_element, invariant_key, lpi, multiply,
-                         rewrite_neighbors, rpi, sharp, sharp_word, support)
+from baxt.monoid import (RankMismatchError, canonical, element_to_json_obj,
+                         equivalent, evaluation, identity_element,
+                         invariant_key, lpi, multiply, rewrite_neighbors, rpi,
+                         sharp, sharp_word, support)
 from baxt.trees import p_baxt
 from baxt.words import AWord, parse_aword
+from definitions import congruence_class
 
 W = parse_aword("36131512665", 6)
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,6 +90,37 @@ def test_brute_force_parallel_matches_serial():
             if serial.refuted:
                 assert {b: str(e.representative) for b, e in serial.witness.items()} \
                     == {b: str(e.representative) for b, e in parallel.witness.items()}
+
+
+def test_invalid_bounds_are_rejected():
+    # an exhaustive "no counterexample" over no grid would say that an
+    # unbalanced identity holds
+    idn = ident("x", "x x")
+    with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
+        brute_force_check(idn, 2, max_len=-1)
+    with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+        brute_force_check(idn, 2, 1, jobs=0)
+    with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
+        sample_check(idn, 2, -1, 10)
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        sample_check(idn, 2, 1, 0)
+    # the smallest valid bounds still refute it
+    assert brute_force_check(idn, 2, max_len=0).evaluations == 1
+    assert brute_force_check(idn, 2, max_len=1).refuted
+    assert sample_check(idn, 2, 1, 1).evaluations == 1
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the pool machinery is imported only by a run with jobs > 1: loading it
+    # with the package would add to the memory of every other run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, baxt, baxt.cli; "
+            "print(sorted(m for m in sys.modules if m == 'multiprocessing' "
+            "or m.startswith(('multiprocessing.', 'concurrent.futures.process'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_sample_check_deterministic():

@@ -2,11 +2,12 @@ import json
 
 from hypothesis import given, strategies as st
 
-from baxt.trees import (Node, from_json_obj, insert_left_strict,
-                        insert_right_strict, is_left_strict, is_right_strict,
-                        labels, p_baxt, p_sylv, p_sylv_sharp, to_dot,
-                        to_json, to_json_obj, tree_equal)
+from baxt.trees import (Node, insert_left_strict, insert_right_strict,
+                        p_baxt, p_sylv, p_sylv_sharp, to_dot, to_json_obj,
+                        tree_equal)
 from baxt.words import AWord, parse_aword
+from definitions import (from_json_obj, is_left_strict, is_right_strict,
+                         labels, to_json)
 
 
 def leaf(a):
