@@ -184,6 +184,8 @@ def _cmd_check_id(args, stdin_text):
 
 
 def _cmd_oracle(args, stdin_text):
+    if args.samples is not None and args.jobs > 1:
+        raise ValueError("--jobs applies to the full scan, not to --samples")
     worst = 0
     for ident in _iter_identities(args, stdin_text):
         if args.samples is not None:

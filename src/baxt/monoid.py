@@ -23,51 +23,60 @@ class RankMismatchError(ValueError):
     """Operands live over alphabets of different ranks."""
 
 
-def evaluation(w: AWord) -> tuple[int, ...]:
-    """Letter-count vector indexed by 1..n."""
-    counts = [0] * w.rank
-    for a in w.symbols:
-        counts[a - 1] += 1
-    return tuple(counts)
+InvariantKey = tuple  # (evaluation, lpi frozenset, rpi frozenset)
 
 
-def support(w: AWord) -> frozenset[int]:
-    return frozenset(w.symbols)
+def key_of(symbols: tuple, n: int) -> InvariantKey:
+    """Invariant triple of a raw symbol tuple, no validation.
 
-
-def _positions(symbols) -> dict[int, list[int]]:
+    One pass lists each letter's positions.  A stack pass over the support
+    in ascending label order keeps the labels whose first occurrences
+    increase (all nearest smaller values): once those first occurring after
+    b are popped, the top is the a of b's lpi triple.  The mirrored pass over
+    last occurrences gives rpi, and the list lengths give ev.
+    """
     pos: dict[int, list[int]] = {}
     for i, a in enumerate(symbols):
         pos.setdefault(a, []).append(i)
-    return pos
-
-
-def _rpi(pos: dict[int, list[int]]) -> frozenset:
-    out = set()
-    for a, pa in pos.items():
-        last_a = pa[-1]
-        b = None
-        for c in pos:
-            if c > a and pos[c][-1] > last_a and (b is None or c < b):
-                b = c
-        if b is not None:
-            r = len(pos[b]) - bisect_right(pos[b], last_a)
-            out.add((b, a, r))
-    return frozenset(out)
-
-
-def _lpi(pos: dict[int, list[int]]) -> frozenset:
-    out = set()
-    for b, pb in pos.items():
+    counts = [0] * n
+    letters = sorted(pos.items())
+    lp = []
+    stack = []
+    for b, pb in letters:
+        counts[b - 1] = len(pb)
         first_b = pb[0]
-        a = None
-        for c in pos:
-            if c < b and pos[c][0] < first_b and (a is None or c > a):
-                a = c
-        if a is not None:
-            ell = bisect_left(pos[a], first_b)
-            out.add((a, b, ell))
-    return frozenset(out)
+        while stack and stack[-1][1][0] > first_b:
+            stack.pop()
+        if stack:
+            a, pa = stack[-1]
+            lp.append((a, b, bisect_left(pa, first_b)))
+        stack.append((b, pb))
+    rp = []
+    stack = []
+    for a, pa in reversed(letters):
+        last_a = pa[-1]
+        while stack and stack[-1][1][-1] < last_a:
+            stack.pop()
+        if stack:
+            b, pb = stack[-1]
+            rp.append((b, a, len(pb) - bisect_right(pb, last_a)))
+        stack.append((a, pa))
+    return (tuple(counts), frozenset(lp), frozenset(rp))
+
+
+def invariant_key(w: AWord) -> InvariantKey:
+    return key_of(w.symbols, w.rank)
+
+
+def evaluation(w: AWord) -> tuple[int, ...]:
+    """Letter-count vector indexed by 1..n."""
+    return invariant_key(w)[0]
+
+
+def lpi(w: AWord) -> frozenset[tuple[int, int, int]]:
+    """Left precedences {(a, b, l)}: reading left to right, a occurs l times
+    before the first b, with no intermediate letter in that stretch."""
+    return invariant_key(w)[1]
 
 
 def rpi(w: AWord) -> frozenset[tuple[int, int, int]]:
@@ -77,29 +86,7 @@ def rpi(w: AWord) -> frozenset[tuple[int, int, int]]:
     Concretely: for each a in the support, look strictly after the last a;
     b is the smallest letter above a occurring there, r its count there.
     """
-    return _rpi(_positions(w.symbols))
-
-
-def lpi(w: AWord) -> frozenset[tuple[int, int, int]]:
-    """Left precedences {(a, b, l)}: reading left to right, a occurs l times
-    before the first b, with no intermediate letter in that stretch."""
-    return _lpi(_positions(w.symbols))
-
-
-InvariantKey = tuple  # (evaluation, lpi frozenset, rpi frozenset)
-
-
-def key_of(symbols: tuple, n: int) -> InvariantKey:
-    """Invariant triple of a raw symbol tuple; single pass, no validation."""
-    counts = [0] * n
-    for a in symbols:
-        counts[a - 1] += 1
-    pos = _positions(symbols)
-    return (tuple(counts), _lpi(pos), _rpi(pos))
-
-
-def invariant_key(w: AWord) -> InvariantKey:
-    return key_of(w.symbols, w.rank)
+    return invariant_key(w)[2]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from functools import lru_cache, partial
 from itertools import product
 from typing import Optional
 
-from .monoid import BaxtElement, key_of, key_to_json_obj, sharp_word
+from .monoid import (BaxtElement, RankMismatchError, key_of, key_to_json_obj,
+                     sharp_word)
 from .words import AWord, Identity, IWord
 
 
@@ -87,6 +88,9 @@ def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
     if not bases:
         return True  # no variables: both sides are the empty word
     images = [sub[b] for b in bases]
+    ranks = sorted({e.rank for e in images})
+    if len(ranks) > 1:
+        raise RankMismatchError(f"images of ranks {ranks} in one substitution")
     keys = _side_keys(ident, bases, images, images[0].rank)
     lhs_key, rhs_key = keys(range(len(bases)))
     return lhs_key == rhs_key

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
-from .monoid import (BaxtElement, RankMismatchError, canonical, rpi, lpi,
-                     element_to_json_obj, evaluation, sharp, support)
+from .monoid import (BaxtElement, RankMismatchError, canonical,
+                     element_to_json_obj, invariant_key, sharp)
 from .semiring import (NEG_INF, UTMatrix, block_diag, from_rows, gen_J, gen_K,
                        gen_P, gen_Q, identity_matrix, mat_mul, scalar)
 from .words import AWord
@@ -109,9 +109,13 @@ def _JQ(r):
     return ((0, r), (NEG_INF, NEG_INF))
 
 
-def _index(triples) -> dict:
-    """{(x, y): count} for lpi triples (a, b, l) or rpi triples (b, a, r)."""
-    return {(x, y): c for x, y, c in triples}
+def _invariants(w: AWord):
+    """From one invariant key: ev, the support (letters with a nonzero
+    count), {(a, b): l} for the lpi triples and {(b, a): r} for the rpi
+    triples."""
+    ev, lp, rp = invariant_key(w)
+    return (ev, {a for a, c in enumerate(ev, 1) if c},
+            {(a, b): l for a, b, l in lp}, {(b, a): r for b, a, r in rp})
 
 
 def phi2_closed(w: AWord) -> UTMatrix:
@@ -119,11 +123,10 @@ def phi2_closed(w: AWord) -> UTMatrix:
     _check_rank(w, 2)
     if not w.symbols:
         return identity_matrix(6)
-    ev = evaluation(w)
-    supp = support(w)
+    ev, supp, lp, rp = _invariants(w)
     # a missing precedence leaves K = P^0 K, or J = J Q^0
-    b2 = _P(ev[0]) if supp == {1} else _PK(_index(lpi(w)).get((1, 2), 0))
-    b3 = _Q(ev[1]) if supp == {2} else _JQ(_index(rpi(w)).get((2, 1), 0))
+    b2 = _P(ev[0]) if supp == {1} else _PK(lp.get((1, 2), 0))
+    b3 = _Q(ev[1]) if supp == {2} else _JQ(rp.get((2, 1), 0))
 
     return UTMatrix([((ev[0],),), b2, b3, ((ev[1],),)])
 
@@ -134,9 +137,7 @@ def phi3_closed(w: AWord) -> UTMatrix:
     _check_rank(w, 3)
     if not w.symbols:
         return identity_matrix(15)
-    ev = evaluation(w)
-    supp = support(w)
-    lp, rp = _index(lpi(w)), _index(rpi(w))
+    ev, supp, lp, rp = _invariants(w)
     E2, K, J = _P(0), _PK(0), _JQ(0)
 
     l12 = lp.get((1, 2))

@@ -66,7 +66,8 @@ class AWord:
 def parse_aword(text: str, n: int) -> AWord:
     """Parse ``"36131"`` (digit form, n <= 9) or ``"3,6,1"`` / ``"3 6 1"``.
 
-    Empty or all-whitespace input is the empty word.
+    Letters are ASCII decimal digits.  Empty or all-whitespace input is the
+    empty word.
     """
     text = text.strip()
     if not text:
@@ -81,10 +82,10 @@ def parse_aword(text: str, n: int) -> AWord:
         raise ParseError(f"cannot parse word {text!r}")
     symbols = []
     for pos, tok in enumerate(tokens):
-        try:
-            a = int(tok)
-        except ValueError:
-            raise ParseError(f"bad letter token {tok!r} at position {pos}") from None
+        # int() would also take '_', a sign and non-ASCII digits
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"bad letter token {tok!r} at position {pos}")
+        a = int(tok)
         if not 1 <= a <= n:
             raise RangeError(f"letter {a} at position {pos} outside 1..{n}")
         symbols.append(a)

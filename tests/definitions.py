@@ -3,8 +3,9 @@
 Each is written out as stated, with no speed-up: the segment views pre, suf,
 pren and sufn of the identity characterization, the in-order labels and the
 strictness invariants of the twin binary search trees, reading a tree back
-from its JSON form, and the congruence class of a word as the closure under
-one-step rewriting.  The tests check the library's fast routes against them.
+from its JSON form, the support of a word, and the congruence class of a
+word as the closure under one-step rewriting.  The tests check the library's
+fast routes against them.
 """
 
 from __future__ import annotations
@@ -114,8 +115,12 @@ def to_json(t: BST) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Congruence classes
+# Supports and congruence classes
 # ---------------------------------------------------------------------------
+
+def support(w: AWord) -> frozenset[int]:
+    return frozenset(w.symbols)
+
 
 def congruence_class(w: AWord, limit: int = 100000) -> set[AWord]:
     """Closure of {w} under one-step rewriting (lengths are preserved)."""

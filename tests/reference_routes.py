@@ -4,9 +4,10 @@ These are the straightforward implementations that the library's fast paths
 replaced: the rank-2/3 restriction procedure and the rank >= 4 / plain
 occurrence check built on per-letter position lists and bisection (O(k^2)
 pair loops), the recursive term parser with its character-by-character
-lexer, and the rank >= 4 component letter maps written out as four families.
-The tests assert that the library returns the same reports, words, errors
-and letter maps.
+lexer, the rank >= 4 component letter maps written out as four families,
+and the monoid invariant key with quadratic lpi/rpi scans.  The tests
+assert that the library returns the same reports, words, errors, letter
+maps and keys.
 """
 
 from __future__ import annotations
@@ -387,3 +388,52 @@ def _letter_pair_words(n: int, i: int, j: int) -> dict[int, tuple[tuple, tuple]]
         raise AssertionError(f"index pair ({i},{j}) at n={n} matches no case")
 
     return {k: (first(k), second(k)) for k in range(1, n + 1)}
+
+
+# ---------------------------------------------------------------------------
+# Monoid invariants: the quadratic precedence scans
+# ---------------------------------------------------------------------------
+
+def _positions(symbols) -> dict[int, list[int]]:
+    pos: dict[int, list[int]] = {}
+    for i, a in enumerate(symbols):
+        pos.setdefault(a, []).append(i)
+    return pos
+
+
+def _rpi(pos: dict[int, list[int]]) -> frozenset:
+    out = set()
+    for a, pa in pos.items():
+        last_a = pa[-1]
+        b = None
+        for c in pos:
+            if c > a and pos[c][-1] > last_a and (b is None or c < b):
+                b = c
+        if b is not None:
+            r = len(pos[b]) - bisect_right(pos[b], last_a)
+            out.add((b, a, r))
+    return frozenset(out)
+
+
+def _lpi(pos: dict[int, list[int]]) -> frozenset:
+    out = set()
+    for b, pb in pos.items():
+        first_b = pb[0]
+        a = None
+        for c in pos:
+            if c < b and pos[c][0] < first_b and (a is None or c > a):
+                a = c
+        if a is not None:
+            ell = bisect_left(pos[a], first_b)
+            out.add((a, b, ell))
+    return frozenset(out)
+
+
+def key_of(symbols: tuple, n: int) -> tuple:
+    """(ev, lpi, rpi) with, for each letter, a scan over the whole support
+    for its nearest smaller (lpi) or larger (rpi) partner."""
+    counts = [0] * n
+    for a in symbols:
+        counts[a - 1] += 1
+    pos = _positions(symbols)
+    return (tuple(counts), _lpi(pos), _rpi(pos))

@@ -164,6 +164,12 @@ def test_error_exits(capsys):
     assert "letter 4" in capsys.readouterr().err
     assert run(["check-id", "x y", "--n", "2"]) == 2
     assert run(["bogus"]) == 2
+    capsys.readouterr()
+    argv = ["oracle", "x y ~= y x", "--n", "2", "--samples", "5", "--jobs", "4"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,16 +1,18 @@
 import json
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_routes as ref
 from baxt.monoid import (RankMismatchError, canonical, element_to_json_obj,
                          equivalent, evaluation, identity_element,
-                         invariant_key, lpi, multiply, rewrite_neighbors, rpi,
-                         sharp, sharp_word, support)
+                         invariant_key, key_of, lpi, multiply,
+                         rewrite_neighbors, rpi, sharp, sharp_word)
 from baxt.trees import p_baxt
 from baxt.words import AWord, parse_aword
-from definitions import congruence_class
+from definitions import congruence_class, support
 
 W = parse_aword("36131512665", 6)
 
@@ -52,6 +54,48 @@ def test_precedence_key_shapes(w):
     assert len(lows) == len(set(lows))
     highs = [b for (_, b, _) in lpi(w)]
     assert len(highs) == len(set(highs))
+
+
+@given(awords)
+def test_sharp_mirrors_the_key(w):
+    # the rpi pass is the lpi pass on the sharp word, relabelled a -> m-a
+    m = w.rank + 1
+    sw = sharp_word(w)
+    assert rpi(w) == {(m - a, m - b, ell) for (a, b, ell) in lpi(sw)}
+    assert evaluation(sw) == evaluation(w)[::-1]
+
+
+def test_key_matches_the_quadratic_reference_on_all_short_words():
+    for n in range(1, 5):
+        for length in range(7):
+            for t in product(range(1, n + 1), repeat=length):
+                assert key_of(t, n) == ref.key_of(t, n), (t, n)
+
+
+def _random_words(seed=7, size=2000):
+    """Fixed-seed words: rank and length log-uniform, the rank mostly below
+    400 (the reference is quadratic in the support), a few up to 3000 with
+    up to 3*10^4 letters, and every tenth word a permutation of its
+    alphabet or of a part of it."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(size):
+        top = 3000 if i % 100 == 0 else 400
+        n = int(top ** rng.random())
+        if i % 10 == 5:
+            word = rng.sample(range(1, n + 1), rng.randint(1, n))
+        else:
+            length = int((3 * 10 ** 4 if top == 3000 else 3000) ** rng.random())
+            word = rng.choices(range(1, n + 1), k=length)
+        out.append((tuple(word), n))
+    out.append((tuple(rng.sample(range(1, 3001), 3000)), 3000))
+    out.append((tuple(rng.choices(range(1, 3001), k=3 * 10 ** 4)), 3000))
+    return out
+
+
+def test_key_matches_the_quadratic_reference_on_random_words():
+    for symbols, n in _random_words():
+        assert key_of(symbols, n) == ref.key_of(symbols, n), (len(symbols), n)
 
 
 def test_equivalent():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from baxt.checker import is_balanced
 from baxt.families import basis4
-from baxt.monoid import canonical
+from baxt.monoid import RankMismatchError, canonical
 from baxt.oracle import (BudgetExceededError, UnassignedVariableError,
                          brute_force_check, comm_assignments, comm_check,
                          comm_eval, enumerate_classes, eval_substitution,
@@ -49,6 +49,11 @@ def test_eval_substitution():
         with pytest.raises(UnassignedVariableError):
             eval_substitution(idn, {})
     assert eval_substitution(Identity((), ()), {})
+    # images of different ranks, in either base order
+    three, twelve = cls("3", 3), cls("12", 2)
+    for sub in ({"x": three, "y": twelve}, {"x": twelve, "y": three}):
+        with pytest.raises(RankMismatchError):
+            eval_substitution(ident("x y", "y x"), sub)
 
 
 def test_brute_force_first_witness():

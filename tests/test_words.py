@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -145,6 +147,15 @@ def test_parse_aword_errors():
         parse_aword("1a2", 3)
     with pytest.raises(ParseError):
         parse_aword("12", 11)  # digit form is ambiguous above rank 9
+    # ASCII decimal digits only: no '_' or sign, no other scripts' digits
+    for text, n, tok, pos in [("1,1_0", 12, "1_0", 1), ("1,+2", 3, "+2", 1),
+                              ("١٢", 3, "١", 0), ("１２", 3, "１", 0),
+                              ("1 ２", 3, "２", 1)]:
+        msg = f"bad letter token '{tok}' at position {pos}"
+        with pytest.raises(ParseError, match=re.escape(msg)):
+            parse_aword(text, n)
+    assert parse_aword("3, 6, 1", 6).symbols == (3, 6, 1)
+    assert parse_aword("10 2", 12).symbols == (10, 2)
 
 
 def test_aword_str():
