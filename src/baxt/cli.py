@@ -11,6 +11,7 @@ unexpected internal error, which never ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,7 +21,8 @@ from .represent import (materialize, phi1, phi2, phi3, phi_n,
                         tuple_to_json_obj)
 from .semiring import matrix_to_json
 from .trees import p_baxt, to_dot, to_json_obj
-from .words import format_iword, iword, parse_aword, parse_identity
+from .words import (flatten, format_iword, parse_aword, parse_identity,
+                    parse_term)
 
 
 def _at_least(lo: int):
@@ -86,6 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     command("isoterm", _cmd_isoterm, "search for identity partners of a word",
             {"word": {"help": "involution word, e.g. 'x x* y y*'"}})
     return ap
+
+
+# One parser per process, built on first use (not at import): it holds no
+# per-call state, since each parse_args fills a fresh Namespace and the help
+# formatter reads the terminal width whenever it formats.
+_parser = functools.cache(build_parser)
 
 
 def _iter_identities(args, stdin_text):
@@ -229,7 +237,8 @@ def _cmd_family(args, stdin_text):
 
 
 def _cmd_isoterm(args, stdin_text):
-    u = iword(args.word)
+    # the term grammar of check-id; blank text is the empty word
+    u = flatten(parse_term(args.word)) if args.word.strip() else ()
     partners = families.isoterm_search(u, args.n)
     if args.format == "json":
         print(json.dumps({"word": format_iword(u), "isoterm": not partners,
@@ -245,7 +254,7 @@ def _cmd_isoterm(args, stdin_text):
 
 def run(argv, stdin_text=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -64,10 +64,11 @@ class AWord:
 
 
 def parse_aword(text: str, n: int) -> AWord:
-    """Parse ``"36131"`` (digit form, n <= 9) or ``"3,6,1"`` / ``"3 6 1"``.
+    """Parse ``"36131"`` (digit form) or ``"3,6,1"`` / ``"3 6 1"``.
 
-    Letters are ASCII decimal digits.  Empty or all-whitespace input is the
-    empty word.
+    Letters are ASCII decimal digits.  Above rank 9 the digit form takes one
+    digit only, since longer digit runs are ambiguous there.  Empty or
+    all-whitespace input is the empty word.
     """
     text = text.strip()
     if not text:
@@ -75,7 +76,7 @@ def parse_aword(text: str, n: int) -> AWord:
     if "," in text or any(c.isspace() for c in text):
         tokens = text.replace(",", " ").split()
     elif text.isdigit():
-        if n > 9:
+        if n > 9 and len(text) > 1:
             raise ParseError("digit form is only unambiguous for rank <= 9; use commas")
         tokens = list(text)
     else:

@@ -1,9 +1,14 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from baxt import cli
 from baxt.cli import run
 from baxt.monoid import canonical, element_to_json_obj
 from baxt.represent import phi2
@@ -159,6 +164,25 @@ def test_isoterm_cmd(capsys):
     assert run(["isoterm", "x h y k x y s x t y", "--n", "4"]) == 1
 
 
+def test_isoterm_reads_the_term_grammar(capsys):
+    def word_of(text):
+        assert run(["isoterm", text, "--n", "2", "--format", "json"]) in (0, 1)
+        return json.loads(out_of(capsys))["word"]
+    assert word_of("x y**") == "x y"
+    assert word_of("(x y*)*") == "y x*"
+    # blank text is the empty word, an isoterm
+    assert run(["isoterm", "  ", "--n", "2"]) == 0
+    assert out_of(capsys) == "isoterm\n"
+
+
+@pytest.mark.parametrize("word", ["x (y", "x 2", "x,y", "x y)", "* x"])
+def test_isoterm_rejects_malformed_words(capsys, word):
+    assert run(["isoterm", word, "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_error_exits(capsys):
     assert run(["canon", "444", "--n", "3"]) == 2
     assert "letter 4" in capsys.readouterr().err
@@ -212,3 +236,71 @@ def test_deeply_nested_term(capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["violated"] == "OccLR"
     assert "Traceback" not in captured.err
+
+
+# Subcommands, formats, a stdin batch, input errors, argparse usage errors
+# and help texts, in an order where every kind of call follows the others.
+REUSE_CALLS = [
+    (["check-id", "x y ~= y x", "--n", "4", "--format", "json"], None),
+    (["canon", "444", "--n", "3"], None),
+    (["check-id", "--n", "3", "--mode", "plain"], "x y ~= y x\nx ~= x\n"),
+    (["oracle", "--help"], None),
+    (["check-id", "x (y ~= x", "--n", "2"], None),
+    (["trees", "2121", "--n", "2", "--format", "dot"], None),
+    (["oracle", "x ~= x", "--n", "2", "--jobs", "0"], None),
+    (["--help"], None),
+    (["canon", "12", "--n", "2"], None),
+    (["bogus"], None),
+    (["family", "pkqk", "--k", "2"], None),
+    ([], None),
+    (["isoterm", "x y*", "--n", "2", "--format", "json"], None),
+    (["repr", "21", "--n", "2"], None),
+    (["equiv", "12", "21", "--n", "2", "--format", "json"], None),
+    (["check-id", "--help"], None),
+    (["sharp", "112", "--n", "2"], None),
+]
+
+
+def _outcomes(capsys):
+    outcomes = []
+    for argv, stdin_text in REUSE_CALLS:
+        code = run(argv, stdin_text)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_reused_parser_answers_as_a_fresh_parser_per_call(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    reused = _outcomes(capsys)
+    # the same calls, each parsed by its own build_parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _outcomes(capsys)
+    assert reused == fresh
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+
+def test_run_parses_with_one_parser(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert run(["sharp", "112", "--n", "2"]) == 0
+    assert run(["check-id", "x ~= x", "--n", "2"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    # any other caller still gets a parser of its own
+    assert cli.build_parser() is not parsers[0]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the benchmark imports the package afresh for every workload
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import baxt.cli; print(baxt.cli._parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    assert out == "0\n"

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -150,7 +151,7 @@ def test_parse_aword_errors():
     # ASCII decimal digits only: no '_' or sign, no other scripts' digits
     for text, n, tok, pos in [("1,1_0", 12, "1_0", 1), ("1,+2", 3, "+2", 1),
                               ("١٢", 3, "١", 0), ("１２", 3, "１", 0),
-                              ("1 ２", 3, "２", 1)]:
+                              ("1 ２", 3, "２", 1), ("٣", 12, "٣", 0)]:
         msg = f"bad letter token '{tok}' at position {pos}"
         with pytest.raises(ParseError, match=re.escape(msg)):
             parse_aword(text, n)
@@ -161,6 +162,19 @@ def test_parse_aword_errors():
 def test_aword_str():
     assert str(parse_aword("2121", 2)) == "2121"
     assert str(AWord((10, 2), 12)) == "10,2"
+
+
+def test_one_digit_words_parse_at_every_rank():
+    # one digit is unambiguous above rank 9 too; two or more digits are not
+    rng = random.Random(8)
+    for n in range(10, 31):
+        for a in range(1, 10):
+            assert parse_aword(str(a), n) == AWord((a,), n)
+        with pytest.raises(ParseError):
+            parse_aword("12", n)
+        for _ in range(20):
+            w = AWord(tuple(rng.randint(1, n) for _ in range(rng.randint(2, 12))), n)
+            assert parse_aword(str(w), n) == w
 
 
 def test_parse_identity():
