@@ -12,11 +12,12 @@ counts for every ordered letter pair.
 One sweep driver, `_sweep_check`, decides every rank >= 2 and the plain
 variant: balance, then the pieces of each side cut at first occurrences,
 read forward and reversed (sorted at rank >= 4 and in plain mode, first and
-open letters at ranks 2 and 3), then at rank 3 the pivot sweep.  For sides
-of |u| letters over k variables that takes O(|u| log |u|) time, plus
-O(|u| + k^2) for the pivot sweep, and O(|u| + k) memory.  Only a NO runs
-the witness search of its rank, in the reference order: O(k^2) bisections
-over per-letter position lists, stopping at the first difference.
+open letters at ranks 2 and 3), then at rank 3 the pivot sweep over the
+same pieces.  For sides of |u| letters over k variables that takes
+O(|u| log |u|) time, plus O(|u| + k^2) for the pivot sweep, and O(|u| + k)
+memory.  Only a NO runs the witness search of its rank, in the reference
+order: O(k^2) bisections over per-letter position lists, stopping at the
+first difference.
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on restrictions built
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Optional
 
-from .words import IVar, IWord, Identity, occ_after, occ_before, restrict
+from .words import IVar, IWord, Identity, bar, occ_after, occ_before, restrict
 
 
 class PlainModeError(ValueError):
@@ -115,11 +116,6 @@ def _pieces(u: list):
     return first, list(zip(cuts, cuts[1:] + [cuts[-1] + 1]))
 
 
-def _first_segments(u: list) -> list:
-    """The pieces of u (see _pieces), each sorted."""
-    return [sorted(u[a:b]) for a, b in _pieces(u)[1]]
-
-
 def _positions(ids, size: int) -> list:
     """Per letter id, its positions in ids."""
     pos = [[] for _ in range(size)]
@@ -138,24 +134,21 @@ def is_balanced(ident: Identity) -> bool:
 
 
 def _balance_witness(ident: Identity) -> dict:
+    """The first letter, in sorted order, whose counts differ."""
     cu, cv = Counter(ident.lhs), Counter(ident.rhs)
-    for x in sorted(set(cu) | set(cv)):
-        if cu[x] != cv[x]:
-            return {"letter": str(x), "lhs": cu[x], "rhs": cv[x]}
-    return {}
+    x = min(x for x in cu.keys() | cv.keys() if cu[x] != cv[x])
+    return {"letter": str(x), "lhs": cu[x], "rhs": cv[x]}
 
 
 def check_baxt1(ident: Identity, witness: bool = True) -> CheckReport:
     """Rank 1 is the free monogenic monoid with trivial star: only the
-    star-blind per-base counts matter."""
-    cu = Counter(x.base for x in ident.lhs)
-    cv = Counter(x.base for x in ident.rhs)
-    if cu == cv:
+    star-blind per-base counts matter (a bare letter prints as its base)."""
+    blind = Identity(bar(ident.lhs), bar(ident.rhs))
+    if is_balanced(blind):
         return _yes(1)
     if not witness:
         return CheckReport(False, 1, "involution")
-    bad = next(b for b in sorted(set(cu) | set(cv)) if cu[b] != cv[b])
-    return _no(1, "Balanced", {"letter": bad, "lhs": cu[bad], "rhs": cv[bad]})
+    return _no(1, "Balanced", _balance_witness(blind))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +202,13 @@ class _View:
                 s if strict else None)
 
 
-def _open_segments(u: list, size: int, strict: bool) -> list:
-    """Per piece of u (see _pieces): its first letter, and its sorted
+def _open_segments(u: list, cut, size: int, strict: bool) -> list:
+    """Per piece of u (cut by _pieces): its first letter, and its sorted
     letters whose star partner has not occurred yet.  Unless strict, first
     occurrences of second letters (x after x*, or x* after x) with no such
     letter between them form one group, sorted, as rank 2 does not fix
     their order."""
-    first, pieces = _pieces(u)
+    first, pieces = cut
     late = [first.get(x ^ 1, len(u)) for x in range(size)]
     out = []
     for a, b in pieces:
@@ -242,16 +235,16 @@ def _base_sums(p: list) -> list:
     return list(map(add, p[::2], p[1::2]))
 
 
-def _pivot_sweep(u: list, v: list, size: int):
-    """Both sides, with the same order of first occurrences, read piece by
-    piece.  At the first occurrence of each letter y, compare the counts of
-    every letter before it: the first base, outside y's own, whose star-
-    blind counts differ (IV); and, when y's star partner has not occurred
-    in u, the first letter outside y's base whose counts differ (V).  Two
-    dicts, keyed by the pivots that fail."""
+def _pivot_sweep(u: list, v: list, pu: list, pv: list, size: int):
+    """Both sides, with the same order of first occurrences, read by their
+    pieces pu, pv.  At the first occurrence of each letter y, compare the
+    counts of every letter before it: the first base, outside y's own, whose
+    star-blind counts differ (IV); and, when y's star partner has not
+    occurred in u, the first letter outside y's base whose counts differ
+    (V).  Two dicts, keyed by the pivots that fail."""
     cu, cv = [0] * size, [0] * size
     bad_iv, bad_v = {}, {}
-    for (a, b), (c, d) in zip(_pieces(u)[1], _pieces(v)[1]):
+    for (a, b), (c, d) in zip(pu, pv):
         y = u[a]
         z = y & ~1
         if cu[:z] != cv[:z] or cu[z + 2:] != cv[z + 2:]:
@@ -278,12 +271,12 @@ def _first_witness(left, right):
 _CHECKS = (("left", "pre", "pren"), ("right", "suf", "sufn"))
 
 
-def _subset_violation(names, u, v, strict: bool):
+def _subset_violation(names, u, v, ru, rv, strict: bool):
     """The pattern and witness of the first base subset, in sorted order
     (every base, then every pair of bases), whose statistics differ, in
-    the order pre, pren, suf, sufn."""
+    the order pre, pren, suf, sufn; ru and rv are u and v reversed."""
     k = len(names)
-    fu, fv, bu, bv = (_View(w, 2 * k) for w in (u, v, u[::-1], v[::-1]))
+    fu, fv, bu, bv = (_View(w, 2 * k) for w in (u, v, ru, rv))
     for i in range(k):
         for j in range(i, k):
             if j == i and fu.two[i] is None:
@@ -354,16 +347,24 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     occ_lr = n >= 4 or mode == "plain"
     strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
 
-    def pieces(w):
-        return _first_segments(w) if occ_lr else _open_segments(w, size, strict)
+    def segments(w, cut):
+        return ([sorted(w[a:b]) for a, b in cut[1]] if occ_lr
+                else _open_segments(w, cut, size, strict))
 
+    # each side is cut once; the reversed ones only if the forward pieces agree
     balanced = sorted(u) == sorted(v)
-    same = balanced and pieces(u) == pieces(v) and pieces(ru) == pieces(rv)
+    agreed = []  # per reading that agrees: both sides and their piece bounds
+    for a, b in ((u, v), (ru, rv)) if balanced else ():
+        ca, cb = _pieces(a), _pieces(b)
+        if segments(a, ca) != segments(b, cb):
+            break
+        agreed.append((a, b, ca[1], cb[1]))
+    same = len(agreed) == 2
     # rank 3: directional occurrence sums per (pivot letter, base) (IV), and
     # exact directional counts for pivots whose star partner does not occur
     # on the relevant side of them (V)
     (left_iv, left_v), (right_iv, right_v) = (
-        (_pivot_sweep(u, v, size), _pivot_sweep(ru, rv, size))
+        [_pivot_sweep(*reading, size) for reading in agreed]
         if same and n == 3 and not occ_lr else (({}, {}), ({}, {})))
     if same and not (left_iv or right_iv or left_v or right_v):
         return CheckReport(True, n, mode)
@@ -374,7 +375,7 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     if occ_lr:
         return _no(n, "OccLR", _occ_lr_witness(names, u, v), mode)
     if not same:
-        return _no(n, *_subset_violation(names, u, v, strict))
+        return _no(n, *_subset_violation(names, u, v, ru, rv, strict))
     # the first pivot in sorted order, every (IV) one before every (V) one
     if left_iv or right_iv:
         y = min(left_iv.keys() | right_iv.keys())

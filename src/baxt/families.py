@@ -9,8 +9,6 @@ higher ranks and witnesses that rank 3 has no finite basis.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .checker import check
 from .words import IVar, IWord, Identity, v
 
@@ -99,26 +97,23 @@ def pk_qk(k: int, pi=None, sigma=None) -> Identity:
 
 
 def _multiset_permutations(pool):
-    """Distinct permutations of a multiset, in lexicographic order."""
-    pool = sorted(pool)
-    n = len(pool)
-    counts = Counter(pool)
-    keys = sorted(counts)
-    acc: list = []
-
-    def rec():
-        if len(acc) == n:
-            yield tuple(acc)
+    """Distinct permutations of a multiset, in lexicographic order: each
+    next one by Knuth's Algorithm L (TAOCP 7.2.1.2)."""
+    a = sorted(pool)
+    while True:
+        yield tuple(a)
+        # the last ascent a[j] < a[j + 1]; none left after the last permutation
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for kx in keys:
-            if counts[kx]:
-                counts[kx] -= 1
-                acc.append(kx)
-                yield from rec()
-                acc.pop()
-                counts[kx] += 1
-
-    yield from rec()
+        # swap a[j] with the last letter greater than it, then reverse the tail
+        l = len(a) - 1
+        while a[j] >= a[l]:
+            l -= 1
+        a[j], a[l] = a[l], a[j]
+        a[j + 1:] = reversed(a[j + 1:])
 
 
 def isoterm_search(u: IWord, n: int) -> list[IWord]:

@@ -4,10 +4,11 @@ The brute-force engine substitutes every tuple of monoid classes (built from
 words up to a length bound) for the variables of an identity and looks for a
 falsifying assignment.  It is a bounded refuter, never a decision procedure:
 its positive outcome only means no counterexample within the bound.  One
-loop scans the grid in chunks of first-base class indices, in order, and
+loop evaluates assignments until one refutes the identity.  The full scan
+feeds it the grid in chunks of first-base class indices, in order, and
 stops at the first refuting chunk; the chunks run in this process, or with
 jobs > 1 in a pool of processes, and give the same witness and evaluation
-count either way.
+count either way.  The sampler feeds it seeded random draws.
 
 The second engine evaluates identities in the two-generator commutative
 involution monoid a^m b^n (product adds exponents, star swaps them), whose
@@ -113,18 +114,24 @@ def default_max_len(num_bases: int) -> int:
     return 3 if num_bases <= 2 else 2
 
 
-def _scan(ident, bases, classes, n, first_range):
-    """Scan assignments whose first-base class index lies in first_range,
-    row-major over the remaining bases.  Returns the first refuting
-    assignment (None if there is none) and the number of evaluations."""
+def _evaluate(ident, bases, classes, n, assignments):
+    """Evaluate both sides on each assignment (class indices in the order
+    of bases) up to the first that refutes the identity.  Returns it (None
+    if there is none) and the number of evaluations."""
     keys = _side_keys(ident, bases, classes, n)
-    grid = product(first_range, *[range(len(classes))] * (len(bases) - 1))
     count = 0
-    for count, idxs in enumerate(grid, 1):
+    for count, idxs in enumerate(assignments, 1):
         lhs_key, rhs_key = keys(idxs)
         if lhs_key != rhs_key:
             return {b: classes[i] for b, i in zip(bases, idxs)}, count
     return None, count
+
+
+def _scan(ident, bases, classes, n, first_range):
+    """_evaluate on the assignments whose first-base class index lies in
+    first_range, row-major over the remaining bases."""
+    grid = product(first_range, *[range(len(classes))] * (len(bases) - 1))
+    return _evaluate(ident, bases, classes, n, grid)
 
 
 def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
@@ -187,15 +194,11 @@ def sample_check(ident: Identity, n: int, max_len: int, samples: int,
         raise ValueError(f"samples must be >= 1, got {samples}")
     bases = identity_bases(ident)
     classes = enumerate_classes(n, max_len)
-    keys = _side_keys(ident, bases, classes, n)
     rng = random.Random(seed)
-    for k in range(samples):
-        idxs = [rng.randrange(len(classes)) for _ in bases]
-        lhs_key, rhs_key = keys(idxs)
-        if lhs_key != rhs_key:
-            sub = {b: classes[i] for b, i in zip(bases, idxs)}
-            return OracleResult(sub, k + 1, n, max_len, False)
-    return OracleResult(None, samples, n, max_len, False)
+    # drawn one assignment at a time, so a refutation stops the draws
+    draws = ([rng.randrange(len(classes)) for _ in bases] for _ in range(samples))
+    sub, count = _evaluate(ident, bases, classes, n, draws)
+    return OracleResult(sub, count, n, max_len, False)
 
 
 def witness_to_json_obj(ident: Identity, result: OracleResult):

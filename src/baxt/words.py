@@ -55,7 +55,9 @@ class AWord:
     def __str__(self) -> str:
         if self.rank <= 9:
             return "".join(str(a) for a in self.symbols)
-        return ",".join(str(a) for a in self.symbols)
+        text = ",".join(str(a) for a in self.symbols)
+        # a lone letter of two or more digits would read as a digit run
+        return text + "," if len(self.symbols) == 1 and self.symbols[0] > 9 else text
 
     def concat(self, other: "AWord") -> "AWord":
         if other.rank != self.rank:
@@ -140,16 +142,13 @@ def content(u: IWord) -> frozenset:
 
 def bar(u: IWord) -> IWord:
     """Strip every star flag."""
-    return tuple(x.bare() for x in u)
+    # a bare letter is kept as it is: building a new one costs more
+    return tuple([x.bare() if x.starred else x for x in u])
 
 
 def occ(x: IVar, u: IWord) -> int:
     """Number of occurrences of the exact letter x (x and x* count separately)."""
     return u.count(x)
-
-
-def bases(u: IWord) -> frozenset:
-    return frozenset(x.base for x in u)
 
 
 def restrict(u: IWord, base_names) -> IWord:
@@ -193,13 +192,7 @@ def initial_part(u: IWord) -> IWord:
 
 def final_part(u: IWord) -> IWord:
     """Mirror of initial_part: last occurrence of each base pair."""
-    seen = set()
-    out = []
-    for x in reversed(u):
-        if x.base not in seen:
-            seen.add(x.base)
-            out.append(x)
-    return tuple(reversed(out))
+    return initial_part(u[::-1])[::-1]
 
 
 def reverse(u: IWord) -> IWord:
@@ -266,10 +259,15 @@ def parse_term(text: str) -> Term:
     underscore.  Whitespace only separates tokens; bare digits are not
     variables.  Nesting depth is not limited by the interpreter's stack.
     """
+    return _parse_term(text, 0, len(text))
+
+
+def _parse_term(text: str, pos: int, endpos: int) -> Term:
+    """The term in text[pos:endpos]; error positions index all of text."""
     leaves = {}     # token -> its Atom, or Star chain over the Atom
     groups = []     # parts of the enclosing, still open parentheses
     parts = []
-    for tok in _lex_term(text):
+    for tok in _lex_term(text, pos, endpos):
         node = leaves.get(tok)
         if node is None:
             c = tok[0]
@@ -307,12 +305,12 @@ def parse_term(text: str) -> Term:
 _TOKEN = re.compile(r"(?:\w+|\))(?:\s*\*)*|[(*]|\S")
 
 
-def _lex_term(text: str) -> list:
-    tokens = _TOKEN.findall(text)
+def _lex_term(text: str, pos: int, endpos: int) -> list:
+    tokens = _TOKEN.findall(text, pos, endpos)
     if not tokens:
         raise ParseError("empty term")
     if not all(map(_well_formed, set(tokens))):
-        for m in _TOKEN.finditer(text):
+        for m in _TOKEN.finditer(text, pos, endpos):
             if not _well_formed(m.group()):
                 raise ParseError(f"bad character {m.group()[0]!r} at position {m.start()}")
     return tokens
@@ -349,9 +347,11 @@ def ident(lhs_text: str, rhs_text: str) -> Identity:
 
 
 def parse_identity(text: str) -> Identity:
-    """Parse ``"u ≈ v"`` or ``"u ~= v"``; each side is a term, flattened."""
+    """Parse ``"u ≈ v"`` or ``"u ~= v"``; each side is a term, flattened.
+    Error positions index the whole text."""
     for sep in ("≈", "~="):
-        if sep in text:
-            left, right = text.split(sep, 1)
-            return Identity(flatten(parse_term(left)), flatten(parse_term(right)))
+        i = text.find(sep)
+        if i >= 0:
+            return Identity(flatten(_parse_term(text, 0, i)),
+                            flatten(_parse_term(text, i + len(sep), len(text))))
     raise ParseError("identity needs a '≈' or '~=' separator")

@@ -5,9 +5,10 @@ replaced: the rank-2/3 restriction procedure and the rank >= 4 / plain
 occurrence check built on per-letter position lists and bisection (O(k^2)
 pair loops), the recursive term parser with its character-by-character
 lexer, the rank >= 4 component letter maps written out as four families,
-and the monoid invariant key with quadratic lpi/rpi scans.  The tests
-assert that the library returns the same reports, words, errors, letter
-maps and keys.
+the monoid invariant key with quadratic lpi/rpi scans, and the recursive
+enumeration of a multiset's permutations.  The tests assert that the
+library returns the same reports, words, errors, letter maps, keys and
+permutation sequences.
 """
 
 from __future__ import annotations
@@ -311,10 +312,14 @@ def _lex_term(text: str) -> list:
 
 
 def parse_identity(text: str) -> Identity:
+    """Each side parsed as a term of its own; the right side keeps its
+    offset, with blanks for the text before it, so error positions index
+    the whole text."""
     for sep in ("≈", "~="):
         if sep in text:
             left, right = text.split(sep, 1)
-            return Identity(flatten(parse_term(left)), flatten(parse_term(right)))
+            blank = " " * (len(left) + len(sep))
+            return Identity(flatten(parse_term(left)), flatten(parse_term(blank + right)))
     raise ParseError("identity needs a '≈' or '~=' separator")
 
 
@@ -437,3 +442,31 @@ def key_of(symbols: tuple, n: int) -> tuple:
         counts[a - 1] += 1
     pos = _positions(symbols)
     return (tuple(counts), _lpi(pos), _rpi(pos))
+
+
+# ---------------------------------------------------------------------------
+# Families: the permutations of a multiset, recursively
+# ---------------------------------------------------------------------------
+
+def multiset_permutations(pool):
+    """Distinct permutations of a multiset, in lexicographic order: each
+    position takes, in sorted order, every letter with copies left."""
+    pool = sorted(pool)
+    n = len(pool)
+    counts = Counter(pool)
+    keys = sorted(counts)
+    acc: list = []
+
+    def rec():
+        if len(acc) == n:
+            yield tuple(acc)
+            return
+        for kx in keys:
+            if counts[kx]:
+                counts[kx] -= 1
+                acc.append(kx)
+                yield from rec()
+                acc.pop()
+                counts[kx] += 1
+
+    yield from rec()

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baxt import checker
 from baxt.checker import (PlainModeError, check, check_baxt1,
                           check_baxt2, check_baxt3, check_baxt4plus,
                           check_plain, conditions_baxt2, conditions_baxt3,
@@ -176,3 +177,50 @@ def test_rank_monotone(idn):
 def test_basis_families_pass():
     assert all(check(i, 2).verdict for i in basis2())
     assert all(check(i, n).verdict for i in basis4() for n in (2, 3, 4))
+
+
+def _cuts(monkeypatch, idn, n, mode="involution"):
+    """The report of check(idn, n, mode) and how many sides it cut."""
+    cut, sides = checker._pieces, []
+
+    def counted(u):
+        sides.append(u)
+        return cut(u)
+
+    monkeypatch.setattr(checker, "_pieces", counted)
+    return check(idn, n, mode), len(sides)
+
+
+@pytest.mark.parametrize("n, mode, text, violated", [
+    (2, "involution", "x y* x z* y ≈ x y* x z* y", None),
+    (2, "involution", "x* h x k x y s x* t x ≈ x* h x k y x s x* t x", None),
+    (3, "involution", "x y* x z* y ≈ x y* x z* y", None),
+    (3, "involution", str(pk_qk(2)), None),
+    # pieces that agree, then a pivot sweep that fails: (IV), and (V)
+    (3, "involution", "x* h x k x y s x* t x ≈ x* h x k y x s x* t x", "IV"),
+    (3, "involution", "y y* x* y* y* x* ≈ y y* y* x* y* x*", "IV"),
+    (3, "involution", "v6 v15 v6* v17 v17* v6 v13* v6* v19* v4 v6 v13 v34 v15* "
+                      "v13* v6* ≈ v6 v15 v6* v17 v17* v6* v13* v6 v19* v4 v6 "
+                      "v13 v34 v15* v13* v6*", "V"),
+    (4, "involution", "x y* x z* y ≈ x y* x z* y", None),
+    (7, "involution", str(basis4()[1]), None),
+    (2, "plain", str(basis4()[0]), None),
+    (5, "plain", "x y x z ≈ x y x z", None),
+])
+def test_balanced_sides_whose_pieces_agree_are_cut_once_each(monkeypatch, n, mode,
+                                                             text, violated):
+    # u, v and both reversed: four sides, the rank-3 pivot sweep included
+    report, cuts = _cuts(monkeypatch, parse_identity(text), n, mode)
+    assert report.violated == violated
+    assert cuts == 4
+
+
+@pytest.mark.parametrize("n, mode", [(2, "involution"), (3, "involution"),
+                                     (4, "involution"), (2, "plain")])
+def test_only_agreeing_sides_are_cut(monkeypatch, n, mode):
+    # unbalanced: nothing is cut; forward pieces that differ: the reversed
+    # sides are not cut
+    report, cuts = _cuts(monkeypatch, ident("x y", "x y y"), n, mode)
+    assert report.violated == "Balanced" and cuts == 0
+    report, cuts = _cuts(monkeypatch, ident("x y", "y x"), n, mode)
+    assert not report.verdict and cuts == 2

@@ -1,5 +1,9 @@
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
+import reference_routes as ref
 from baxt.checker import check, is_balanced
 from baxt.families import (basis2, basis2_rows, basis4, isoterm_search,
                            pk_qk, _multiset_permutations)
@@ -74,6 +78,20 @@ def test_basis_identities_balanced_and_unrefuted():
 def test_multiset_permutations():
     perms = list(_multiset_permutations("aab"))
     assert perms == [tuple("aab"), tuple("aba"), tuple("baa")]
+
+
+def test_multiset_permutations_match_the_reference():
+    # every multiset of at most 6 letters over x, x*, y, given unsorted,
+    # then random ones of up to 8 letters over three bases
+    rng = random.Random(11)
+    letters = iword("x x* y")
+    pools = [list(c) for m in range(7)
+             for c in combinations_with_replacement(letters, m)]
+    pools += [rng.choices(iword("x x* y y* z"), k=rng.randint(0, 8))
+              for _ in range(200)]
+    for pool in pools:
+        rng.shuffle(pool)
+        assert list(_multiset_permutations(pool)) == list(ref.multiset_permutations(pool))
 
 
 def test_isoterm_search():

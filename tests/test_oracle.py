@@ -13,7 +13,7 @@ from baxt.oracle import (BudgetExceededError, UnassignedVariableError,
                          brute_force_check, comm_assignments, comm_check,
                          comm_eval, enumerate_classes, eval_substitution,
                          sample_check, witness_to_json_obj)
-from baxt.words import Identity, IVar, ident, iword, parse_aword
+from baxt.words import Identity, IVar, ident, iword, parse_aword, parse_identity
 
 ivars = st.builds(IVar, st.sampled_from("xy"), st.booleans())
 iwords = st.lists(ivars, min_size=1, max_size=8).map(tuple)
@@ -133,6 +133,26 @@ def test_sample_check_deterministic():
     a = sample_check(idn, 2, 2, 50, seed=3)
     b = sample_check(idn, 2, 2, 50, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("text, n, max_len, samples, seed, witness, evaluations", [
+    # refuted on the first draw
+    ("x y ~= y x", 2, 2, 50, 3, {"x": "1", "y": "12"}, 1),
+    # refuted on a late draw: the first rank-2 basis row fails at rank 3
+    ("x* h x k x y s x* t x ~= x* h x k y x s x* t x", 3, 1, 2000, 38,
+     {"h": "1", "k": "", "s": "", "t": "", "x": "2", "y": "1"}, 41),
+    ("x y z ~= y x z", 2, 1, 500, 7, {"x": "1", "y": "2", "z": "1"}, 27),
+    # a rank-4 basis row holds: every draw is evaluated
+    ("x h y k x y s x t y ~= x h y k y x s x t y", 4, 2, 60, 1, None, 60),
+])
+def test_sample_check_draws_are_pinned(text, n, max_len, samples, seed, witness,
+                                       evaluations):
+    # the draw order for a seed is fixed: these witnesses and counts hold
+    # across runs and processes
+    res = sample_check(parse_identity(text), n, max_len, samples, seed)
+    found = None if res.witness is None else {
+        b: str(e.representative) for b, e in res.witness.items()}
+    assert (found, res.evaluations) == (witness, evaluations)
 
 
 def test_witness_json():

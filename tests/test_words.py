@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -164,6 +165,23 @@ def test_aword_str():
     assert str(AWord((10, 2), 12)) == "10,2"
 
 
+def test_printed_words_parse_back():
+    # above rank 9 a one-letter word of two or more digits prints with a
+    # trailing comma, so that it does not read as a digit run
+    assert str(AWord((12,), 12)) == "12,"
+    assert str(AWord((7,), 12)) == "7"
+    for n in range(1, 13):
+        for m in range(3):
+            for symbols in product(range(1, n + 1), repeat=m):
+                w = AWord(symbols, n)
+                assert parse_aword(str(w), n) == w
+    rng = random.Random(10)
+    for n in range(10, 31):
+        for _ in range(30):
+            w = AWord(tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6))), n)
+            assert parse_aword(str(w), n) == w
+
+
 def test_one_digit_words_parse_at_every_rank():
     # one digit is unambiguous above rank 9 too; two or more digits are not
     rng = random.Random(8)
@@ -184,6 +202,18 @@ def test_parse_identity():
     assert idn == Identity(iword("x x"), iword("x x"))
     with pytest.raises(ParseError):
         parse_identity("x y")
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("x ~= y $", 7),      # the right side, after '~='
+    ("x ≈ y $", 6),       # the right side, after '≈'
+    ("x $ ~= y", 2),      # the left side
+    ("x ~= x ~= x", 7),   # a second separator
+])
+def test_parse_identity_errors_index_the_whole_text(text, pos):
+    msg = f"bad character {text[pos]!r} at position {pos}"
+    with pytest.raises(ParseError, match=re.escape(msg)):
+        parse_identity(text)
 
 
 def test_identity_transforms():
