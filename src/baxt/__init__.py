@@ -10,8 +10,8 @@ brute-force substitution search.
 from .words import (AWord, Identity, IVar, ParseError, PivotAbsentError,
                     RangeError, bar, content, flatten, format_iword,
                     initial_part, final_part, ident, iword, occ, occ_after,
-                    occ_before, parse_aword, parse_identity, parse_term,
-                    restrict, reverse, star_word, v)
+                    occ_before, parse_aword, parse_identity, parse_side,
+                    parse_term, restrict, reverse, star_word, v)
 from .trees import (BST, Node, TwinPair, insert_left_strict,
                     insert_right_strict, p_baxt, p_sylv, p_sylv_sharp,
                     to_dot, tree_equal)

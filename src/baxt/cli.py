@@ -21,8 +21,8 @@ from .represent import (materialize, phi1, phi2, phi3, phi_n,
                         tuple_to_json_obj)
 from .semiring import matrix_to_json
 from .trees import p_baxt, to_dot, to_json_obj
-from .words import (flatten, format_iword, parse_aword, parse_identity,
-                    parse_term)
+from .words import (ParseError, format_iword, parse_aword, parse_identity,
+                    parse_side)
 
 
 def _at_least(lo: int):
@@ -101,10 +101,14 @@ def _iter_identities(args, stdin_text):
         yield parse_identity(args.identity)
         return
     text = stdin_text if stdin_text is not None else sys.stdin.read()
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            yield parse_identity(line)
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            # parsed as typed, so an error position indexes the line shown
+            try:
+                ident = parse_identity(line)
+            except ParseError as exc:
+                raise ParseError(f"stdin line {number}: {exc}") from None
+            yield ident
 
 
 def _cmd_canon(args, stdin_text):
@@ -237,8 +241,8 @@ def _cmd_family(args, stdin_text):
 
 
 def _cmd_isoterm(args, stdin_text):
-    # the term grammar of check-id; blank text is the empty word
-    u = flatten(parse_term(args.word)) if args.word.strip() else ()
+    # a side of a check-id identity; blank text is the empty word
+    u = parse_side(args.word) if args.word.strip() else ()
     partners = families.isoterm_search(u, args.n)
     if args.format == "json":
         print(json.dumps({"word": format_iword(u), "isoterm": not partners,

@@ -7,6 +7,11 @@ alphabet 1 < 2 < ... < n and is the raw input to the monoid machinery.  An
 their starred partners x*, y*, ...; identities are pairs of these.  Terms add
 a formal star and concatenation on top, and ``flatten`` pushes every star down
 to the letters using (t*)* = t and (st)* = t* s*.
+
+``parse_side`` reads one side of an identity.  A side that is a plain letter
+sequence (``x y* z``, the form every printer here emits) is split on
+whitespace and read letter by letter; any other side is parsed as a term
+and flattened.  Both readings give the same word and the same errors.
 """
 
 from __future__ import annotations
@@ -316,6 +321,12 @@ def _lex_term(text: str, pos: int, endpos: int) -> list:
     return tokens
 
 
+# A token of a plain side, if `_well_formed` too: the identifier and stars
+# of one `_TOKEN` match, with no space between them (`\w` also takes digits
+# and numerals such as '²', which `_well_formed` rejects as a first character).
+_LETTER = re.compile(r"\w+\**")
+
+
 def _well_formed(tok: str) -> bool:
     c = tok[0]
     return c in "()*" or c.isalpha() or c == "_"
@@ -347,11 +358,35 @@ def ident(lhs_text: str, rhs_text: str) -> Identity:
 
 
 def parse_identity(text: str) -> Identity:
-    """Parse ``"u ≈ v"`` or ``"u ~= v"``; each side is a term, flattened.
+    """Parse ``"u ≈ v"`` or ``"u ~= v"``; each side is read by `parse_side`.
     Error positions index the whole text."""
     for sep in ("≈", "~="):
         i = text.find(sep)
         if i >= 0:
-            return Identity(flatten(_parse_term(text, 0, i)),
-                            flatten(_parse_term(text, i + len(sep), len(text))))
+            return Identity(parse_side(text, 0, i),
+                            parse_side(text, i + len(sep), len(text)))
     raise ParseError("identity needs a '≈' or '~=' separator")
+
+
+def parse_side(text: str, pos: int = 0, endpos: int | None = None) -> IWord:
+    """The word of the term in text[pos:endpos]; error positions index all
+    of text.
+
+    A side whose whitespace-separated tokens are all single letters (an
+    identifier with its stars attached, as `format_iword` prints them) is
+    read with one split and one `IVar` per distinct token.  Anything else
+    (parentheses, a star after a space, an empty side, a bad character) is
+    parsed as a term and flattened, which also raises every `ParseError`.
+    """
+    if endpos is None:
+        endpos = len(text)
+    tokens = text[pos:endpos].split()
+    distinct = set(tokens)
+    if not (tokens and all(_well_formed(tok) and _LETTER.fullmatch(tok)
+                           for tok in distinct)):
+        return flatten(_parse_term(text, pos, endpos))
+    table = {}
+    for tok in distinct:
+        base = tok.rstrip("*")
+        table[tok] = IVar(base, (len(tok) - len(base)) % 2 == 1)
+    return tuple(map(table.__getitem__, tokens))

@@ -123,7 +123,8 @@ def _base_subsets(iu: _WordIndex):
 
 def _procedure_check(ident: Identity, n: int) -> CheckReport:
     if not is_balanced(ident):
-        return _no(n, "Balanced", _balance_witness(ident))
+        return _no(n, "Balanced",
+                   _balance_witness(Counter(ident.lhs), Counter(ident.rhs)))
     iu, iv = _WordIndex(ident.lhs), _WordIndex(ident.rhs)
     strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
 
@@ -200,7 +201,8 @@ def _procedure_check(ident: Identity, n: int) -> CheckReport:
 
 def _occ_lr_check(ident: Identity, n: int, mode: str) -> CheckReport:
     if not is_balanced(ident):
-        return _no(n, "Balanced", _balance_witness(ident), mode)
+        return _no(n, "Balanced",
+                   _balance_witness(Counter(ident.lhs), Counter(ident.rhs)), mode)
     iu, iv = _WordIndex(ident.lhs), _WordIndex(ident.rhs)
     pivots = sorted(iu.positions)
     for x in pivots:

@@ -183,6 +183,17 @@ def test_isoterm_rejects_malformed_words(capsys, word):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_stdin_batch_errors_name_the_line_as_typed(capsys):
+    # blank lines are skipped but counted; the position indexes the line
+    # as typed, leading blanks included
+    assert run(["check-id", "--n", "2"], stdin_text="x ~= x\n\n  x ~= y $\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "YES\n"
+    assert captured.err == "error: stdin line 3: bad character '$' at position 9\n"
+    assert run(["check-id", "--n", "2"], stdin_text="  x ~= y $\n") == 2
+    assert "stdin line 1:" in capsys.readouterr().err
+
+
 def test_error_exits(capsys):
     assert run(["canon", "444", "--n", "3"]) == 2
     assert "letter 4" in capsys.readouterr().err

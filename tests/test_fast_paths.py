@@ -1,8 +1,12 @@
 """Differential tests: the checker's sweeps and the iterative, regex-lexed
 parser against the reference routes they replaced (`reference_routes.py`),
-on a fixed-seed corpus and on generated input."""
+on a fixed-seed corpus and on generated input.  `parse_identity` reads a
+side of plain letters with one split and any other side as a term; both
+readings are tested against the recursive reference parser."""
 
 import random
+import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -12,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 import reference_routes as ref
 from baxt.checker import CheckReport, check
 from baxt.families import basis2, basis4, pk_qk
-from baxt.words import (Identity, IVar, ParseError, occ_after, occ_before,
-                        parse_identity, parse_term, restrict, v)
+from baxt.words import (Identity, IVar, ParseError, format_iword, ident,
+                        occ_after, occ_before, parse_identity, parse_term,
+                        restrict, v)
 from definitions import pre, pren, suf, sufn
 
 TEMPLATES = basis2() + basis4() + [pk_qk(2), pk_qk(3)]
@@ -100,6 +105,17 @@ def test_corpus_reports_match_the_reference_routes():
     for n, tag in [(1, "Balanced"), (2, "I"), (2, "II"), (2, "III"), (3, "III"),
                    (3, "IV"), (3, "V"), (4, "OccLR"), (5, None)]:
         assert (n, tag) in verdicts, (n, tag)
+
+
+def test_rank1_reports_print_as_the_reference():
+    unbalanced = [ident("x", "x x"), ident("x y* y", "y x x*"),
+                  ident("a b", "b* c"), ident("x x*", "")]
+    for idn in basis2() + unbalanced:
+        assert check(idn, 1).to_json() == ref.check_rank1(idn).to_json(), str(idn)
+    # the witness names the first base, in sorted order, whose counts differ
+    assert check(ident("y x* y", "x y x*"), 1).to_json() == (
+        '{"verdict":"NO","n":1,"mode":"involution","violated":"Balanced",'
+        '"witness":{"letter":"x","lhs":1,"rhs":2}}')
 
 
 def named_statistic(u, report):
@@ -245,9 +261,43 @@ def test_parser_matches_the_reference_on_any_text(text):
 @pytest.mark.parametrize("text", [
     "x y* ~= y* x", "x(x x(y x*)*)* z y* ≈ x", "( x ) * * ~= x", "x * ~= x*",
     "(x y)* z ~= z*", "é1 ~= é1", "a ~= ²", "x ~= (y", "x ~= y)", "x ~= *",
+    "x* y ~= y x*", "x *y ~= x", "x*y ~= y x*", "x y ~= y x",
+    "x** y*** ~= y* x", "x²* ~= x²",
 ])
 def test_identity_parse_matches_the_reference(text):
     assert _parse(parse_identity, text) == _parse(ref.parse_identity, text)
+
+
+# sides of letters only: identifiers with 0-3 stars attached, separated
+# by whitespace of any kind, so each is read by the split route
+PLAIN_SIDE = st.lists(
+    st.tuples(st.sampled_from(["x", "y", "_z", "é1", "x²", "ab"]),
+              st.integers(0, 3), st.sampled_from([" ", "  ", "\t", "\u00a0", "\u3000"])),
+    max_size=8).map(lambda toks: "".join(b + "*" * k + gap for b, k, gap in toks))
+SIDE = st.one_of(TERM_TEXT, PLAIN_SIDE, st.text(max_size=20))
+
+
+@settings(max_examples=2000)
+@given(SIDE, st.sampled_from(["~=", " ~= ", "≈"]), SIDE)
+def test_identities_parse_as_the_reference(lhs, sep, rhs):
+    text = lhs + sep + rhs
+    assert _parse(parse_identity, text) == _parse(ref.parse_identity, text)
+
+
+IWORDS = st.lists(st.builds(IVar, st.sampled_from(["x", "y", "_z", "é1", "ab"]),
+                            st.booleans()), min_size=1, max_size=12).map(tuple)
+
+
+@given(IWORDS, IWORDS)
+def test_printed_identities_parse_back(u, w):
+    assert parse_identity(f"{format_iword(u)} ~= {format_iword(w)}") == Identity(u, w)
+
+
+def test_split_and_the_lexer_agree_on_whitespace():
+    # a plain side is split by str.split, a term side is lexed with \s: both
+    # must take the same characters for whitespace
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 def test_deep_nesting_parses_without_recursion():
