@@ -481,6 +481,10 @@ def _conditions(ident: Identity, n: int) -> bool:
     letters = sorted(set(u))
     role_pairs = [(x, y) for x in letters for y in letters if y.base != x.base]
     same_base = [(x, x.star()) for x in letters if x.star() in set(letters)]
+    # (III) needs x and y* to occur but not y: there y ranges over both
+    # letters of every other base
+    alphabet = sorted({z for x in letters for z in (x, x.star())})
+    starred_pairs = [(x, y) for x in letters for y in alphabet if y.base != x.base]
 
     for x, y in role_pairs + same_base:
         ru = restrict(u, (x.base, y.base))
@@ -495,7 +499,7 @@ def _conditions(ident: Identity, n: int) -> bool:
             if a is not None and _leading_run_then(s, y, x) != a:
                 return False
 
-    for x, y in role_pairs:
+    for x, y in starred_pairs:
         ru = restrict(u, (x.base, y.base))
         rv = restrict(v, (x.base, y.base))
         # (III): starred-prefix block before the first plain letter

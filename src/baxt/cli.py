@@ -4,8 +4,10 @@ Each subcommand binds its handler, a `_cmd_*(args, stdin_text)` function,
 in the parser, and `run` parses the arguments and calls that handler.
 Every subcommand but `family` has a machine-readable JSON mode next to the
 human-readable text mode.  Exit codes: 0 for YES/success, 1 for NO/refuted,
-2 for usage or input errors (a rank --n below 1 included) and for any
-unexpected internal error, which never ends in a traceback.
+2 for usage or input errors (a rank --n below 1 included), for any
+unexpected internal error, which never ends in a traceback, and for a
+stdout closed before the output ends.  An error on a line of a stdin batch
+names the line.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import checker, families, oracle
@@ -21,8 +24,7 @@ from .represent import (materialize, phi1, phi2, phi3, phi_n,
                         tuple_to_json_obj)
 from .semiring import matrix_to_json
 from .trees import p_baxt, to_dot, to_json_obj
-from .words import (ParseError, format_iword, parse_aword, parse_identity,
-                    parse_side)
+from .words import format_iword, parse_aword, parse_identity, parse_side
 
 
 def _at_least(lo: int):
@@ -96,19 +98,22 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _iter_identities(args, stdin_text):
+def _decide_each(args, stdin_text, decide) -> int:
+    """Run decide on the identity argument, or else on each nonblank stdin
+    line, and return the worst exit code.  An input error on a stdin line,
+    in parsing or in deciding it, names the line."""
     if args.identity is not None:
-        yield parse_identity(args.identity)
-        return
+        return decide(parse_identity(args.identity))
     text = stdin_text if stdin_text is not None else sys.stdin.read()
+    worst = 0
     for number, line in enumerate(text.splitlines(), 1):
         if line.strip():
             # parsed as typed, so an error position indexes the line shown
             try:
-                ident = parse_identity(line)
-            except ParseError as exc:
-                raise ParseError(f"stdin line {number}: {exc}") from None
-            yield ident
+                worst = max(worst, decide(parse_identity(line)))
+            except (ValueError, oracle.BudgetExceededError) as exc:
+                raise ValueError(f"stdin line {number}: {exc}") from None
+    return worst
 
 
 def _cmd_canon(args, stdin_text):
@@ -182,24 +187,22 @@ def _cmd_repr(args, stdin_text):
 
 
 def _cmd_check_id(args, stdin_text):
-    worst = 0
-    for ident in _iter_identities(args, stdin_text):
+    def decide(ident):
         report = checker.check(ident, args.n, args.mode)
         if args.format == "json":
             print(report.to_json())
         else:
             tail = "" if report.verdict else f"  (violated: {report.violated})"
             print(("YES" if report.verdict else "NO") + tail)
-        if not report.verdict:
-            worst = 1
-    return worst
+        return 0 if report.verdict else 1
+    return _decide_each(args, stdin_text, decide)
 
 
 def _cmd_oracle(args, stdin_text):
     if args.samples is not None and args.jobs > 1:
         raise ValueError("--jobs applies to the full scan, not to --samples")
-    worst = 0
-    for ident in _iter_identities(args, stdin_text):
+
+    def decide(ident):
         if args.samples is not None:
             max_len = args.max_len if args.max_len is not None else 2
             res = oracle.sample_check(ident, args.n, max_len, args.samples,
@@ -221,9 +224,8 @@ def _cmd_oracle(args, stdin_text):
         else:
             scope = "exhaustively" if res.exhaustive else "by sampling"
             print(f"no counterexample within length {res.max_len} ({scope})")
-        if res.refuted:
-            worst = 1
-    return worst
+        return 1 if res.refuted else 0
+    return _decide_each(args, stdin_text, decide)
 
 
 _FAMILIES = {
@@ -263,6 +265,8 @@ def run(argv, stdin_text=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.handler(args, stdin_text)
+    except BrokenPipeError:
+        raise  # the reader has gone: main ends the output
     except (ValueError, oracle.BudgetExceededError) as exc:
         # ParseError, RangeError and PlainModeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
@@ -274,7 +278,16 @@ def run(argv, stdin_text=None) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early.  Exit 2, as neither 0 nor 1 may stand for
+        # lines that were never decided; the interpreter's last flush goes
+        # to devnull, so nothing more is written.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ The rank-2 basis rows all share the shape  p1 h p2 k [xy] s p3 t p4  with the
 two sides differing only in the middle xy vs yx; each display row is stored
 as its four slot letters.  The rank->=4 basis is the two plain rows of that
 shape.  The parametric family p_k ~ q_k (k >= 2) separates rank 3 from the
-higher ranks and witnesses that rank 3 has no finite basis.
+higher ranks and witnesses that rank 3 has no finite basis.  Isoterm
+search walks a word's rank-2 class over adjacent swaps and keeps the
+members the rank-n checker pairs with the word.
 """
 
 from __future__ import annotations
@@ -96,36 +98,56 @@ def pk_qk(k: int, pi=None, sigma=None) -> Identity:
     return Identity(p, q)
 
 
-def _multiset_permutations(pool):
-    """Distinct permutations of a multiset, in lexicographic order: each
-    next one by Knuth's Algorithm L (TAOCP 7.2.1.2)."""
-    a = sorted(pool)
-    while True:
-        yield tuple(a)
-        # the last ascent a[j] < a[j + 1]; none left after the last permutation
-        j = len(a) - 2
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        # swap a[j] with the last letter greater than it, then reverse the tail
-        l = len(a) - 1
-        while a[j] >= a[l]:
-            l -= 1
-        a[j], a[l] = a[l], a[j]
-        a[j + 1:] = reversed(a[j + 1:])
-
-
 def isoterm_search(u: IWord, n: int) -> list[IWord]:
     """All rearrangements v != u of u's letters the rank-n checker accepts as
-    u ~ v.  An empty result certifies u is an isoterm: every identity of the
-    monoid is balanced, so only rearrangements could ever pair with u.
-    Words longer than 10 letters are refused: they have millions of
-    rearrangements."""
+    u ~ v, in sorted order.  An empty result certifies u is an isoterm:
+    every identity of the monoid is balanced, so only rearrangements could
+    ever pair with u.  Words longer than 10 letters are refused: the rank-1
+    class of such a word can hold millions of rearrangements.
+
+    The search walks out from u over adjacent swaps of two different
+    letters, keeping each swap that the checker accepts at rank min(n, 2),
+    and returns the members of that class that the rank-n checker pairs
+    with u.  A swap the checker rejects leaves the class, as the class is an
+    equivalence class, so no word is checked twice.  The walk reaches the
+    whole rank-min(n, 2) class of u:
+
+    - Rank 1: only the per-base counts matter, so every swap is accepted.
+    - Rank >= 3: (baxt_2, #) embeds in (baxt_n, #) by 1 -> 1, 2 -> n, so
+      every identity of rank n holds at rank 2, and the rank-n partners of
+      u lie in its rank-2 class.  The walk must not run at rank 3 itself:
+      x x* y x y x* x x* y* ~ x x* y x* y x x x* y* there, yet no adjacent
+      swap of either word stays in its class.
+    - Rank 2: bubble a member v of the class toward u.  Let p be the length
+      of their common prefix and c = u[p]; a step moves the first c in v
+      after position p one place left, past its neighbour d.  A verdict is
+      the conjunction of the verdicts on the restrictions to one or two
+      bases, and the step changes only the restrictions that hold the
+      bases of both c and d.  In each of those the step is the same greedy
+      step toward the restriction of u, so it stays in the class if the
+      greedy step does so for words over two bases.  An exhaustive check of
+      every word over two bases up to length 10, the cap, finds no greedy
+      step that leaves its class.  Each step is undone by a swap the walk
+      tries, so the walk reaches v.
+    """
     if len(u) > 10:
         raise ValueError(f"word of length {len(u)} exceeds the bound 10")
-    out = []
-    for cand in _multiset_permutations(u):
-        if cand != u and check(Identity(u, cand), n, witness=False).verdict:
-            out.append(cand)
-    return out
+    walk_rank = min(n, 2)
+    seen = {u}
+    todo = [u]
+    members = []
+    while todo:
+        w = todo.pop()
+        for i in range(len(w) - 1):
+            if w[i] == w[i + 1]:
+                continue
+            s = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            if s not in seen:
+                seen.add(s)
+                if check(Identity(w, s), walk_rank, witness=False).verdict:
+                    todo.append(s)
+                    members.append(s)
+    if n > 2:  # at ranks 1 and 2 every member of the class is a partner
+        members = [s for s in members
+                   if check(Identity(u, s), n, witness=False).verdict]
+    return sorted(members)

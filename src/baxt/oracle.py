@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
+from math import comb
 from typing import Optional
 
 from .monoid import (BaxtElement, RankMismatchError, key_of, key_to_json_obj,
@@ -140,10 +141,12 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
 
     Bases are tried in sorted order and classes in length-then-lex order, so
     the reported witness is the first in that fixed enumeration.  A grid
-    larger than DEFAULT_BUDGET raises instead of silently truncating.  The
-    grid is cut into one chunk per job.  The chunks come back in enumeration
-    order, and every chunk before the first refuting one was scanned in
-    full, so the witness and the count do not depend on jobs.
+    larger than DEFAULT_BUDGET raises instead of silently truncating, and
+    before the classes are enumerated when a lower bound on its size is
+    already larger.  The grid is cut into one chunk per job.  The chunks
+    come back in enumeration order, and every chunk before the first
+    refuting one was scanned in full, so the witness and the count do not
+    depend on jobs.
     """
     if max_len is not None and max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -152,10 +155,17 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
     bases = identity_bases(ident)
     if max_len is None:
         max_len = default_max_len(len(bases))
-    classes = enumerate_classes(n, max_len)
     if not bases:
         # no variables at all: both sides are the empty word
         return OracleResult(None, 1, n, max_len, True)
+    # words with different letter counts are distinct classes, so there are
+    # at least comb(n + max_len, max_len) classes: a grid too large even for
+    # that many is refused before the enumeration
+    least = comb(n + max_len, max_len) ** len(bases)
+    if least > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"at least {least} evaluations exceed the budget of {DEFAULT_BUDGET}")
+    classes = enumerate_classes(n, max_len)
     total = len(classes) ** len(bases)
     if total > DEFAULT_BUDGET:
         raise BudgetExceededError(

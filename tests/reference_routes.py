@@ -5,10 +5,12 @@ replaced: the rank-2/3 restriction procedure and the rank >= 4 / plain
 occurrence check built on per-letter position lists and bisection (O(k^2)
 pair loops), the recursive term parser with its character-by-character
 lexer, the rank >= 4 component letter maps written out as four families,
-the monoid invariant key with quadratic lpi/rpi scans, and the recursive
-enumeration of a multiset's permutations.  The tests assert that the
-library returns the same reports, words, errors, letter maps, keys and
-permutation sequences.
+the monoid invariant key with quadratic lpi/rpi scans, and the isoterm
+search that checks every rearrangement of a word, enumerated recursively.
+The tests assert that the library returns the same reports, words, errors,
+letter maps, keys and isoterm partners.  The rank-2 class key reads the
+procedure's statistics off one word, so a test can group words into
+classes without checking every pair.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
-from baxt.checker import CheckReport, _balance_witness, _no, _yes, is_balanced
+from baxt.checker import (CheckReport, _balance_witness, _no, _yes, check,
+                          is_balanced)
 from baxt.words import Atom, Concat, Identity, IVar, IWord, ParseError, Star, Term
 
 
@@ -197,6 +200,23 @@ def _procedure_check(ident: Identity, n: int) -> CheckReport:
                     return _no(3, "V", {"pivot": str(y), "letter": str(x),
                                         "side": "right"})
     return _yes(3)
+
+
+def rank2_class_key(u: IWord) -> tuple:
+    """The statistics that the rank-2 procedure compares, read off one word:
+    its letter counts and, per restriction to one or two bases, pre, suf
+    and the counts of pren and sufn.  Two words are congruent at rank 2
+    exactly when their keys are equal."""
+    idx = _WordIndex(u)
+    stats = []
+    for B in _base_subsets(idx):
+        letters = sorted(t for b in B for t in idx.base_letters.get(b, ()))
+        if len(letters) <= 1:
+            continue
+        pren, sufn = _pren_stat(idx, B, letters), _sufn_stat(idx, B, letters)
+        stats.append((_pre_stat(idx, letters), pren and pren[0],
+                      _suf_stat(idx, letters), sufn and sufn[0]))
+    return tuple(sorted(Counter(u).items())), tuple(stats)
 
 
 def _occ_lr_check(ident: Identity, n: int, mode: str) -> CheckReport:
@@ -447,7 +467,7 @@ def key_of(symbols: tuple, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Families: the permutations of a multiset, recursively
+# Families: isoterm partners by enumerating every rearrangement
 # ---------------------------------------------------------------------------
 
 def multiset_permutations(pool):
@@ -472,3 +492,10 @@ def multiset_permutations(pool):
                 counts[kx] += 1
 
     yield from rec()
+
+
+def isoterm_partners(u: IWord, n: int) -> list[IWord]:
+    """Every rearrangement v != u of u's letters that the rank-n checker
+    accepts as u ~ v, in sorted order."""
+    return [v for v in multiset_permutations(u)
+            if v != u and check(Identity(u, v), n, witness=False).verdict]

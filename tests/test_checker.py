@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from baxt import checker
 from baxt.checker import (PlainModeError, check, check_baxt1,
@@ -161,6 +161,9 @@ def test_restriction_closure(idn, n):
 
 
 @given(some_identities)
+# (III) with the role y absent and y* present: x x y* then x* against
+# x x y* y* then x*, refuted at rank 2 by x -> 1, y -> 2
+@example(ident("x x y* x* y* x x*", "x x y* y* x* x x*"))
 def test_dual_evaluator_agreement(idn):
     assert conditions_baxt2(idn) == check_baxt2(idn).verdict
     assert conditions_baxt3(idn) == check_baxt3(idn).verdict

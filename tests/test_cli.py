@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from baxt import cli
+from baxt import cli, oracle
 from baxt.cli import run
 from baxt.monoid import canonical, element_to_json_obj
 from baxt.represent import phi2
@@ -164,6 +164,11 @@ def test_isoterm_cmd(capsys):
     assert run(["isoterm", "x h y k x y s x t y", "--n", "4"]) == 1
 
 
+def test_isoterm_finds_a_rank3_partner_no_swap_reaches(capsys):
+    assert run(["isoterm", "x x* y x y x* x x* y*", "--n", "3"]) == 1
+    assert out_of(capsys) == "x x* y x* y x x x* y*\n"
+
+
 def test_isoterm_reads_the_term_grammar(capsys):
     def word_of(text):
         assert run(["isoterm", text, "--n", "2", "--format", "json"]) in (0, 1)
@@ -192,6 +197,59 @@ def test_stdin_batch_errors_name_the_line_as_typed(capsys):
     assert captured.err == "error: stdin line 3: bad character '$' at position 9\n"
     assert run(["check-id", "--n", "2"], stdin_text="  x ~= y $\n") == 2
     assert "stdin line 1:" in capsys.readouterr().err
+
+
+def test_stdin_batch_errors_in_deciding_name_the_line(capsys, monkeypatch):
+    argv = ["check-id", "--n", "2", "--mode", "plain"]
+    assert run(argv, stdin_text="x ~= x\n\nx* ~= x*\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "YES\n"
+    assert captured.err == ("error: stdin line 3: starred letter present; "
+                            "use the involution checker\n")
+    # the oracle's budget, refused before any enumeration
+    monkeypatch.setattr(oracle, "enumerate_classes", _no_enumeration)
+    argv = ["oracle", "--n", "60", "--max-len", "3"]
+    assert run(argv, stdin_text="\nx y ~= y x\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stdin line 2: at least ")
+
+
+def _no_enumeration(n, max_len):
+    raise AssertionError("an over-budget grid was enumerated")
+
+
+def test_over_budget_oracle_exits_2_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "enumerate_classes", _no_enumeration)
+    assert run(["oracle", "x y ~= y x", "--n", "60", "--max-len", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: at least ")
+    assert "exceed the budget" in captured.err
+
+
+def _subprocess_env():
+    """The environment for a child process that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_closed_stdout_ends_the_output_with_exit_2(tmp_path):
+    # the reader stops after one line of a long batch: the lines never
+    # decided must not read as YES (0) or as a NO (1), and no traceback or
+    # error line follows
+    batch = tmp_path / "batch.txt"
+    batch.write_text("x y ~= x y\n" * 50000)
+    with batch.open() as stdin, subprocess.Popen(
+            [sys.executable, "-m", "baxt.cli", "check-id", "--n", "2"],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_subprocess_env()) as proc:
+        assert proc.stdout.readline() == b"YES\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert err == b""
 
 
 def test_error_exits(capsys):
@@ -309,9 +367,7 @@ def test_run_parses_with_one_parser(capsys, monkeypatch):
 
 def test_importing_the_cli_builds_no_parser():
     # the benchmark imports the package afresh for every workload
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import baxt.cli; print(baxt.cli._parser.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+                         env=_subprocess_env(), check=True).stdout
     assert out == "0\n"

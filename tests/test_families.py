@@ -1,14 +1,14 @@
 import random
-from itertools import combinations_with_replacement
+from collections import defaultdict
+from itertools import combinations, product
 
 import pytest
 
 import reference_routes as ref
-from baxt.checker import check, is_balanced
-from baxt.families import (basis2, basis2_rows, basis4, isoterm_search,
-                           pk_qk, _multiset_permutations)
-from baxt.oracle import sample_check
-from baxt.words import ident, iword
+from baxt.checker import check, conditions_baxt3, is_balanced
+from baxt.families import basis2, basis2_rows, basis4, isoterm_search, pk_qk
+from baxt.oracle import brute_force_check, sample_check
+from baxt.words import Identity, ident, iword, restrict
 
 
 def test_p2_q2_spelled_out():
@@ -75,25 +75,6 @@ def test_basis_identities_balanced_and_unrefuted():
         assert not sample_check(idn, 4, 3, 400, seed=seed).refuted
 
 
-def test_multiset_permutations():
-    perms = list(_multiset_permutations("aab"))
-    assert perms == [tuple("aab"), tuple("aba"), tuple("baa")]
-
-
-def test_multiset_permutations_match_the_reference():
-    # every multiset of at most 6 letters over x, x*, y, given unsorted,
-    # then random ones of up to 8 letters over three bases
-    rng = random.Random(11)
-    letters = iword("x x* y")
-    pools = [list(c) for m in range(7)
-             for c in combinations_with_replacement(letters, m)]
-    pools += [rng.choices(iword("x x* y y* z"), k=rng.randint(0, 8))
-              for _ in range(200)]
-    for pool in pools:
-        rng.shuffle(pool)
-        assert list(_multiset_permutations(pool)) == list(ref.multiset_permutations(pool))
-
-
 def test_isoterm_search():
     assert isoterm_search(iword("x x* y y*"), 2) == []
     assert isoterm_search(iword("x y y* x*"), 3) == []
@@ -103,3 +84,118 @@ def test_isoterm_search():
     assert iword("x h y k y x s x t y") in partners
     with pytest.raises(ValueError):
         isoterm_search(iword("x y z x* y* z* x y z x*") + iword("z"), 2)
+
+
+def test_rank3_class_is_not_connected_by_swaps():
+    a, b = iword("x x* y x y x* x x* y*"), iword("x x* y x* y x x x* y*")
+    idn = Identity(a, b)
+    assert check(idn, 3).verdict and conditions_baxt3(idn)
+    assert not brute_force_check(idn, 3).refuted
+    # neither word has an adjacent swap that stays in its rank-3 class
+    for w in (a, b):
+        swaps = [w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                 for i in range(len(w) - 1) if w[i] != w[i + 1]]
+        assert not any(check(Identity(w, s), 3).verdict for s in swaps)
+    # the search walks the rank-2 class, so it still finds the partner
+    assert isoterm_search(a, 3) == [b] == ref.isoterm_partners(a, 3)
+    assert isoterm_search(b, 3) == [a] == ref.isoterm_partners(b, 3)
+
+
+def test_isoterm_search_matches_the_enumeration():
+    # every word over two bases up to length 5 that starts with x (renaming
+    # the bases or starring one of them maps classes to classes), then
+    # random words over two and three bases
+    rng = random.Random(17)
+    two, three = iword("x x* y y*"), iword("x x* y y* z z*")
+    words = [(two[0],) + w for m in range(5) for w in product(two, repeat=m)]
+    words += [tuple(rng.choices(two, k=rng.randint(7, 8))) for _ in range(10)]
+    words += [tuple(rng.choices(three, k=7)) for _ in range(8)]
+    partnered = set()
+    for u in words:
+        for n in range(1, 6):
+            got = isoterm_search(u, n)
+            assert got == ref.isoterm_partners(u, n), (u, n)
+            if got:
+                partnered.add(n)
+    assert partnered == {1, 2, 3, 4, 5}
+
+
+def _random_pairs(rng, letters, count):
+    """Words of 6 to 9 letters, each with a rearrangement of it: a few
+    random adjacent swaps away, or a random shuffle."""
+    pairs = []
+    for _ in range(count):
+        u = tuple(rng.choices(letters, k=rng.randint(6, 9)))
+        v = list(u)
+        if rng.random() < 0.5:
+            rng.shuffle(v)
+        else:
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(v) - 1)
+                v[i], v[i + 1] = v[i + 1], v[i]
+        pairs.append(Identity(u, tuple(v)))
+    return pairs
+
+
+def test_verdicts_are_the_conjunction_over_restrictions():
+    # a verdict is the conjunction of the verdicts on the restrictions to
+    # one or two bases
+    rng = random.Random(23)
+    pairs = _random_pairs(rng, iword("x x* y y* z z* w"), 400)
+    for n in (2, 3, 4):
+        verdicts = set()
+        for idn in pairs:
+            bases = sorted({x.base for x in idn.lhs})
+            subsets = [(b,) for b in bases] + list(combinations(bases, 2))
+            parts = all(check(Identity(restrict(idn.lhs, B), restrict(idn.rhs, B)),
+                              n, witness=False).verdict for B in subsets)
+            verdict = check(idn, n, witness=False).verdict
+            assert verdict == parts, (idn, n)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def test_rank_n_identities_hold_at_rank_2():
+    rng = random.Random(29)
+    pairs = _random_pairs(rng, iword("x x* y y* z"), 600)
+    for n in (3, 4, 5):
+        held = [idn for idn in pairs if check(idn, n, witness=False).verdict]
+        assert any(idn.lhs != idn.rhs for idn in held)
+        assert all(check(idn, 2, witness=False).verdict for idn in held)
+
+
+def test_rank2_class_key_matches_the_checker():
+    rng = random.Random(31)
+    seen = set()
+    for idn in _random_pairs(rng, iword("x x* y y* z z*"), 400):
+        same = ref.rank2_class_key(idn.lhs) == ref.rank2_class_key(idn.rhs)
+        assert same == check(idn, 2, witness=False).verdict, idn
+        seen.add(same)
+    assert seen == {True, False}
+
+
+def test_greedy_step_stays_in_the_rank2_class():
+    # the two-base lemma, exhaustively to length 7: for words u ~ v over two
+    # bases with u != v, let c be u's letter just after their common prefix;
+    # moving the first c after that prefix in v one place left stays in the
+    # class.  The rank-2 walk of isoterm_search is complete because of it.
+    letters = iword("x x* y y*")
+    steps = 0
+    for m in range(8):
+        classes = defaultdict(list)
+        for w in product(letters, repeat=m):
+            classes[ref.rank2_class_key(w)].append(w)
+        for members in classes.values():
+            # the prefixes of the class, each with the letters after it
+            after = defaultdict(set)
+            for u in members:
+                for p in range(m):
+                    after[u[:p]].add(u[p])
+            for v in members:
+                for p in range(m):
+                    for c in after[v[:p]] - {v[p]}:
+                        j = v.index(c, p)
+                        s = v[:j - 1] + (v[j], v[j - 1]) + v[j + 1:]
+                        assert check(Identity(v, s), 2, witness=False).verdict, (v, s)
+                        steps += 1
+    assert steps == 7840

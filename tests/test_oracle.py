@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baxt import oracle
 from baxt.checker import is_balanced
 from baxt.families import basis4
 from baxt.monoid import RankMismatchError, canonical
@@ -79,6 +80,15 @@ def test_brute_force_basis4_instance():
     res = brute_force_check(idn, 4, 1)
     assert not res.refuted and res.evaluations == 5 ** 6
     assert not sample_check(idn, 4, 2, 3000, seed=0).refuted
+
+
+def test_over_budget_grid_is_refused_before_the_enumeration(monkeypatch):
+    # comb(63, 3) ** 2 classes at least, far over the budget
+    def no_enumeration(n, max_len):
+        raise AssertionError("an over-budget grid was enumerated")
+    monkeypatch.setattr(oracle, "enumerate_classes", no_enumeration)
+    with pytest.raises(BudgetExceededError, match="at least 1576963521 "):
+        brute_force_check(ident("x y", "y x"), 60, 3)
 
 
 def test_brute_force_parallel_matches_serial():
