@@ -111,7 +111,7 @@ def _decide_each(args, stdin_text, decide) -> int:
             # parsed as typed, so an error position indexes the line shown
             try:
                 worst = max(worst, decide(parse_identity(line)))
-            except (ValueError, oracle.BudgetExceededError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"stdin line {number}: {exc}") from None
     return worst
 
@@ -168,21 +168,17 @@ def _cmd_repr(args, stdin_text):
     w = parse_aword(args.word, args.n)
     if args.n <= 3:
         mat = (phi1, phi2, phi3)[args.n - 1](w)
-        print(matrix_to_json(mat) if args.format == "json" else str(mat))
-        return 0
-    t = phi_n(w)
-    if args.materialize:
-        mat = materialize(t)
-        print(matrix_to_json(mat) if args.format == "json" else str(mat))
+    elif args.materialize:
+        mat = materialize(phi_n(w))
     else:
-        obj = tuple_to_json_obj(t)
+        t = phi_n(w)
         if args.format == "json":
-            print(json.dumps(obj, separators=(",", ":")))
+            print(json.dumps(tuple_to_json_obj(t), separators=(",", ":")))
         else:
-            for c in obj["coords"]:
-                print(f"({c['i']},{c['j']}): "
-                      f"[{c['first']['representative']}] , "
-                      f"[{c['second']['representative']}]")
+            for (i, j), p in t.coords:
+                print(f"({i},{j}): {p.first} , {p.second}")
+        return 0
+    print(matrix_to_json(mat) if args.format == "json" else str(mat))
     return 0
 
 
@@ -267,8 +263,8 @@ def run(argv, stdin_text=None) -> int:
         return args.handler(args, stdin_text)
     except BrokenPipeError:
         raise  # the reader has gone: main ends the output
-    except (ValueError, oracle.BudgetExceededError) as exc:
-        # ParseError, RangeError and PlainModeError are ValueErrors
+    except ValueError as exc:
+        # every input error is a ValueError: parse, range, mode, budget
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -14,7 +14,7 @@ provably congruent word pairs for tests.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .words import AWord
 
@@ -98,16 +98,8 @@ class BaxtElement:
     """
 
     rank: int
-    representative: AWord
+    representative: AWord = field(compare=False)
     key: InvariantKey
-
-    def __eq__(self, other):
-        if not isinstance(other, BaxtElement):
-            return NotImplemented
-        return self.rank == other.rank and self.key == other.key
-
-    def __hash__(self):
-        return hash((self.rank, self.key))
 
     def __str__(self):
         return f"[{self.representative}]"

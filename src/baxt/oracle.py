@@ -29,7 +29,7 @@ from .monoid import (BaxtElement, RankMismatchError, key_of, key_to_json_obj,
 from .words import AWord, Identity, IWord
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(ValueError):
     """The enumeration grid exceeds DEFAULT_BUDGET evaluations."""
 
 
@@ -89,13 +89,18 @@ def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
             raise UnassignedVariableError(f"no image for {b}")
     if not bases:
         return True  # no variables: both sides are the empty word
-    images = [sub[b] for b in bases]
-    ranks = sorted({e.rank for e in images})
+    ranks = sorted({sub[b].rank for b in bases})
     if len(ranks) > 1:
         raise RankMismatchError(f"images of ranks {ranks} in one substitution")
-    keys = _side_keys(ident, bases, images, images[0].rank)
-    lhs_key, rhs_key = keys(range(len(bases)))
+    lhs_key, rhs_key = _substitution_keys(ident, bases, sub)
     return lhs_key == rhs_key
+
+
+def _substitution_keys(ident: Identity, bases, sub):
+    """The keys of both sides with each of the (nonempty) bases b sent to
+    the class sub[b]; the classes share one rank."""
+    images = [sub[b] for b in bases]
+    return _side_keys(ident, bases, images, images[0].rank)(range(len(bases)))
 
 
 @dataclass(frozen=True)
@@ -215,9 +220,7 @@ def witness_to_json_obj(ident: Identity, result: OracleResult):
     if result.witness is None:
         return None
     sub = result.witness
-    bases = identity_bases(ident)
-    keys = _side_keys(ident, bases, [sub[b] for b in bases], result.n)
-    lhs_key, rhs_key = keys(range(len(bases)))
+    lhs_key, rhs_key = _substitution_keys(ident, identity_bases(ident), sub)
     return {
         "assignment": {b: str(e.representative) for b, e in sorted(sub.items())},
         "lhs_key": key_to_json_obj(lhs_key),

@@ -12,6 +12,7 @@ matrices, reverses the block order and skews each block.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from itertools import accumulate
 
 NEG_INF = float("-inf")
@@ -30,6 +31,7 @@ def mul(a, b):
     return a + b
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class UTMatrix:
     """Square upper triangular matrix stored as its diagonal blocks.
 
@@ -39,10 +41,10 @@ class UTMatrix:
     whatever the block split.  Matrices are immutable.
     """
 
-    __slots__ = ("blocks",)
+    blocks: tuple
 
-    def __init__(self, blocks):
-        blocks = tuple(tuple(tuple(row) for row in b) for b in blocks)
+    def __post_init__(self):
+        blocks = tuple(tuple(tuple(row) for row in b) for b in self.blocks)
         for b in blocks:
             for i, row in enumerate(b):
                 if len(row) != len(b):
@@ -58,15 +60,6 @@ class UTMatrix:
         m = object.__new__(cls)
         object.__setattr__(m, "blocks", blocks)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UTMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("UTMatrix is immutable")
-
-    def __reduce__(self):
-        return UTMatrix, (self.blocks,)
 
     @property
     def sizes(self) -> tuple:

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from itertools import product
 
@@ -197,3 +198,12 @@ def test_element_equality_ignores_representative():
     b = canonical(parse_aword("2211", 2))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    assert hash(a) == hash((a.rank, a.key))
+    assert a != canonical(parse_aword("2121", 3))  # same letters, other rank
+
+
+def test_element_survives_pickle():
+    e = canonical(W)
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and hash(back) == hash(e)
+    assert back.representative == W and back.key == e.key

@@ -1,4 +1,5 @@
 import json
+import pickle
 from functools import reduce
 
 import pytest
@@ -103,6 +104,15 @@ def test_matrices_are_immutable():
     with pytest.raises(AttributeError):
         del m.blocks
     assert key[from_rows(m.rows)] == "m"
+
+
+def test_matrices_survive_pickle():
+    m = block_diag([gen_P(), scalar(3), gen_K()])
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and hash(back) == hash(m)
+    assert back.blocks == m.blocks and back.sizes == (2, 1, 2)
+    with pytest.raises(AttributeError):
+        back.blocks = ()
 
 
 def test_generator_products():
