@@ -116,7 +116,13 @@ def _decide_each(args, stdin_text, decide) -> int:
     return worst
 
 
+def _check_vector(n: int):
+    """Refuse a rank whose n-entry evaluation vector is over the budget."""
+    oracle.check_budget(n, f"the {n} entries of a rank-{n} evaluation vector")
+
+
 def _cmd_canon(args, stdin_text):
+    _check_vector(args.n)
     w = parse_aword(args.word, args.n)
     e = canonical(w)
     if args.format == "json":
@@ -131,6 +137,7 @@ def _cmd_canon(args, stdin_text):
 
 
 def _cmd_equiv(args, stdin_text):
+    _check_vector(args.n)
     u = parse_aword(args.word1, args.n)
     w = parse_aword(args.word2, args.n)
     same = equivalent(u, w)
@@ -164,8 +171,23 @@ def _cmd_trees(args, stdin_text):
     return 0
 
 
+def _check_tuple(n: int, length: int, materialized: bool):
+    """Refuse a rank-n image of a word of the given length that is over the
+    budget: C(n, 2) components of O(n + length) steps each, and when
+    materialized, the entries of a matrix of dimension 30 C(n, 2)."""
+    pairs, steps = n * (n - 1) // 2, n + length
+    oracle.check_budget(pairs * steps, f"{pairs * steps} steps ({pairs} "
+                        f"components of {steps} steps each)")
+    if materialized:
+        dim = 30 * pairs
+        oracle.check_budget(dim * dim, f"the {dim * dim} entries of a "
+                            f"{dim}x{dim} matrix")
+
+
 def _cmd_repr(args, stdin_text):
     w = parse_aword(args.word, args.n)
+    if args.n >= 4:
+        _check_tuple(args.n, len(w), args.materialize)
     if args.n <= 3:
         mat = (phi1, phi2, phi3)[args.n - 1](w)
     elif args.materialize:

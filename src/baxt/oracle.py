@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from math import comb
 from typing import Optional
 
 from .monoid import (BaxtElement, RankMismatchError, key_of, key_to_json_obj,
@@ -30,7 +29,7 @@ from .words import AWord, Identity, IWord
 
 
 class BudgetExceededError(ValueError):
-    """The enumeration grid exceeds DEFAULT_BUDGET evaluations."""
+    """What a step would build or evaluate exceeds DEFAULT_BUDGET."""
 
 
 class UnassignedVariableError(ValueError):
@@ -38,6 +37,13 @@ class UnassignedVariableError(ValueError):
 
 
 DEFAULT_BUDGET = 10_000_000
+
+
+def check_budget(size: int, what: str) -> None:
+    """Refuse a step that would build or evaluate size things, counted in
+    the plural phrase what, when size exceeds DEFAULT_BUDGET."""
+    if size > DEFAULT_BUDGET:
+        raise BudgetExceededError(f"{what} exceed the budget of {DEFAULT_BUDGET}")
 
 
 @lru_cache(maxsize=None)
@@ -53,6 +59,26 @@ def enumerate_classes(n: int, max_len: int) -> tuple[BaxtElement, ...]:
                 seen.add(k)
                 classes.append(BaxtElement(n, AWord(tup, n), k))
     return tuple(classes)
+
+
+def _class_table(n: int, max_len: int) -> tuple[BaxtElement, ...]:
+    """enumerate_classes(n, max_len), refused before it starts when the
+    table it keeps, every word of length <= max_len with its n-entry
+    evaluation vector, exceeds the budget.  The words are counted only
+    until the table passes the budget, so a huge bound costs a few steps
+    and prints a lower bound."""
+    if n == 1:
+        words = max_len + 1
+    else:
+        words, power = 0, 1
+        for _ in range(max_len + 1):
+            words += power
+            power *= n
+            if words * n > DEFAULT_BUDGET:
+                break
+    check_budget(words * n, f"at least {words * n} class table entries (words "
+                 f"of length <= {max_len} with {n}-entry evaluation vectors)")
+    return enumerate_classes(n, max_len)
 
 
 def identity_bases(ident: Identity) -> list[str]:
@@ -147,8 +173,8 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
     Bases are tried in sorted order and classes in length-then-lex order, so
     the reported witness is the first in that fixed enumeration.  A grid
     larger than DEFAULT_BUDGET raises instead of silently truncating, and
-    before the classes are enumerated when a lower bound on its size is
-    already larger.  The grid is cut into one chunk per job.  The chunks
+    before the classes are enumerated when a lower bound on its size, or
+    the class table itself, is already larger.  The grid is cut into one chunk per job.  The chunks
     come back in enumeration order, and every chunk before the first
     refuting one was scanned in full, so the witness and the count do not
     depend on jobs.
@@ -165,16 +191,24 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
         return OracleResult(None, 1, n, max_len, True)
     # words with different letter counts are distinct classes, so there are
     # at least comb(n + max_len, max_len) classes: a grid too large even for
-    # that many is refused before the enumeration
-    least = comb(n + max_len, max_len) ** len(bases)
-    if least > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"at least {least} evaluations exceed the budget of {DEFAULT_BUDGET}")
-    classes = enumerate_classes(n, max_len)
+    # that many is refused before the enumeration.  That bound is built up
+    # only until it passes the budget, which keeps huge bounds cheap and
+    # printable; comb(n + max_len, i) grows with i up to min(n, max_len), so
+    # each partial value is a lower bound too
+    per_base = 1
+    for i in range(1, min(n, max_len) + 1):
+        per_base = per_base * (n + max_len + 1 - i) // i
+        if per_base > DEFAULT_BUDGET:
+            break
+    least = 1
+    for _ in bases:
+        least *= per_base
+        if least > DEFAULT_BUDGET:
+            break
+    check_budget(least, f"at least {least} evaluations")
+    classes = _class_table(n, max_len)
     total = len(classes) ** len(bases)
-    if total > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"{total} evaluations exceed the budget of {DEFAULT_BUDGET}")
+    check_budget(total, f"{total} evaluations")
 
     scan = partial(_scan, ident, bases, classes, n)
     m = len(classes)
@@ -202,13 +236,14 @@ def _first_refutation(scans, n, max_len) -> OracleResult:
 
 def sample_check(ident: Identity, n: int, max_len: int, samples: int,
                  seed: int = 0) -> OracleResult:
-    """Uniform random draws from the same grid; deterministic for a seed."""
+    """Uniform random draws from the same grid; deterministic for a seed.
+    A class table over the budget is refused before it is enumerated."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     bases = identity_bases(ident)
-    classes = enumerate_classes(n, max_len)
+    classes = _class_table(n, max_len)
     rng = random.Random(seed)
     # drawn one assignment at a time, so a refutation stops the draws
     draws = ([rng.randrange(len(classes)) for _ in bases] for _ in range(samples))

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,7 +9,10 @@ from baxt.checker import (PlainModeError, check, check_baxt1,
                           check_plain, conditions_baxt2, conditions_baxt3,
                           is_balanced)
 from baxt.families import basis2, basis4, pk_qk
-from baxt.words import Identity, IVar, ident, iword, parse_identity, restrict
+from baxt.monoid import canonical
+from baxt.oracle import eval_substitution
+from baxt.words import (AWord, Identity, IVar, ident, iword, parse_identity,
+                        restrict)
 from definitions import pre, pren, suf, sufn
 
 ivars = st.builds(IVar, st.sampled_from("xyz"), st.booleans())
@@ -167,6 +172,36 @@ def test_restriction_closure(idn, n):
 def test_dual_evaluator_agreement(idn):
     assert conditions_baxt2(idn) == check_baxt2(idn).verdict
     assert conditions_baxt3(idn) == check_baxt3(idn).verdict
+
+
+def test_literal_conditions_range_over_the_star_closure():
+    # (III)/(V) role pairs over the occurring letters alone accepted this
+    # identity at rank 2; x -> 2, y -> 1 refutes it there
+    idn = parse_identity("y x* x* y* y* y y* ~= y x* y* x* y* y y*")
+    assert not conditions_baxt2(idn) and not check(idn, 2).verdict
+    assert not conditions_baxt3(idn) and not check(idn, 3).verdict
+    sub = {"x": canonical(AWord((2,), 2)), "y": canonical(AWord((1,), 2))}
+    assert not eval_substitution(idn, sub)
+
+
+def test_literal_conditions_agree_with_check_on_all_short_swaps():
+    # every word of length <= 6 over x, x*, y, y* that starts with x,
+    # against each transposition of two different adjacent letters
+    letters = [IVar("x", False), IVar("x", True), IVar("y", False),
+               IVar("y", True)]
+    count = 0
+    for length in range(2, 7):
+        for rest in product(letters, repeat=length - 1):
+            u = (letters[0],) + rest
+            for p in range(length - 1):
+                if u[p] == u[p + 1]:
+                    continue
+                v = u[:p] + (u[p + 1], u[p]) + u[p + 2:]
+                idn = Identity(u, v)
+                count += 1
+                assert conditions_baxt2(idn) == check(idn, 2).verdict, idn
+                assert conditions_baxt3(idn) == check(idn, 3).verdict, idn
+    assert count == 4779
 
 
 @given(some_identities)

@@ -11,7 +11,7 @@ import pytest
 from baxt import cli, oracle
 from baxt.cli import run
 from baxt.monoid import canonical, element_to_json_obj
-from baxt.represent import phi2
+from baxt.represent import TupleElement, phi2
 from baxt.semiring import matrix_to_json
 from baxt.words import parse_aword
 
@@ -226,6 +226,50 @@ def test_over_budget_oracle_exits_2_before_enumerating(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: at least ")
     assert "exceed the budget" in captured.err
+
+
+HUGE = "99999999999999999999"
+
+
+def _nothing_built(*args):
+    raise AssertionError("an over-budget rank was built")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["canon", "10,1", "--n", HUGE],
+     f"the {HUGE} entries of a rank-{HUGE} evaluation vector exceed the budget"),
+    (["equiv", "1", "1", "--n", HUGE, "--format", "json"],
+     f"the {HUGE} entries of a rank-{HUGE} evaluation vector exceed the budget"),
+    (["repr", "1", "--n", HUGE], "4999999999999999999850000000000000000001 "
+     "components of 100000000000000000000 steps each) exceed the budget"),
+    # C(272, 2) components of 273 steps each: the first rank over the budget
+    (["repr", "1", "--n", "272"], "10061688 steps (36856 components of 273 "),
+    (["repr", "1,2,3,4", "--n", "20", "--materialize", "--format", "json"],
+     "the 32490000 entries of a 5700x5700 matrix exceed the budget"),
+    (["oracle", "x ~= x", "--n", "200", "--max-len", "3"],
+     "1608040200 class table entries "),
+    (["oracle", "x y ~= y x", "--n", "60", "--max-len", "3", "--samples", "1"],
+     "13179660 class table entries "),
+], ids=["canon", "equiv", "repr", "repr-272", "materialize", "oracle-table",
+        "oracle-samples"])
+def test_over_budget_ranks_exit_2_before_building(capsys, monkeypatch, argv,
+                                                  message):
+    for name in ("canonical", "equivalent", "phi_n", "materialize"):
+        monkeypatch.setattr(cli, name, _nothing_built)
+    monkeypatch.setattr(oracle, "enumerate_classes", _no_enumeration)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "internal" not in captured.err
+
+
+def test_ranks_within_the_budget_are_built(capsys, monkeypatch):
+    # the rank just below the first refused one reaches phi_n (stubbed:
+    # building its 36,585 components takes seconds)
+    monkeypatch.setattr(cli, "phi_n", lambda w: TupleElement(w.rank, ()))
+    assert run(["repr", "1", "--n", "271", "--format", "json"]) == 0
+    assert out_of(capsys) == '{"n":271,"coords":[]}\n'
 
 
 def _subprocess_env():

@@ -91,6 +91,60 @@ def test_over_budget_grid_is_refused_before_the_enumeration(monkeypatch):
         brute_force_check(ident("x y", "y x"), 60, 3)
 
 
+def _no_enumeration(n, max_len):
+    raise AssertionError("an over-budget class table was enumerated")
+
+
+@pytest.mark.parametrize("n, max_len, message", [
+    # one base: the grid's lower bound comb(203, 3) is within the budget,
+    # the 8,040,201 words of length <= 3 times 200 entries are not
+    (200, 3, "at least 1608040200 class table entries (words of length <= 3 "
+             "with 200-entry evaluation vectors) exceed the budget"),
+    (10 ** 20, 0, "at least 100000000000000000000 class table entries "),
+    (1, 10 ** 12, "at least 1000000000001 class table entries "),
+    # counted up to length 22, the first past the budget
+    (2, 10 ** 9, "at least 16777214 class table entries "),
+])
+def test_over_budget_class_table_is_refused_before_the_enumeration(
+        monkeypatch, n, max_len, message):
+    monkeypatch.setattr(oracle, "enumerate_classes", _no_enumeration)
+    with pytest.raises(BudgetExceededError) as exc:
+        sample_check(ident("x", "x"), n, max_len, 1)
+    assert str(exc.value).startswith(message)
+    if max_len < 10 ** 9:  # past that the grid's lower bound refuses first
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_force_check(ident("x", "x"), n, max_len)
+        assert str(exc.value).startswith(message)
+
+
+def test_huge_bounds_are_refused_at_once(monkeypatch):
+    # the grid's lower bound is built up only until it passes the budget
+    monkeypatch.setattr(oracle, "enumerate_classes", _no_enumeration)
+    with pytest.raises(BudgetExceededError,
+                       match="^at least 100000000001000000000 evaluations "):
+        brute_force_check(ident("x", "x"), 10 ** 20, 10 ** 9)
+    # 39711 classes at least per base: two bases are over the budget, and
+    # the 1500 bases' bound of 6,900 digits is never printed
+    side = " ".join(f"v{i}" for i in range(1500))
+    with pytest.raises(BudgetExceededError,
+                       match="^at least 1576963521 evaluations "):
+        brute_force_check(ident(side, side), 60, 3)
+
+
+def test_budget_errors_are_value_errors():
+    assert issubclass(BudgetExceededError, ValueError)
+    oracle.check_budget(oracle.DEFAULT_BUDGET, "things")
+    with pytest.raises(BudgetExceededError,
+                       match="^10000001 things exceed the budget of 10000000$"):
+        oracle.check_budget(oracle.DEFAULT_BUDGET + 1, "10000001 things")
+
+
+def test_small_grids_keep_their_class_table():
+    # rank 4 up to length 3: 85 words, far within the budget
+    assert len(oracle._class_table(4, 3)) == len(enumerate_classes(4, 3))
+    assert not sample_check(ident("x y", "x y"), 4, 3, 5).refuted
+
+
 def test_brute_force_parallel_matches_serial():
     cases = [
         (ident("x y x*", "x* y x"), 2),   # witness in the first chunk
