@@ -174,10 +174,10 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
     the reported witness is the first in that fixed enumeration.  A grid
     larger than DEFAULT_BUDGET raises instead of silently truncating, and
     before the classes are enumerated when a lower bound on its size, or
-    the class table itself, is already larger.  The grid is cut into one chunk per job.  The chunks
-    come back in enumeration order, and every chunk before the first
-    refuting one was scanned in full, so the witness and the count do not
-    depend on jobs.
+    the class table itself, is already larger.  The grid is cut into one
+    chunk per job.  The chunks come back in enumeration order, and every
+    chunk before the first refuting one was scanned in full, so the witness
+    and the count do not depend on jobs.
     """
     if max_len is not None and max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
