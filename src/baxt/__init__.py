@@ -12,9 +12,8 @@ from .words import (AWord, Identity, IVar, ParseError, PivotAbsentError,
                     initial_part, final_part, ident, iword, occ, occ_after,
                     occ_before, parse_aword, parse_identity, parse_side,
                     parse_term, restrict, reverse, star_word, v)
-from .trees import (BST, Node, TwinPair, insert_left_strict,
-                    insert_right_strict, p_baxt, p_sylv, p_sylv_sharp,
-                    to_dot, tree_equal)
+from .trees import (BST, TwinPair, p_baxt, p_sylv, p_sylv_sharp, to_dot,
+                    tree_equal)
 from .monoid import (BaxtElement, RankMismatchError, canonical, equivalent,
                      evaluation, identity_element, invariant_key, lpi,
                      multiply, rewrite_neighbors, rpi, sharp, sharp_word)

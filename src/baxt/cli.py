@@ -23,7 +23,7 @@ from .monoid import canonical, element_to_json_obj, equivalent, sharp_word
 from .represent import (materialize, phi1, phi2, phi3, phi_n,
                         tuple_to_json_obj)
 from .semiring import matrix_to_json
-from .trees import p_baxt, to_dot, to_json_obj
+from .trees import p_baxt, to_dot, to_json, to_text
 from .words import format_iword, parse_aword, parse_identity, parse_side
 
 
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="emit a named identity family")
     p.set_defaults(handler=_cmd_family)
     p.add_argument("name", choices=tuple(_FAMILIES))
-    p.add_argument("--k", type=_at_least(1), default=2)
+    p.add_argument("--k", type=_at_least(2), default=_DEFAULT_K)
 
     command("isoterm", _cmd_isoterm, "search for identity partners of a word",
             {"word": {"help": "involution word, e.g. 'x x* y y*'"}})
@@ -162,12 +162,10 @@ def _cmd_trees(args, stdin_text):
         print(to_dot(pair.left, "left_strict"), end="")
         print(to_dot(pair.right, "right_strict"), end="")
     elif args.format == "json":
-        print(json.dumps({"left": to_json_obj(pair.left),
-                          "right": to_json_obj(pair.right)},
-                         separators=(",", ":")))
+        print(f'{{"left":{to_json(pair.left)},"right":{to_json(pair.right)}}}')
     else:
-        print(f"left strict:  {to_json_obj(pair.left)}")
-        print(f"right strict: {to_json_obj(pair.right)}")
+        print(f"left strict:  {to_text(pair.left)}")
+        print(f"right strict: {to_text(pair.right)}")
     return 0
 
 
@@ -252,9 +250,13 @@ _FAMILIES = {
     "pkqk": lambda k: [families.pk_qk(k)],
     "reverses": lambda k: families.basis2_reverses(),
 }
+_DEFAULT_K = 2
 
 
 def _cmd_family(args, stdin_text):
+    # only pkqk has a k; the others take just the default, spelled out or not
+    if args.name != "pkqk" and args.k != _DEFAULT_K:
+        raise ValueError(f"--k applies to pkqk only, not to {args.name}")
     for ident in _FAMILIES[args.name](args.k):
         print(f"{format_iword(ident.lhs)} ~= {format_iword(ident.rhs)}")
     return 0

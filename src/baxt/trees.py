@@ -1,28 +1,34 @@
-"""Twin binary search tree insertion.
+"""Twin binary search trees, built without insertion.
 
 A right strict BST has every node >= its left subtree and < its right
 subtree; inserting reads the word right to left.  A left strict BST has every
 node > its left subtree and <= its right subtree; inserting reads left to
 right.  The pair of both trees identifies an element of the Baxter monoid.
+
+A BST built by insertion is the Cartesian tree of its letters with insertion
+time as priority (Vuillemin 1980).  Both trees have the same in-order: the
+positions of the word sorted stably by letter, since equal letters go right
+in the left strict tree and left in the right strict one.  The left strict
+tree is the Cartesian tree of that order that is a min-heap on position, the
+right strict tree the max-heap.  So both come from one sort and a linear
+stack pass each, and no function here recurses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .words import AWord
 
 
-@dataclass(frozen=True)
-class Node:
-    label: int
-    left: Optional["Node"] = None
-    right: Optional["Node"] = None
-
-
-#: A BST is a Node or None (the empty tree).
-BST = Optional[Node]
+class BST(NamedTuple):
+    """A binary search tree over in-order positions 0..m-1: the label at each
+    position, the positions of its left and right children, and the root's
+    position, with -1 for none.  Equality and hashing are tuple equality."""
+    labels: tuple[int, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    root: int
 
 
 class TwinPair(NamedTuple):
@@ -30,75 +36,96 @@ class TwinPair(NamedTuple):
     right: BST  # right strict, built right to left
 
 
-def insert_right_strict(t: BST, a: int) -> BST:
-    """Insert into a right strict BST: go right iff a > node label."""
-    if t is None:
-        return Node(a)
-    if a > t.label:
-        return Node(t.label, t.left, insert_right_strict(t.right, a))
-    return Node(t.label, insert_right_strict(t.left, a), t.right)
+def _in_order(w: AWord) -> tuple[list[int], tuple[int, ...]]:
+    """The positions of w sorted stably by letter, and their letters."""
+    s = w.symbols
+    order = sorted(range(len(s)), key=s.__getitem__)
+    return order, tuple(sorted(s))
 
 
-def insert_left_strict(t: BST, a: int) -> BST:
-    """Insert into a left strict BST: go left iff a < node label."""
-    if t is None:
-        return Node(a)
-    if a < t.label:
-        return Node(t.label, insert_left_strict(t.left, a), t.right)
-    return Node(t.label, t.left, insert_left_strict(t.right, a))
+def _heap_tree(labels: tuple[int, ...], keys: list[int]) -> BST:
+    """The Cartesian tree over in-order positions that is a min-heap on the
+    distinct keys: one pass with a stack of the rightmost path."""
+    left = [-1] * len(keys)
+    right = [-1] * len(keys)
+    stack = []
+    for i, key in enumerate(keys):
+        last = -1
+        while stack and keys[stack[-1]] > key:
+            last = stack.pop()
+        left[i] = last
+        if stack:
+            right[stack[-1]] = i
+        stack.append(i)
+    return BST(labels, tuple(left), tuple(right), stack[0] if stack else -1)
 
 
 def p_sylv(w: AWord) -> BST:
     """Right strict insertion tree of w, reading right to left."""
-    t: BST = None
-    for a in reversed(w.symbols):
-        t = insert_right_strict(t, a)
-    return t
+    order, labels = _in_order(w)
+    return _heap_tree(labels, [-p for p in order])
 
 
 def p_sylv_sharp(w: AWord) -> BST:
     """Left strict insertion tree of w, reading left to right."""
-    t: BST = None
-    for a in w.symbols:
-        t = insert_left_strict(t, a)
-    return t
+    order, labels = _in_order(w)
+    return _heap_tree(labels, order)
 
 
 def p_baxt(w: AWord) -> TwinPair:
-    return TwinPair(p_sylv_sharp(w), p_sylv(w))
+    order, labels = _in_order(w)
+    return TwinPair(_heap_tree(labels, order),
+                    _heap_tree(labels, [-p for p in order]))
 
 
 def tree_equal(a: BST, b: BST) -> bool:
     """Structural equality on shape and labels."""
-    if a is None or b is None:
-        return a is b
-    return (a.label == b.label
-            and tree_equal(a.left, b.left)
-            and tree_equal(a.right, b.right))
+    return a == b
 
 
-def to_json_obj(t: BST):
-    """Nested {label, left, right} objects; null for absent children."""
-    if t is None:
-        return None
-    return {"label": t.label, "left": to_json_obj(t.left), "right": to_json_obj(t.right)}
+def _nested(t: BST, head: str, mid: str, end: str, null: str) -> str:
+    """Nested {label, left, right} text in preorder, null for absent
+    children: a node reads head % label, then its left subtree, mid, its
+    right subtree and end."""
+    parts = []
+    todo = [t.root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item < 0:
+            parts.append(null)
+        else:
+            parts.append(head % t.labels[item])
+            todo += (end, t.right[item], mid, t.left[item])
+    return "".join(parts)
+
+
+def to_json(t: BST) -> str:
+    """Compact JSON of nested {label, left, right} objects, null for
+    absent children."""
+    return _nested(t, '{"label":%d,"left":', ',"right":', "}", "null")
+
+
+def to_text(t: BST) -> str:
+    """The repr of nested {label, left, right} dicts, None for absent
+    children."""
+    return _nested(t, "{'label': %d, 'left': ", ", 'right': ", "}", "None")
 
 
 def to_dot(t: BST, name: str = "bst") -> str:
     """Deterministic DOT text: preorder node ids, left edge before right."""
     lines = [f"digraph {name} {{"]
-    counter = [0]
-
-    def walk(node):
-        my_id = f"n{counter[0]}"
-        counter[0] += 1
-        lines.append(f'  {my_id} [label="{node.label}"];')
-        for tag, child in (("L", node.left), ("R", node.right)):
-            if child is not None:
-                lines.append(f'  {my_id} -> n{counter[0]} [label="{tag}"];')
-                walk(child)
-
-    if t is not None:
-        walk(t)
+    todo = [(-1, "", t.root)] if t.root >= 0 else []
+    count = 0
+    while todo:
+        parent, tag, node = todo.pop()
+        if parent >= 0:
+            lines.append(f'  n{parent} -> n{count} [label="{tag}"];')
+        lines.append(f'  n{count} [label="{t.labels[node]}"];')
+        for tag, child in (("R", t.right[node]), ("L", t.left[node])):
+            if child >= 0:
+                todo.append((count, tag, child))
+        count += 1
     lines.append("}")
     return "\n".join(lines) + "\n"

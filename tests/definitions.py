@@ -1,10 +1,10 @@
 """The paper's definitions that only the tests evaluate.
 
 Each is written out as stated, with no speed-up: the segment views pre, suf,
-pren and sufn of the identity characterization, the in-order labels and the
-strictness invariants of the twin binary search trees, reading a tree back
-from its JSON form, the support of a word, and the congruence class of a
-word as the closure under one-step rewriting.  The tests check the library's
+pren and sufn of the identity characterization, the in-order walk, labels
+and strictness invariants of the twin binary search trees, writing a tree as
+nested JSON objects and reading it back, the support of a word, and the
+congruence class of a word as the closure under one-step rewriting.  The tests check the library's
 fast routes against them.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from baxt.monoid import rewrite_neighbors
-from baxt.trees import BST, Node, to_json_obj
+from baxt.trees import BST
 from baxt.words import AWord, IWord
 
 
@@ -66,48 +66,79 @@ def sufn(u: IWord) -> IWord:
 # Twin binary search trees
 # ---------------------------------------------------------------------------
 
+def in_order(t: BST) -> list[int]:
+    """The positions met by walking the child links in-order from the root."""
+    def walk(i):
+        return [] if i < 0 else walk(t.left[i]) + [i] + walk(t.right[i])
+    return walk(t.root)
+
+
 def labels(t: BST) -> list[int]:
     """All labels, in-order (a multiset witness)."""
-    if t is None:
-        return []
-    return labels(t.left) + [t.label] + labels(t.right)
+    return [t.labels[i] for i in in_order(t)]
 
 
 def is_right_strict(t: BST) -> bool:
     """Full-traversal check of the right strict invariant."""
     # In the left subtree of x every label <= x; in the right, strictly > x.
-    def check(node, low_excl, high_incl):
-        if node is None:
+    def check(i, low_excl, high_incl):
+        if i < 0:
             return True
-        if low_excl is not None and not node.label > low_excl:
+        label = t.labels[i]
+        if low_excl is not None and not label > low_excl:
             return False
-        if high_incl is not None and not node.label <= high_incl:
+        if high_incl is not None and not label <= high_incl:
             return False
-        return (check(node.left, low_excl, node.label)
-                and check(node.right, node.label, high_incl))
+        return (check(t.left[i], low_excl, label)
+                and check(t.right[i], label, high_incl))
 
-    return check(t, None, None)
+    return check(t.root, None, None)
 
 
 def is_left_strict(t: BST) -> bool:
     """Full-traversal check of the left strict invariant."""
-    def check(node, low_incl, high_excl):
-        if node is None:
+    def check(i, low_incl, high_excl):
+        if i < 0:
             return True
-        if low_incl is not None and not node.label >= low_incl:
+        label = t.labels[i]
+        if low_incl is not None and not label >= low_incl:
             return False
-        if high_excl is not None and not node.label < high_excl:
+        if high_excl is not None and not label < high_excl:
             return False
-        return (check(node.left, low_incl, node.label)
-                and check(node.right, node.label, high_excl))
+        return (check(t.left[i], low_incl, label)
+                and check(t.right[i], label, high_excl))
 
-    return check(t, None, None)
+    return check(t.root, None, None)
+
+
+def to_json_obj(t: BST):
+    """Nested {label, left, right} objects; None for absent children."""
+    def build(i):
+        if i < 0:
+            return None
+        return {"label": t.labels[i], "left": build(t.left[i]),
+                "right": build(t.right[i])}
+    return build(t.root)
 
 
 def from_json_obj(obj) -> BST:
-    if obj is None:
-        return None
-    return Node(obj["label"], from_json_obj(obj["left"]), from_json_obj(obj["right"]))
+    """The flat tree of nested {label, left, right} objects, its nodes
+    numbered in in-order."""
+    labels, left, right = [], [], []
+
+    def walk(o):
+        if o is None:
+            return -1
+        below = walk(o["left"])
+        i = len(labels)
+        labels.append(o["label"])
+        left.append(below)
+        right.append(-1)
+        right[i] = walk(o["right"])
+        return i
+
+    root = walk(obj)
+    return BST(tuple(labels), tuple(left), tuple(right), root)
 
 
 def to_json(t: BST) -> str:

@@ -6,21 +6,27 @@ occurrence check built on per-letter position lists and bisection (O(k^2)
 pair loops), the recursive term parser with its character-by-character
 lexer, the rank >= 4 component letter maps written out as four families,
 the monoid invariant key with quadratic lpi/rpi scans, and the isoterm
-search that checks every rearrangement of a word, enumerated recursively.
-The tests assert that the library returns the same reports, words, errors,
-letter maps, keys and isoterm partners.  The rank-2 class key reads the
-procedure's statistics off one word, so a test can group words into
-classes without checking every pair.
+search that checks every rearrangement of a word, enumerated recursively,
+and the twin trees as nested nodes built by recursive persistent insertion,
+with their DOT writer.  The tests assert that the library returns the same
+reports, words, errors, letter maps, keys, isoterm partners and trees.  The
+rank-2 class key reads the procedure's statistics off one word, so a test
+can group words into classes without checking every pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 from baxt.checker import (CheckReport, _balance_witness, _no, _yes, check,
                           is_balanced)
-from baxt.words import Atom, Concat, Identity, IVar, IWord, ParseError, Star, Term
+from baxt.trees import BST
+from baxt.words import (AWord, Atom, Concat, Identity, IVar, IWord, ParseError,
+                        Star, Term)
+from definitions import from_json_obj
 
 
 # ---------------------------------------------------------------------------
@@ -499,3 +505,82 @@ def isoterm_partners(u: IWord, n: int) -> list[IWord]:
     accepts as u ~ v, in sorted order."""
     return [v for v in multiset_permutations(u)
             if v != u and check(Identity(u, v), n, witness=False).verdict]
+
+
+# ---------------------------------------------------------------------------
+# Twin trees: nested nodes built by recursive insertion
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Node:
+    label: int
+    left: Optional["Node"] = None
+    right: Optional["Node"] = None
+
+
+def insert_right_strict(t: Optional[Node], a: int) -> Optional[Node]:
+    """Insert into a right strict BST: go right iff a > node label."""
+    if t is None:
+        return Node(a)
+    if a > t.label:
+        return Node(t.label, t.left, insert_right_strict(t.right, a))
+    return Node(t.label, insert_right_strict(t.left, a), t.right)
+
+
+def insert_left_strict(t: Optional[Node], a: int) -> Optional[Node]:
+    """Insert into a left strict BST: go left iff a < node label."""
+    if t is None:
+        return Node(a)
+    if a < t.label:
+        return Node(t.label, insert_left_strict(t.left, a), t.right)
+    return Node(t.label, t.left, insert_left_strict(t.right, a))
+
+
+def p_sylv(w: AWord) -> Optional[Node]:
+    """Right strict insertion tree of w, reading right to left."""
+    t = None
+    for a in reversed(w.symbols):
+        t = insert_right_strict(t, a)
+    return t
+
+
+def p_sylv_sharp(w: AWord) -> Optional[Node]:
+    """Left strict insertion tree of w, reading left to right."""
+    t = None
+    for a in w.symbols:
+        t = insert_left_strict(t, a)
+    return t
+
+
+def to_dot(t: Optional[Node], name: str = "bst") -> str:
+    """DOT text of a nested tree: preorder node ids, left edge before right."""
+    lines = [f"digraph {name} {{"]
+    counter = [0]
+
+    def walk(node):
+        my_id = f"n{counter[0]}"
+        counter[0] += 1
+        lines.append(f'  {my_id} [label="{node.label}"];')
+        for tag, child in (("L", node.left), ("R", node.right)):
+            if child is not None:
+                lines.append(f'  {my_id} -> n{counter[0]} [label="{tag}"];')
+                walk(child)
+
+    if t is not None:
+        walk(t)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def to_nested(t: BST) -> Optional[Node]:
+    """The nested form of a flat tree."""
+    def build(i):
+        if i < 0:
+            return None
+        return Node(t.labels[i], build(t.left[i]), build(t.right[i]))
+    return build(t.root)
+
+
+def from_nested(node: Optional[Node]) -> BST:
+    """The flat form of a nested tree: its nodes numbered in in-order."""
+    return from_json_obj(None if node is None else asdict(node))

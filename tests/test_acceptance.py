@@ -89,8 +89,9 @@ def test_criterion_01_worked_examples():
         w = parse_aword("36131512665", 6)
         assert rpi(w) == {(2, 1, 1), (5, 2, 1), (5, 3, 2)}
         assert lpi(w) == {(1, 2, 3), (3, 5, 2), (3, 6, 1)}
-        assert p_sylv(w).label == 5
-        assert p_sylv_sharp(w).label == 3
+        right, left = p_sylv(w), p_sylv_sharp(w)
+        assert right.labels[right.root] == 5
+        assert left.labels[left.root] == 3
 
         u = iword("x* z x y* x y z z x")
         from baxt.words import bar, content, final_part, initial_part

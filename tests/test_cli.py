@@ -2,12 +2,15 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+import reference_routes as ref
 from baxt import cli, oracle
 from baxt.cli import run
 from baxt.monoid import canonical, element_to_json_obj
@@ -92,6 +95,83 @@ def test_repr_golden_output(capsys, case):
         assert hashlib.sha256(data).hexdigest() == case["sha256"]
 
 
+# `trees` output in every format, recorded from the recursive nested trees
+# before the trees became flat arrays; outputs over 1,000 bytes are kept as
+# a sha256 digest of the UTF-8 bytes.
+TREES_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "trees_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", TREES_GOLDEN,
+                         ids=lambda c: " ".join(c["argv"][1:])[:40])
+def test_trees_golden_output(capsys, case):
+    assert run(case["argv"]) == 0
+    out = out_of(capsys)
+    if "stdout" in case:
+        assert out == case["stdout"]
+    else:
+        data = out.encode()
+        assert len(data) == case["bytes"]
+        assert hashlib.sha256(data).hexdigest() == case["sha256"]
+
+
+def test_trees_of_a_long_run_of_one_letter(capsys):
+    # 50,000 equal letters: the left strict tree is a chain of right
+    # children, the right strict tree a chain of left children
+    m = 50_000
+
+    def chains(head, mid, null):
+        """Both trees as nested text: each node reads head, left, mid,
+        right, "}"."""
+        return ((head + null + mid) * m + null + "}" * m,
+                head * m + null + (mid + null + "}") * m)
+
+    assert run(["trees", "1" * m, "--n", "1", "--format", "json"]) == 0
+    left, right = chains('{"label":1,"left":', ',"right":', "null")
+    assert out_of(capsys) == f'{{"left":{left},"right":{right}}}\n'
+    assert run(["trees", "1" * m, "--n", "1"]) == 0
+    left, right = chains("{'label': 1, 'left': ", ", 'right': ", "None")
+    assert out_of(capsys) == f"left strict:  {left}\nright strict: {right}\n"
+    assert run(["trees", "1" * m, "--n", "1", "--format", "dot"]) == 0
+    for tag, graph in zip("RL", out_of(capsys).split("}\n")[:2]):
+        lines = graph.splitlines()
+        assert len(lines) == 1 + m + (m - 1)
+        assert lines[-2:] == [f'  n{m - 2} -> n{m - 1} [label="{tag}"];',
+                              f'  n{m - 1} [label="1"];']
+
+
+@pytest.fixture(scope="module")
+def deep_rank3_reference():
+    """A random rank-3 word of 3,000 letters, whose twin trees are over
+    1,000 levels deep, and its `trees` output in each format from the
+    recursive nested trees, built under a raised recursion limit."""
+    rng = random.Random(3)
+    text = "".join(rng.choice("123") for _ in range(3000))
+    w = parse_aword(text, 3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        left, right = ref.p_sylv_sharp(w), ref.p_sylv(w)
+        return text, {
+            "text": f"left strict:  {asdict(left)}\n"
+                    f"right strict: {asdict(right)}\n",
+            "json": json.dumps({"left": asdict(left), "right": asdict(right)},
+                               separators=(",", ":")) + "\n",
+            "dot": ref.to_dot(left, "left_strict") + ref.to_dot(right, "right_strict"),
+        }
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_trees_of_a_deep_rank3_word(capsys, deep_rank3_reference, fmt):
+    text, expected = deep_rank3_reference
+    assert run(["trees", text, "--n", "3", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == expected[fmt]
+
+
 # `--help` output of baxt and of every subcommand at 80 columns, recorded
 # before the subcommands bound their handlers in the parser.
 HELP_GOLDEN = json.loads(
@@ -128,6 +208,24 @@ def test_family_pipes_into_check_id(capsys):
     b2 = out_of(capsys)
     assert len(b2.splitlines()) == 44
     assert run(["check-id", "--n", "2"], stdin_text=b2) == 0
+
+
+def test_family_k_is_for_pkqk_only(capsys):
+    # pk_qk needs k >= 2, so argparse refuses a smaller k
+    assert run(["family", "pkqk", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and "must be >= 2" in captured.err
+    for name in ("basis2", "basis4", "reverses"):
+        assert run(["family", name, "--k", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --k applies to pkqk only, not to {name}\n"
+        # the default k, spelled out, changes nothing
+        assert run(["family", name, "--k", "2"]) == 0
+        spelled = out_of(capsys)
+        assert run(["family", name]) == 0
+        assert out_of(capsys) == spelled != ""
 
 
 def test_family_reverses(capsys):
@@ -325,8 +423,11 @@ def test_invalid_bounds_are_usage_errors(capsys, argv):
     assert "error: argument --" in captured.err and "must be >=" in captured.err
 
 
-def test_unexpected_errors_exit_2_without_traceback(capsys):
-    # the recursive tree insertion overflows the stack on 1500 equal letters
+def test_unexpected_errors_exit_2_without_traceback(capsys, monkeypatch):
+    def overflow(w):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "p_baxt", overflow)
     assert run(["trees", "1" * 1500, "--n", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -337,7 +438,7 @@ def test_unexpected_errors_exit_2_without_traceback(capsys):
 def test_smallest_valid_bounds(capsys):
     assert run(["oracle", "x ~= x", "--n", "2", "--max-len", "0"]) == 0
     assert run(["oracle", "x ~= x", "--n", "2", "--samples", "1", "--jobs", "1"]) == 0
-    assert run(["family", "basis4", "--k", "1"]) == 0
+    assert run(["family", "pkqk", "--k", "2"]) == 0
 
 
 def test_deeply_nested_term(capsys):

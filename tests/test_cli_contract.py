@@ -8,9 +8,7 @@ drawn, the exit code is 0, 1 or 2; a 1 comes only with a printed NO,
 
 Ranks stay at most 12, except for drawn huge ranks, which the commands that
 would build something of that size must refuse.  max_len stays at most 2 and
-words at most 30 letters.  Deep twin trees (`error: internal
-RecursionError` past ~1,000 levels) are ROADMAP item 2 and lie outside this
-size range.
+words at most 30 letters; `tests/test_cli.py` runs `trees` on deep words.
 """
 
 import contextlib
