@@ -4,7 +4,9 @@ The brute-force engine substitutes every tuple of monoid classes (built from
 words up to a length bound) for the variables of an identity and looks for a
 falsifying assignment.  It is a bounded refuter, never a decision procedure:
 its positive outcome only means no counterexample within the bound.  One
-loop evaluates assignments until one refutes the identity.  The full scan
+loop evaluates assignments until one refutes the identity.  An assignment
+whose two image words are equal is decided without keys, since one word is
+one class; only different words are compared by their keys.  The full scan
 feeds it the grid in chunks of first-base class indices, in order, and
 stops at the first refuting chunk; the chunks run in this process, or with
 jobs > 1 in a pool of processes, and give the same witness and evaluation
@@ -85,10 +87,11 @@ def identity_bases(ident: Identity) -> list[str]:
     return sorted({x.base for x in ident.lhs + ident.rhs})
 
 
-def _side_keys(ident: Identity, bases, classes, n: int):
+def _side_images(ident: Identity, bases, classes):
     """A function from class indices, one per base in the order of bases,
-    to the keys of both sides with each base sent to its class.  Starred
-    letters go to the involution of the base image."""
+    to the words of both sides with each base sent to its class's
+    representative.  Starred letters go to the involution of the base
+    image."""
     plain = [e.representative.symbols for e in classes]
     starred = [sharp_word(e.representative).symbols for e in classes]
     base_pos = {b: i for i, b in enumerate(bases)}
@@ -101,9 +104,9 @@ def _side_keys(ident: Identity, bases, classes, n: int):
             out.extend(starred[idxs[bi]] if st else plain[idxs[bi]])
         return tuple(out)
 
-    def keys(idxs):
-        return key_of(image(lhs_ops, idxs), n), key_of(image(rhs_ops, idxs), n)
-    return keys
+    def images(idxs):
+        return image(lhs_ops, idxs), image(rhs_ops, idxs)
+    return images
 
 
 def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
@@ -125,8 +128,10 @@ def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
 def _substitution_keys(ident: Identity, bases, sub):
     """The keys of both sides with each of the (nonempty) bases b sent to
     the class sub[b]; the classes share one rank."""
-    images = [sub[b] for b in bases]
-    return _side_keys(ident, bases, images, images[0].rank)(range(len(bases)))
+    classes = [sub[b] for b in bases]
+    n = classes[0].rank
+    lhs, rhs = _side_images(ident, bases, classes)(range(len(bases)))
+    return key_of(lhs, n), key_of(rhs, n)
 
 
 @dataclass(frozen=True)
@@ -149,12 +154,13 @@ def default_max_len(num_bases: int) -> int:
 def _evaluate(ident, bases, classes, n, assignments):
     """Evaluate both sides on each assignment (class indices in the order
     of bases) up to the first that refutes the identity.  Returns it (None
-    if there is none) and the number of evaluations."""
-    keys = _side_keys(ident, bases, classes, n)
+    if there is none) and the number of evaluations.  Equal image words are
+    one class, so only different words get their keys compared."""
+    images = _side_images(ident, bases, classes)
     count = 0
     for count, idxs in enumerate(assignments, 1):
-        lhs_key, rhs_key = keys(idxs)
-        if lhs_key != rhs_key:
+        lhs, rhs = images(idxs)
+        if lhs != rhs and key_of(lhs, n) != key_of(rhs, n):
             return {b: classes[i] for b, i in zip(bases, idxs)}, count
     return None, count
 
@@ -237,11 +243,13 @@ def _first_refutation(scans, n, max_len) -> OracleResult:
 def sample_check(ident: Identity, n: int, max_len: int, samples: int,
                  seed: int = 0) -> OracleResult:
     """Uniform random draws from the same grid; deterministic for a seed.
-    A class table over the budget is refused before it is enumerated."""
+    More samples than the budget, or a class table over it, are refused
+    before anything is enumerated or drawn."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    check_budget(samples, f"{samples} samples")
     bases = identity_bases(ident)
     classes = _class_table(n, max_len)
     rng = random.Random(seed)

@@ -7,22 +7,29 @@ pair loops), the recursive term parser with its character-by-character
 lexer, the rank >= 4 component letter maps written out as four families,
 the monoid invariant key with quadratic lpi/rpi scans, and the isoterm
 search that checks every rearrangement of a word, enumerated recursively,
-and the twin trees as nested nodes built by recursive persistent insertion,
-with their DOT writer.  The tests assert that the library returns the same
-reports, words, errors, letter maps, keys, isoterm partners and trees.  The
+the twin trees as nested nodes built by recursive persistent insertion,
+with their DOT writer, and the oracle's evaluation loop that compares the
+keys of both sides on every assignment, equal image words included.  The
+tests assert that the library returns the same reports, words, errors,
+letter maps, keys, isoterm partners, trees, witnesses and evaluation
+counts.  The
 rank-2 class key reads the procedure's statistics off one word, so a test
 can group words into classes without checking every pair.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import product
 from typing import Optional
 
 from baxt.checker import (CheckReport, _balance_witness, _no, _yes, check,
                           is_balanced)
+from baxt.monoid import key_of as fast_key_of, sharp_word
+from baxt.oracle import enumerate_classes
 from baxt.trees import BST
 from baxt.words import (AWord, Atom, Concat, Identity, IVar, IWord, ParseError,
                         Star, Term)
@@ -584,3 +591,49 @@ def to_nested(t: BST) -> Optional[Node]:
 def from_nested(node: Optional[Node]) -> BST:
     """The flat form of a nested tree: its nodes numbered in in-order."""
     return from_json_obj(None if node is None else asdict(node))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: both sides' keys on every assignment
+# ---------------------------------------------------------------------------
+
+def _oracle_evaluate(ident: Identity, n: int, max_len: int, assignments):
+    """The first assignment (class indices, one per base in sorted order)
+    whose two sides have different keys, as a base -> class map (None if
+    there is none), and the number of assignments evaluated.  The keys are
+    the library's, which the tests hold to key_of above."""
+    classes = enumerate_classes(n, max_len)
+    bases = sorted({x.base for x in ident.lhs + ident.rhs})
+    plain = [e.representative.symbols for e in classes]
+    starred = [sharp_word(e.representative).symbols for e in classes]
+
+    def side_key(side, sub):
+        out = []
+        for x in side:
+            out.extend((starred if x.starred else plain)[sub[x.base]])
+        return fast_key_of(tuple(out), n)
+
+    count = 0
+    for count, idxs in enumerate(assignments, 1):
+        sub = dict(zip(bases, idxs))
+        if side_key(ident.lhs, sub) != side_key(ident.rhs, sub):
+            return {b: classes[i] for b, i in sub.items()}, count
+    return None, count
+
+
+def oracle_scan(ident: Identity, n: int, max_len: int):
+    """The full grid, row-major over the bases in sorted order."""
+    m = len(enumerate_classes(n, max_len))
+    nbases = len({x.base for x in ident.lhs + ident.rhs})
+    return _oracle_evaluate(ident, n, max_len,
+                            product(range(m), repeat=nbases))
+
+
+def oracle_sample(ident: Identity, n: int, max_len: int, samples: int,
+                  seed: int = 0):
+    """Seeded uniform draws from the grid, one base after another."""
+    m = len(enumerate_classes(n, max_len))
+    nbases = len({x.base for x in ident.lhs + ident.rhs})
+    rng = random.Random(seed)
+    draws = ([rng.randrange(m) for _ in range(nbases)] for _ in range(samples))
+    return _oracle_evaluate(ident, n, max_len, draws)

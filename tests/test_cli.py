@@ -348,8 +348,10 @@ def _nothing_built(*args):
      "1608040200 class table entries "),
     (["oracle", "x y ~= y x", "--n", "60", "--max-len", "3", "--samples", "1"],
      "13179660 class table entries "),
+    (["oracle", "x ~= x", "--n", "2", "--samples", "100000000000"],
+     "error: 100000000000 samples exceed the budget of 10000000\n"),
 ], ids=["canon", "equiv", "repr", "repr-272", "materialize", "oracle-table",
-        "oracle-samples"])
+        "oracle-samples", "oracle-sample-count"])
 def test_over_budget_ranks_exit_2_before_building(capsys, monkeypatch, argv,
                                                   message):
     for name in ("canonical", "equivalent", "phi_n", "materialize"):

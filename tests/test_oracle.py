@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_routes as ref
 from baxt import oracle
 from baxt.checker import is_balanced
-from baxt.families import basis4
+from baxt.families import basis2, basis4, pk_qk
 from baxt.monoid import RankMismatchError, canonical
 from baxt.oracle import (BudgetExceededError, UnassignedVariableError,
                          brute_force_check, comm_assignments, comm_check,
@@ -131,6 +132,13 @@ def test_huge_bounds_are_refused_at_once(monkeypatch):
         brute_force_check(ident(side, side), 60, 3)
 
 
+def test_over_budget_samples_are_refused_before_drawing(monkeypatch):
+    monkeypatch.setattr(oracle, "enumerate_classes", _no_enumeration)
+    with pytest.raises(BudgetExceededError,
+                       match="^100000000000 samples exceed the budget of 10000000$"):
+        sample_check(ident("x", "x"), 2, 3, 10 ** 11)
+
+
 def test_budget_errors_are_value_errors():
     assert issubclass(BudgetExceededError, ValueError)
     oracle.check_budget(oracle.DEFAULT_BUDGET, "things")
@@ -219,12 +227,87 @@ def test_sample_check_draws_are_pinned(text, n, max_len, samples, seed, witness,
     assert (found, res.evaluations) == (witness, evaluations)
 
 
+def _reps(witness):
+    return None if witness is None else {
+        b: str(e.representative) for b, e in witness.items()}
+
+
+def _near_miss(idn, i):
+    """idn with the first two different adjacent letters of its right side
+    from position i on (cyclically) swapped."""
+    rhs = list(idn.rhs)
+    for j in [*range(i, len(rhs) - 1), *range(i)]:
+        if rhs[j] != rhs[j + 1]:
+            rhs[j], rhs[j + 1] = rhs[j + 1], rhs[j]
+            return Identity(idn.lhs, tuple(rhs))
+    raise AssertionError(f"no swap in {idn}")
+
+
+def _differential_cases():
+    """Every basis2, basis4 and pk_qk(2) row and one near miss of each, with
+    ranks 2-4 and max_len 1-2 in turn; and x y ~= y x and x x* ~= x* x at
+    every rank and max_len.  The full scan runs where the grid has at most
+    16,000 assignments, the sampler everywhere."""
+    bounds = [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2), (4, 2)]
+    cases = []
+    for i, row in enumerate(basis2() + basis4() + [pk_qk(2)]):
+        n, max_len = bounds[i % len(bounds)]
+        cases.append((row, n, max_len))
+        cases.append((_near_miss(row, i % (len(row.rhs) - 1)), n, max_len))
+    for text in ("x y ~= y x", "x x* ~= x* x"):
+        cases += [(parse_identity(text), n, m) for n, m in bounds]
+    return cases
+
+
+def test_oracle_matches_the_reference_evaluation_loop():
+    # the reference compares both sides' keys on every assignment; the
+    # oracle skips the keys where the two image words are equal
+    refuted = scanned = 0
+    for seed, (idn, n, max_len) in enumerate(_differential_cases()):
+        grid = len(enumerate_classes(n, max_len)) ** len(oracle.identity_bases(idn))
+        if grid <= 16000:
+            witness, count = ref.oracle_scan(idn, n, max_len)
+            for jobs in (1, 2):
+                res = brute_force_check(idn, n, max_len, jobs=jobs)
+                assert (_reps(res.witness), res.evaluations, res.exhaustive) \
+                    == (_reps(witness), count, True), (idn, n, max_len)
+            refuted += witness is not None
+            scanned += 1
+        witness, count = ref.oracle_sample(idn, n, max_len, 200, seed)
+        res = sample_check(idn, n, max_len, 200, seed)
+        assert (_reps(res.witness), res.evaluations, res.exhaustive) \
+            == (_reps(witness), count, False), (idn, n, max_len, seed)
+    # both outcomes of a scan are covered
+    assert 0 < refuted < scanned
+
+
+def test_equal_image_words_are_decided_without_keys(monkeypatch):
+    enumerate_classes(3, 2)  # cached before counting
+    calls = []
+    real = oracle.key_of
+
+    def counting(symbols, n):
+        calls.append(symbols)
+        return real(symbols, n)
+    monkeypatch.setattr(oracle, "key_of", counting)
+    u = iword("x y* x")
+    res = brute_force_check(Identity(u, u), 3, 2)
+    assert calls == []
+    assert not res.refuted and res.evaluations == len(enumerate_classes(3, 2)) ** 2
+    # different image words are still compared by their keys
+    assert brute_force_check(ident("x y", "y x"), 2, 1).refuted
+    assert calls
+
+
 def test_witness_json():
     idn = ident("x y", "y x")
     res = brute_force_check(idn, 2, 1)
     obj = witness_to_json_obj(idn, res)
-    assert obj["assignment"] == {"x": "1", "y": "2"}
-    assert obj["lhs_key"] != obj["rhs_key"]
+    assert obj == {
+        "assignment": {"x": "1", "y": "2"},
+        "lhs_key": {"ev": [1, 1], "lpi": [[1, 2, 1]], "rpi": [[2, 1, 1]]},
+        "rhs_key": {"ev": [1, 1], "lpi": [], "rpi": []},
+    }
     assert witness_to_json_obj(idn, brute_force_check(ident("x", "x"), 2, 1)) is None
 
 
