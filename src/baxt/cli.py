@@ -257,6 +257,10 @@ def _cmd_family(args, stdin_text):
     # only pkqk has a k; the others take just the default, spelled out or not
     if args.name != "pkqk" and args.k != _DEFAULT_K:
         raise ValueError(f"--k applies to pkqk only, not to {args.name}")
+    if args.name == "pkqk":
+        letters = 12 * args.k + 12  # 6k + 6 a side
+        oracle.check_budget(letters, f"the {letters} letters of "
+                                     f"p_{args.k} ~= q_{args.k}")
     for ident in _FAMILIES[args.name](args.k):
         print(f"{format_iword(ident.lhs)} ~= {format_iword(ident.rhs)}")
     return 0

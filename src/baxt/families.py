@@ -71,30 +71,18 @@ def basis4() -> list[Identity]:
     return [_row("x", "y", "x", "y"), _row("x", "y", "y", "x")]
 
 
-def pk_qk(k: int, pi=None, sigma=None) -> Identity:
-    """The pair p_k ~ q_k; optional permutations of 1..2k rearrange the
-    middle variable run on either side (identity permutations recover the
-    named words)."""
+def pk_qk(k: int) -> Identity:
+    """The pair p_k ~ q_k (k >= 2); each side has 6k + 6 letters, and the two
+    differ only at the ends of the middle run x1 ... x2k."""
     if k < 2:
         raise ValueError("pk_qk needs k >= 2")
-    m = 2 * k
-    if pi is None:
-        pi = tuple(range(1, m + 1))
-    if sigma is None:
-        sigma = tuple(range(1, m + 1))
-    for perm in (pi, sigma):
-        if sorted(perm) != list(range(1, m + 1)):
-            raise ValueError(f"not a permutation of 1..{m}: {perm}")
     x = IVar("x")
     xs = x.star()
-    xi = [IVar(f"x{i}") for i in range(1, m + 1)]
-    head = tuple(t.star() for t in xi)
-    tail = tuple(xi[i].star() for i in range(0, m, 2)) \
-        + tuple(xi[i].star() for i in range(1, m, 2))
-    p = head + (x, xs) + (xs,) + tuple(xi[i - 1] for i in pi) + (x,) \
-        + (xs, x) + tail
-    q = head + (x, xs) + (x,) + tuple(xi[i - 1] for i in sigma) + (xs,) \
-        + (xs, x) + tail
+    head = tuple(IVar(f"x{i}", True) for i in range(1, 2 * k + 1))
+    mid = tuple(t.bare() for t in head)
+    tail = head[0::2] + head[1::2]
+    p = head + (x, xs, xs) + mid + (x, xs, x) + tail
+    q = head + (x, xs, x) + mid + (xs, xs, x) + tail
     return Identity(p, q)
 
 

@@ -19,6 +19,7 @@ identities are exactly the balanced ones.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -181,9 +182,10 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
     larger than DEFAULT_BUDGET raises instead of silently truncating, and
     before the classes are enumerated when a lower bound on its size, or
     the class table itself, is already larger.  The grid is cut into one
-    chunk per job.  The chunks come back in enumeration order, and every
-    chunk before the first refuting one was scanned in full, so the witness
-    and the count do not depend on jobs.
+    chunk per job, and jobs is first capped at the number of CPUs and of
+    first-base classes.  The chunks come back in enumeration order, and
+    every chunk before the first refuting one was scanned in full, so the
+    witness and the count do not depend on jobs.
     """
     if max_len is not None and max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -218,8 +220,12 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
 
     scan = partial(_scan, ident, bases, classes, n)
     m = len(classes)
+    if jobs > 1:
+        # at most one process per CPU and per first-base class, so no chunk
+        # is empty (os.cpu_count reads the system, so one job skips it)
+        jobs = min(jobs, m, os.cpu_count() or 1)
     bounds = [(i * m) // jobs for i in range(jobs + 1)]
-    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if jobs == 1:
         return _first_refutation(map(scan, chunks), n, max_len)
     # imported only here: the process pool machinery would add to the

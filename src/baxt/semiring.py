@@ -102,9 +102,6 @@ class UTMatrix:
     def __hash__(self):
         return hash(tuple(self._entries()))
 
-    def __matmul__(self, other: "UTMatrix") -> "UTMatrix":
-        return mat_mul(self, other)
-
     def __repr__(self):
         return f"UTMatrix({self.blocks!r})"
 

@@ -269,20 +269,22 @@ def parse_term(text: str) -> Term:
 
 def _parse_term(text: str, pos: int, endpos: int) -> Term:
     """The term in text[pos:endpos]; error positions index all of text."""
-    leaves = {}     # token -> its Atom, or Star chain over the Atom
+    atoms = {}      # identifier -> its Atom
     groups = []     # parts of the enclosing, still open parentheses
     parts = []
     for tok in _lex_term(text, pos, endpos):
-        node = leaves.get(tok)
+        node = atoms.get(tok)
         if node is None:
-            c = tok[0]
-            if c == "(":
+            if tok == "*":
+                if not parts:
+                    raise ParseError("dangling star")
+                parts[-1] = Star(parts[-1])
+                continue
+            if tok == "(":
                 groups.append(parts)
                 parts = []
                 continue
-            if c == "*":
-                raise ParseError("dangling star")
-            if c == ")":
+            if tok == ")":
                 if not parts:
                     raise ParseError("empty term")
                 if not groups:
@@ -290,12 +292,7 @@ def _parse_term(text: str, pos: int, endpos: int) -> Term:
                 node = parts[0] if len(parts) == 1 else Concat(tuple(parts))
                 parts = groups.pop()
             else:
-                # an identifier holds no star and no space
-                node = Atom(IVar(tok.partition("*")[0].rstrip(), False))
-            for _ in range(tok.count("*")):
-                node = Star(node)
-            if c != ")":
-                leaves[tok] = node
+                node = atoms[tok] = Atom(IVar(tok, False))
         parts.append(node)
     if not parts:
         raise ParseError("empty term")
@@ -304,10 +301,9 @@ def _parse_term(text: str, pos: int, endpos: int) -> Term:
     return parts[0] if len(parts) == 1 else Concat(tuple(parts))
 
 
-# One token per match: an identifier or a closing parenthesis together with
-# the stars that follow it, an opening parenthesis, a star that follows
-# nothing, or any other single non-space character (always an error).
-_TOKEN = re.compile(r"(?:\w+|\))(?:\s*\*)*|[(*]|\S")
+# One token per match: an identifier, or any single non-space character
+# (a parenthesis, a star, or anything else, which is always an error).
+_TOKEN = re.compile(r"\w+|\S")
 
 
 def _lex_term(text: str, pos: int, endpos: int) -> list:
@@ -321,8 +317,8 @@ def _lex_term(text: str, pos: int, endpos: int) -> list:
     return tokens
 
 
-# A token of a plain side, if `_well_formed` too: the identifier and stars
-# of one `_TOKEN` match, with no space between them (`\w` also takes digits
+# A token of a plain side, if `_well_formed` too: an identifier and the
+# stars that follow it, with no space between them (`\w` also takes digits
 # and numerals such as '²', which `_well_formed` rejects as a first character).
 _LETTER = re.compile(r"\w+\**")
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import reference_routes as ref
-from baxt import cli, oracle
+from baxt import cli, families, oracle
 from baxt.cli import run
 from baxt.monoid import canonical, element_to_json_obj
 from baxt.represent import TupleElement, phi2
@@ -350,13 +350,17 @@ def _nothing_built(*args):
      "13179660 class table entries "),
     (["oracle", "x ~= x", "--n", "2", "--samples", "100000000000"],
      "error: 100000000000 samples exceed the budget of 10000000\n"),
+    (["family", "pkqk", "--k", HUGE],
+     f"error: the 1200000000000000000000 letters of p_{HUGE} ~= q_{HUGE} "
+     "exceed the budget of 10000000\n"),
 ], ids=["canon", "equiv", "repr", "repr-272", "materialize", "oracle-table",
-        "oracle-samples", "oracle-sample-count"])
+        "oracle-samples", "oracle-sample-count", "family-pkqk"])
 def test_over_budget_ranks_exit_2_before_building(capsys, monkeypatch, argv,
                                                   message):
     for name in ("canonical", "equivalent", "phi_n", "materialize"):
         monkeypatch.setattr(cli, name, _nothing_built)
     monkeypatch.setattr(oracle, "enumerate_classes", _no_enumeration)
+    monkeypatch.setattr(families, "pk_qk", _nothing_built)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,8 +7,9 @@ drawn, the exit code is 0, 1 or 2; a 1 comes only with a printed NO,
 `error:` line or argparse usage, never `error: internal`.
 
 Ranks stay at most 12, except for drawn huge ranks, which the commands that
-would build something of that size must refuse.  max_len stays at most 2 and
-words at most 30 letters; `tests/test_cli.py` runs `trees` on deep words.
+would build something of that size must refuse; `family pkqk` must refuse a
+drawn huge k.  max_len stays at most 2 and words at most 30 letters;
+`tests/test_cli.py` runs `trees` on deep words.
 """
 
 import contextlib
@@ -90,8 +91,9 @@ def invocations(draw):
     if cmd == "family":
         name = draw(st.sampled_from(["basis2", "basis4", "pkqk", "reverses",
                                      "nope"]))
-        k = draw(st.one_of(st.integers(1, 4).map(str), bad_ranks))
-        return [cmd, name, "--k", k], None, None
+        k = draw(st.one_of(st.integers(1, 4).map(str), bad_ranks,
+                           st.sampled_from(HUGE)))
+        return [cmd, name, "--k", k], None, k
     choice = draw(st.sampled_from(["valid"] * 18 + ["huge", "bad"]))
     materialize = cmd == "repr" and draw(one_in(4))
     oracle_scan = cmd == "oracle" and draw(st.booleans())
@@ -174,7 +176,7 @@ def test_exit_codes_keep_the_contract(invocation):
         else:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     if rank in HUGE and not err.startswith("usage: "):
-        if argv[0] in BUILDS_BY_RANK:
+        if argv[0] in BUILDS_BY_RANK or argv[:2] == ["family", "pkqk"]:
             assert code == 2 and out == "", (argv, out)
         if argv[0] == "oracle":
             assert code != 1 and "refuted" not in out, (argv, out)

@@ -30,13 +30,17 @@ def test_pk_qk_shape():
 
 
 def test_pk_qk_permutations():
-    idn = pk_qk(2, pi=(2, 1, 3, 4))
-    assert idn.lhs[3:9] != pk_qk(2).lhs[3:9]
-    assert is_balanced(idn)
+    # the middle run is x1 ... x2k in order on both sides, and the tail
+    # takes the odd-numbered letters before the even-numbered ones
+    for k in range(2, 6):
+        idn = pk_qk(k)
+        xs = [f"x{i}" for i in range(1, 2 * k + 1)]
+        mid = iword(" ".join(xs))
+        assert idn.lhs[2 * k + 3:4 * k + 3] == idn.rhs[2 * k + 3:4 * k + 3] == mid
+        tail = iword(" ".join(t + "*" for t in xs[0::2] + xs[1::2]))
+        assert idn.lhs[-2 * k:] == idn.rhs[-2 * k:] == tail
     with pytest.raises(ValueError):
         pk_qk(1)
-    with pytest.raises(ValueError):
-        pk_qk(2, pi=(1, 1, 2, 3))
 
 
 def test_basis2_contents():

@@ -169,6 +169,39 @@ def test_brute_force_parallel_matches_serial():
                     == {b: str(e.representative) for b, e in parallel.witness.items()}
 
 
+def test_pool_holds_at_most_one_process_per_cpu_and_class(monkeypatch):
+    # a stand-in pool that records its size and maps in this process, so
+    # no process starts
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    idn = ident("x y", "y x")
+    serial = brute_force_check(idn, 2, 1)
+    classes = len(enumerate_classes(2, 1))
+    assert brute_force_check(idn, 2, 1, jobs=10**6) == serial
+    assert all(size <= min(classes, os.cpu_count()) for size in sizes)
+    # with more CPUs than classes, the classes bound the pool; with fewer,
+    # the CPUs do
+    for cpus, size in ((64, classes), (2, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert brute_force_check(idn, 2, 1, jobs=10**6) == serial
+        assert sizes[-1] == size
+
+
 def test_invalid_bounds_are_rejected():
     # an exhaustive "no counterexample" over no grid would say that an
     # unbalanced identity holds
