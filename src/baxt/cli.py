@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--max-len": {"type": _at_least(0), "default": None},
                 "--samples": {"type": _at_least(1), "default": None, "help":
                               "sample the grid instead of scanning all of it"},
-                "--seed": {"type": int, "default": 0},
+                "--seed": {"type": int, "default": None},
                 "--jobs": {"type": _at_least(1), "default": 1}})
 
     p = sub.add_parser("family", help="emit a named identity family")
@@ -217,12 +217,14 @@ def _cmd_check_id(args, stdin_text):
 def _cmd_oracle(args, stdin_text):
     if args.samples is not None and args.jobs > 1:
         raise ValueError("--jobs applies to the full scan, not to --samples")
+    if args.samples is None and args.seed is not None:
+        raise ValueError("--seed applies to --samples, not to the full scan")
 
     def decide(ident):
         if args.samples is not None:
             max_len = args.max_len if args.max_len is not None else 2
             res = oracle.sample_check(ident, args.n, max_len, args.samples,
-                                      args.seed)
+                                      args.seed or 0)
         else:
             res = oracle.brute_force_check(ident, args.n, args.max_len,
                                            jobs=args.jobs)

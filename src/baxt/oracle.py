@@ -6,7 +6,10 @@ falsifying assignment.  It is a bounded refuter, never a decision procedure:
 its positive outcome only means no counterexample within the bound.  One
 loop evaluates assignments until one refutes the identity.  An assignment
 whose two image words are equal is decided without keys, since one word is
-one class; only different words are compared by their keys.  The full scan
+one class; only different words are compared by their keys.  The words are
+compared on the images of the two sides' differing middles alone, as P x S
+and P y S are equal words exactly when x and y are; sides that are one word
+have no middles, and their assignments are only counted.  The full scan
 feeds it the grid in chunks of first-base class indices, in order, and
 stops at the first refuting chunk; the chunks run in this process, or with
 jobs > 1 in a pool of processes, and give the same witness and evaluation
@@ -89,15 +92,27 @@ def identity_bases(ident: Identity) -> list[str]:
 
 
 def _side_images(ident: Identity, bases, classes):
-    """A function from class indices, one per base in the order of bases,
-    to the words of both sides with each base sent to its class's
-    representative.  Starred letters go to the involution of the base
-    image."""
+    """Two functions of class indices, one per base in the order of bases.
+    images gives the words of both sides with each base sent to its class's
+    representative; starred letters go to the involution of the base image.
+    differ tells whether those two words differ, from the images of the
+    sides without their common prefix and suffix of letters; it is None
+    when the two sides are one word, as then no assignment tells them
+    apart."""
     plain = [e.representative.symbols for e in classes]
     starred = [sharp_word(e.representative).symbols for e in classes]
     base_pos = {b: i for i, b in enumerate(bases)}
     lhs_ops = [(base_pos[x.base], x.starred) for x in ident.lhs]
     rhs_ops = [(base_pos[x.base], x.starred) for x in ident.rhs]
+    short = min(len(lhs_ops), len(rhs_ops))
+    p = 0
+    while p < short and lhs_ops[p] == rhs_ops[p]:
+        p += 1
+    s = 0
+    while s < short - p and lhs_ops[-1 - s] == rhs_ops[-1 - s]:
+        s += 1
+    lhs_mid = lhs_ops[p:len(lhs_ops) - s]
+    rhs_mid = rhs_ops[p:len(rhs_ops) - s]
 
     def image(ops, idxs):
         out = []
@@ -107,7 +122,10 @@ def _side_images(ident: Identity, bases, classes):
 
     def images(idxs):
         return image(lhs_ops, idxs), image(rhs_ops, idxs)
-    return images
+
+    def differ(idxs):
+        return image(lhs_mid, idxs) != image(rhs_mid, idxs)
+    return images, differ if lhs_mid or rhs_mid else None
 
 
 def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
@@ -131,7 +149,8 @@ def _substitution_keys(ident: Identity, bases, sub):
     the class sub[b]; the classes share one rank."""
     classes = [sub[b] for b in bases]
     n = classes[0].rank
-    lhs, rhs = _side_images(ident, bases, classes)(range(len(bases)))
+    images, _ = _side_images(ident, bases, classes)
+    lhs, rhs = images(range(len(bases)))
     return key_of(lhs, n), key_of(rhs, n)
 
 
@@ -156,13 +175,17 @@ def _evaluate(ident, bases, classes, n, assignments):
     """Evaluate both sides on each assignment (class indices in the order
     of bases) up to the first that refutes the identity.  Returns it (None
     if there is none) and the number of evaluations.  Equal image words are
-    one class, so only different words get their keys compared."""
-    images = _side_images(ident, bases, classes)
+    one class, so only different words get their keys compared, and sides
+    that are one word only count the assignments."""
+    images, differ = _side_images(ident, bases, classes)
+    if differ is None:
+        return None, sum(1 for _ in assignments)
     count = 0
     for count, idxs in enumerate(assignments, 1):
-        lhs, rhs = images(idxs)
-        if lhs != rhs and key_of(lhs, n) != key_of(rhs, n):
-            return {b: classes[i] for b, i in zip(bases, idxs)}, count
+        if differ(idxs):
+            lhs, rhs = images(idxs)
+            if key_of(lhs, n) != key_of(rhs, n):
+                return {b: classes[i] for b, i in zip(bases, idxs)}, count
     return None, count
 
 

@@ -3,8 +3,9 @@
 Ranks 1..3 map straight into upper triangular tropical matrices (dims 2, 6,
 15), block diagonal with 1x1 and 2x2 blocks built from four 2x2 generators.
 The generator images are built once, at import; the generator fold
-multiplies them block by block, and the closed forms write each block
-straight from the invariants, as an independent route to the same matrices.
+multiplies them block by block.  The closed forms are an independent route
+to the same matrices: each 2x2 block is P^l K or J Q^r, and its count l or r
+is one left or right precedence triple of the invariants.
 
 For rank n >= 4 each index pair (i, j) with i < j yields a homomorphism into
 rank-3 pairs.  Both components are interval letter maps: the map a/b on
@@ -89,9 +90,12 @@ def generator_images(n: int) -> dict[int, UTMatrix]:
 # Closed-form block evaluators (independent route to the same matrices)
 # ---------------------------------------------------------------------------
 #
-# Each block is written out from the invariants; with s = 1 the tropical
-# power s^k is k.  The 2x2 blocks are P^k, Q^k, P^l K and J Q^r; K = P^0 K,
-# J = J Q^0 and the 2x2 identity is P^0.
+# In every 2x2 block each letter maps to one of P, K and the identity E, or
+# to one of J, Q and E.  K X = K for X in {P, K, E}, so a P/K block is P^l K
+# with l the P-letters before the first K-letter; X J = J for X in {Q, J, E},
+# so a J/Q block is J Q^r with r the Q-letters after the last J-letter.  A
+# block with no K- (no J-) letter is P^k (Q^k).  With s = 1 the tropical
+# power s^k is k, and a missing count is 0: K = P^0 K, J = J Q^0, E = P^0.
 
 def _P(k):
     return ((k, NEG_INF), (NEG_INF, 0))
@@ -110,103 +114,52 @@ def _JQ(r):
 
 
 def _invariants(w: AWord):
-    """From one invariant key: ev, the support (letters with a nonzero
-    count), {(a, b): l} for the lpi triples and {(b, a): r} for the rpi
-    triples."""
+    """From one invariant key: ev, {(a, b): l} for the lpi triples and
+    {(b, a): r} for the rpi triples."""
     ev, lp, rp = invariant_key(w)
-    return (ev, {a for a, c in enumerate(ev, 1) if c},
-            {(a, b): l for a, b, l in lp}, {(b, a): r for b, a, r in rp})
+    return ev, {(a, b): l for a, b, l in lp}, {(b, a): r for b, a, r in rp}
 
 
 def phi2_closed(w: AWord) -> UTMatrix:
-    """phi2 computed from (ev, lpi, rpi) alone, no letter-by-letter product."""
+    """phi2 from (ev, lpi, rpi) alone, no letter-by-letter product: the P/K
+    block reads (1, 2, l), the 1s before the first 2, and the J/Q block
+    reads (2, 1, r), the 2s after the last 1."""
     _check_rank(w, 2)
-    if not w.symbols:
-        return identity_matrix(6)
-    ev, supp, lp, rp = _invariants(w)
-    # a missing precedence leaves K = P^0 K, or J = J Q^0
-    b2 = _P(ev[0]) if supp == {1} else _PK(lp.get((1, 2), 0))
-    b3 = _Q(ev[1]) if supp == {2} else _JQ(rp.get((2, 1), 0))
-
-    return UTMatrix([((ev[0],),), b2, b3, ((ev[1],),)])
+    (e1, e2), lp, rp = _invariants(w)
+    return UTMatrix([((e1,),),
+                     _PK(lp.get((1, 2), 0)) if e2 else _P(e1),
+                     _JQ(rp.get((2, 1), 0)) if e1 else _Q(e2),
+                     ((e2,),)])
 
 
 def phi3_closed(w: AWord) -> UTMatrix:
-    """phi3 from the invariant triple; the nine blocks follow the case split
-    in the faithfulness proof, first matching case wins."""
+    """phi3 from the invariant triple, one precedence triple per 2x2 block.
+
+    lpi holds (a, b, l) when a is the largest letter below b occurring
+    before the first b, l counting those a's; rpi holds (b, a, r) when b is
+    the smallest letter above a occurring after the last a, r counting those
+    b's.  So the blocks [P/K/E] and [E/P/K] (the images of 1/2/3) read
+    (1, 2) and (2, 3) of lpi: (2, 3) is there iff a 2 occurs before the
+    first 3, as no letter lies between 2 and 3.  [P/K/K] reads (1, f), with
+    f whichever of 2 and 3 comes first: it is there iff a 1 occurs before
+    the first f, l counting those 1s.  Dually [J/Q/E] and [E/J/Q] read
+    (2, 1) and (3, 2) of rpi, and [J/J/Q] reads (3, g), with g whichever of
+    1 and 2 comes last: (2, 1) is there iff a 2 follows the last 1, and
+    (3, g, r) iff a 3 follows the last g, r counting those 3s.
+    """
     _check_rank(w, 3)
-    if not w.symbols:
-        return identity_matrix(15)
-    ev, supp, lp, rp = _invariants(w)
-    E2, K, J = _P(0), _PK(0), _JQ(0)
-
-    l12 = lp.get((1, 2))
-    l13 = lp.get((1, 3))
-    l23 = lp.get((2, 3))
-    r21 = rp.get((2, 1))
-    r31 = rp.get((3, 1))
-    r32 = rp.get((3, 2))
-
-    if supp == {1}:
-        b2 = _P(ev[0])
-    elif supp == {1, 2} and l12 is not None:
-        b2 = _PK(l12)
-    elif {1, 3} <= supp and l13 is not None:
-        b2 = _PK(l13)
-    elif supp == {1, 2, 3} and l12 is not None and l23 is not None:
-        b2 = _PK(l12)
-    else:
-        b2 = K
-
-    if supp in ({1}, {1, 3}):
-        b3 = _P(ev[0])
-    elif supp == {3}:
-        b3 = E2
-    elif {1, 2} <= supp and l12 is not None:
-        b3 = _PK(l12)
-    else:
-        b3 = K
-
-    if supp == {1}:
-        b4 = E2
-    elif supp in ({2}, {1, 2}):
-        b4 = _P(ev[1])
-    elif {2, 3} <= supp and l23 is not None:
-        b4 = _PK(l23)
-    else:
-        b4 = K
-
-    if supp in ({2}, {2, 3}):
-        b6 = _Q(ev[1])
-    elif supp == {3}:
-        b6 = E2
-    elif {1, 2} <= supp and r21 is not None:
-        b6 = _JQ(r21)
-    else:
-        b6 = J
-
-    if supp == {1}:
-        b7 = E2
-    elif supp in ({3}, {1, 3}):
-        b7 = _Q(ev[2])
-    elif {2, 3} <= supp and r32 is not None:
-        b7 = _JQ(r32)
-    else:
-        b7 = J
-
-    if supp == {3}:
-        b8 = _Q(ev[2])
-    elif {1, 3} <= supp and r31 is not None:
-        b8 = _JQ(r31)
-    elif supp == {2, 3} and r32 is not None:
-        b8 = _JQ(r32)
-    elif supp == {1, 2, 3} and r21 is not None and r32 is not None:
-        b8 = _JQ(r32)
-    else:
-        b8 = J
-
-    return UTMatrix([((ev[0],),), b2, b3, b4, ((ev[1],),), b6, b7, b8,
-                     ((ev[2],),)])
+    (e1, e2, e3), lp, rp = _invariants(w)
+    f = 2 if e2 and (not e3 or (2, 3) in lp) else 3
+    g = 2 if e2 and (not e1 or (2, 1) in rp) else 1
+    return UTMatrix([((e1,),),
+                     _PK(lp.get((1, f), 0)) if e2 or e3 else _P(e1),
+                     _PK(lp.get((1, 2), 0)) if e2 else _P(e1),
+                     _PK(lp.get((2, 3), 0)) if e3 else _P(e2),
+                     ((e2,),),
+                     _JQ(rp.get((2, 1), 0)) if e1 else _Q(e2),
+                     _JQ(rp.get((3, 2), 0)) if e2 else _Q(e3),
+                     _JQ(rp.get((3, g), 0)) if e1 or e2 else _Q(e3),
+                     ((e3,),)])
 
 
 # ---------------------------------------------------------------------------

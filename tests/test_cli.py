@@ -406,11 +406,13 @@ def test_error_exits(capsys):
     assert run(["check-id", "x y", "--n", "2"]) == 2
     assert run(["bogus"]) == 2
     capsys.readouterr()
-    argv = ["oracle", "x y ~= y x", "--n", "2", "--samples", "5", "--jobs", "4"]
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for extra in (["--samples", "5", "--jobs", "4"],
+                  # a seed steers only sampling, so the full scan refuses it
+                  ["--max-len", "1", "--seed", "7"]):
+        assert run(["oracle", "x y ~= y x", "--n", "2", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

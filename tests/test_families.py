@@ -203,3 +203,31 @@ def test_greedy_step_stays_in_the_rank2_class():
                         assert check(Identity(v, s), 2, witness=False).verdict, (v, s)
                         steps += 1
     assert steps == 7840
+
+
+def test_greedy_step_stays_in_the_rank2_class_on_long_words():
+    # the two-base lemma past the isoterm cap: walk from u to v by adjacent
+    # swaps that the rank-2 checker accepts, then bubble v back to u by the
+    # greedy step; every step is accepted and keeps u's class
+    letters = iword("x x* y y*")
+    rng = random.Random(37)
+    moved = steps = 0
+    for _ in range(400):
+        u = tuple(rng.choices(letters, k=rng.randint(8, 30)))
+        key = ref.rank2_class_key(u)
+        v = u
+        for _ in range(40):
+            i = rng.randrange(len(v) - 1)
+            s = v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+            if s != v and check(Identity(v, s), 2, witness=False).verdict:
+                v = s
+        moved += v != u
+        while v != u:
+            p = next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
+            j = v.index(u[p], p)
+            s = v[:j - 1] + (v[j], v[j - 1]) + v[j + 1:]
+            assert check(Identity(v, s), 2, witness=False).verdict, (u, v, s)
+            assert ref.rank2_class_key(s) == key, (u, v, s)
+            v = s
+            steps += 1
+    assert (moved, steps) == (362, 2369)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -289,7 +290,26 @@ def _differential_cases():
         cases.append((_near_miss(row, i % (len(row.rhs) - 1)), n, max_len))
     for text in ("x y ~= y x", "x x* ~= x* x"):
         cases += [(parse_identity(text), n, m) for n, m in bounds]
-    return cases
+    return cases + [(parse_identity(text), 3, 2) for text in _OVERLAPS]
+
+
+#: sides whose common prefix and suffix overlap in the shorter side
+_OVERLAPS = ("x y x ~= x", "x x ~= x", "x y ~= x y y", "y* x y* ~= y*",
+             "x y x ~= x y* x", "x y ~= x y")
+
+
+def test_differing_middles_tell_whether_the_image_words_differ():
+    classes = enumerate_classes(2, 2)
+    for text in _OVERLAPS + ("x y ~= y x", "x* y x ~= x y x*"):
+        idn = parse_identity(text)
+        bases = oracle.identity_bases(idn)
+        images, differ = oracle._side_images(idn, bases, classes)
+        # None stands for sides that are one word
+        assert (differ is None) == (idn.lhs == idn.rhs), text
+        for idxs in product(range(len(classes)), repeat=len(bases)):
+            lhs, rhs = images(idxs)
+            assert (differ is not None and differ(idxs)) == (lhs != rhs), \
+                (text, idxs)
 
 
 def test_oracle_matches_the_reference_evaluation_loop():

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -91,6 +92,13 @@ def test_closed_forms_small():
         assert phi2_closed(w) == phi2(w)
     for w in words_upto(3, 4):
         assert phi3_closed(w) == phi3(w)
+    # long words, where the counts of the precedence triples grow large
+    rng = random.Random(17)
+    for n, phi, closed in ((2, phi2, phi2_closed), (3, phi3, phi3_closed)):
+        for _ in range(40):
+            syms = rng.choices(range(1, n + 1), k=rng.randint(50, 400))
+            w = AWord(tuple(syms), n)
+            assert closed(w) == phi(w), w
 
 
 def test_wrong_rank_rejected():
