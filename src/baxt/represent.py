@@ -2,10 +2,12 @@
 
 Ranks 1..3 map straight into upper triangular tropical matrices (dims 2, 6,
 15), block diagonal with 1x1 and 2x2 blocks built from four 2x2 generators.
-The generator images are built once, at import; the generator fold
-multiplies them block by block.  The closed forms are an independent route
-to the same matrices: each 2x2 block is P^l K or J Q^r, and its count l or r
-is one left or right precedence triple of the invariants.
+The generator images are built once, at import, and all images of one rank
+share one block split.  The generator fold multiplies the images of the
+letters one at a time, block column by block column, and keeps that split,
+for the empty word too.  The closed forms are an independent route to the
+same matrices, with the same split: each 2x2 block is P^l K or J Q^r, and
+its count l or r is one left or right precedence triple of the invariants.
 
 For rank n >= 4 each index pair (i, j) with i < j yields a homomorphism into
 rank-3 pairs.  Both components are interval letter maps: the map a/b on
@@ -22,13 +24,12 @@ compatible with skew transposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 from .monoid import (BaxtElement, RankMismatchError, canonical,
                      element_to_json_obj, invariant_key, sharp)
 from .semiring import (NEG_INF, UTMatrix, block_diag, from_rows, gen_J, gen_K,
-                       gen_P, gen_Q, identity_matrix, mat_mul, scalar)
+                       gen_P, gen_Q, mat_mul, scalar, word_product)
 from .words import AWord
 
 
@@ -58,14 +59,12 @@ _IMAGES = _generator_table()
 
 
 def _fold(w: AWord, n: int) -> UTMatrix:
-    """phi_n for n <= 3: the product of the letters' generator images.  All
-    images of one rank share a block split, so every product runs block by
-    block."""
+    """phi_n for n <= 3: the product of the letters' generator images, one
+    letter at a time.  All images of one rank share a block split, so the
+    product runs block column by block column and keeps that split; the
+    empty word gives the identity in it."""
     _check_rank(w, n)
-    images = _IMAGES[n]
-    if not w.symbols:
-        return identity_matrix(images[1].dim)
-    return reduce(mat_mul, map(images.__getitem__, w.symbols))
+    return word_product(_IMAGES[n], w.symbols)
 
 
 def phi1(w: AWord) -> UTMatrix:

@@ -4,15 +4,20 @@ The semiring is (Z u {-inf}, max, +): exact, idempotent, commutative, with 1
 as an element of infinite multiplicative order (1^k = k).  Every matrix the
 package builds is block diagonal with small upper triangular blocks, so a
 UTMatrix stores only its diagonal blocks; every entry outside them is -inf.
-Products go block by block.  The skew transposition (reflection across the
-secondary diagonal), an involution antihomomorphism on upper triangular
-matrices, reverses the block order and skews each block.
+Products go block by block, and every image the package builds has 1x1 and
+2x2 blocks only, so those two sizes have unrolled products; a generic loop
+takes larger dense blocks.  A product of many matrices that share one block
+split runs block column by block column, with no intermediate matrix.  The
+skew transposition (reflection across the secondary diagonal), an involution
+antihomomorphism on upper triangular matrices, reverses the block order and
+skews each block.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 
 NEG_INF = float("-inf")
@@ -139,10 +144,36 @@ def scalar(value) -> UTMatrix:
     return UTMatrix([[[value]]])
 
 
-def _block_mul(a: tuple, b: tuple) -> tuple:
+def _product1(blocks) -> tuple:
+    """Product of a sequence of 1x1 blocks: the sum of their entries, or
+    -inf if one of them is -inf."""
+    acc = 0
+    for ((x,),) in blocks:
+        acc = acc + x if acc != NEG_INF != x else NEG_INF
+    return ((acc,),)
+
+
+def _product2(blocks) -> tuple:
+    """Product of a sequence of 2x2 upper triangular blocks, unrolled.  The
+    running product ((p, q), (-inf, r)) times ((x, y), (-inf, z)) is
+    ((p x, p y + q z), (-inf, r z)), tropically.  Each -inf test comes
+    before the sum it guards: an int beyond float range plus -inf raises
+    OverflowError."""
+    p, q, r = 0, NEG_INF, 0
+    for (x, y), (_, z) in blocks:
+        pq = p + y if p != NEG_INF != y else NEG_INF
+        if q != NEG_INF != z and q + z > pq:
+            pq = q + z
+        q = pq
+        p = p + x if p != NEG_INF != x else NEG_INF
+        r = r + z if r != NEG_INF != z else NEG_INF
+    return ((p, q), (NEG_INF, r))
+
+
+def _dense_mul(a: tuple, b: tuple) -> tuple:
     """Product of two upper triangular blocks of one size: C[i][j] is the
-    tropical sum over i <= k <= j of A[i][k] * B[k][j], with add and mul
-    written out inline because this is the hot loop."""
+    tropical sum over i <= k <= j of A[i][k] * B[k][j].  Only blocks larger
+    than 2x2 come here: dense matrices and merged blocks."""
     n = len(a)
     rows = []
     for i in range(n):
@@ -157,6 +188,20 @@ def _block_mul(a: tuple, b: tuple) -> tuple:
             crow[j] = acc
         rows.append(tuple(crow))
     return tuple(rows)
+
+
+def _product(blocks, k: int) -> tuple:
+    """Product of a sequence of k x k upper triangular blocks, in order; the
+    empty product is the k x k identity."""
+    if k == 1:
+        return _product1(blocks)
+    if k == 2:
+        return _product2(blocks)
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        return identity_matrix(k).rows
+    return reduce(_dense_mul, blocks, first)
 
 
 def _regroup(A: UTMatrix, cuts: set) -> tuple:
@@ -174,13 +219,33 @@ def _regroup(A: UTMatrix, cuts: set) -> tuple:
 def mat_mul(A: UTMatrix, B: UTMatrix) -> UTMatrix:
     """Block by block when A and B share a block split; otherwise both are
     first merged up to the block boundaries they share."""
-    if A.dim != B.dim:
-        raise ValueError(f"dimension mismatch: {A.dim} vs {B.dim}")
     a, b = A.blocks, B.blocks
-    if A.sizes != B.sizes:
-        cuts = set(accumulate(A.sizes)) & set(accumulate(B.sizes))
+    sa, sb = A.sizes, B.sizes
+    if sa != sb:
+        if sum(sa) != sum(sb):
+            raise ValueError(f"dimension mismatch: {sum(sa)} vs {sum(sb)}")
+        cuts = set(accumulate(sa)) & set(accumulate(sb))
         a, b = _regroup(A, cuts), _regroup(B, cuts)
-    return UTMatrix._of(tuple(map(_block_mul, a, b)))
+    return UTMatrix._of(tuple(_product(pair, len(pair[0])) for pair in zip(a, b)))
+
+
+def word_product(images: dict, word) -> UTMatrix:
+    """The product images[a1] images[a2] ... images[aL] for the word
+    a1 a2 ... aL; the empty word gives the identity.  The images must share
+    one block split, and the product keeps it.  It runs block column by
+    block column: block c of the product folds block c of each letter's
+    image, reading the word once per block and building no intermediate
+    matrix."""
+    splits = {M.sizes for M in images.values()}
+    if len(splits) != 1:
+        raise ValueError("the images must share one block split, got "
+                         f"{sorted(splits)}")
+    word = tuple(word)
+    blocks = []
+    for c, k in enumerate(splits.pop()):
+        column = {a: M.blocks[c] for a, M in images.items()}
+        blocks.append(_product(map(column.__getitem__, word), k))
+    return UTMatrix._of(tuple(blocks))
 
 
 def skew_transpose(A: UTMatrix) -> UTMatrix:

@@ -8,11 +8,11 @@ lexer, the rank >= 4 component letter maps written out as four families,
 the monoid invariant key with quadratic lpi/rpi scans, and the isoterm
 search that checks every rearrangement of a word, enumerated recursively,
 the twin trees as nested nodes built by recursive persistent insertion,
-with their DOT writer, and the oracle's evaluation loop that compares the
-keys of both sides on every assignment, equal image words included.  The
-tests assert that the library returns the same reports, words, errors,
-letter maps, keys, isoterm partners, trees, witnesses and evaluation
-counts.  The
+with their DOT writer, the oracle's evaluation loop that compares the
+keys of both sides on every assignment, equal image words included, and
+the generator fold as a product of dense rows.  The tests assert that the
+library returns the same reports, words, errors, letter maps, keys,
+isoterm partners, trees, witnesses, evaluation counts and matrices.  The
 rank-2 class key reads the procedure's statistics off one word, so a test
 can group words into classes without checking every pair.
 """
@@ -30,6 +30,8 @@ from baxt.checker import (CheckReport, _balance_witness, _no, _yes, check,
                           is_balanced)
 from baxt.monoid import key_of as fast_key_of, sharp_word
 from baxt.oracle import enumerate_classes
+from baxt.represent import generator_images
+from baxt.semiring import NEG_INF
 from baxt.trees import BST
 from baxt.words import (AWord, Atom, Concat, Identity, IVar, IWord, ParseError,
                         Star, Term)
@@ -637,3 +639,28 @@ def oracle_sample(ident: Identity, n: int, max_len: int, samples: int,
     rng = random.Random(seed)
     draws = ([rng.randrange(m) for _ in range(nbases)] for _ in range(samples))
     return _oracle_evaluate(ident, n, max_len, draws)
+
+
+# ---------------------------------------------------------------------------
+# Representation: the generator fold on dense rows
+# ---------------------------------------------------------------------------
+
+def _dense_product(a, b):
+    """The tropical product of two square matrices given as full rows: every
+    k of every entry, with no use of triangularity or blocks."""
+    cols = list(zip(*b))
+    return tuple(tuple(max((x + y for x, y in zip(row, col)
+                            if x != NEG_INF and y != NEG_INF), default=NEG_INF)
+                       for col in cols)
+                 for row in a)
+
+
+def dense_fold(w: AWord) -> tuple:
+    """The rows of phi_n(w), n <= 3: the dense identity times the dense rows
+    of each letter's generator image in turn."""
+    gens = {a: M.rows for a, M in generator_images(w.rank).items()}
+    d = len(gens[1])
+    acc = tuple(tuple(0 if i == j else NEG_INF for j in range(d)) for i in range(d))
+    for a in w.symbols:
+        acc = _dense_product(acc, gens[a])
+    return acc

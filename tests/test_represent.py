@@ -11,8 +11,8 @@ from baxt.represent import (PairElement, _letter_pair_words, generator_images,
                             index_pairs, materialize, pair_sharp, phi1, phi2,
                             phi2_closed, phi3, phi3_closed, phi_ij, phi_n,
                             tuple_equal, tuple_sharp)
-from baxt.semiring import (block_diag, gen_J, gen_P, identity_matrix, mat_mul,
-                           scalar, skew_transpose)
+from baxt.semiring import (NEG_INF, block_diag, gen_J, gen_P, identity_matrix,
+                           mat_mul, scalar, skew_transpose)
 from baxt.words import AWord, parse_aword
 
 
@@ -88,17 +88,33 @@ def test_phi2_separates_small_classes():
 
 
 def test_closed_forms_small():
+    # the same blocks, not only the same matrix: the fold keeps the images'
+    # block split, the empty word's identity included
     for w in words_upto(2, 5):
-        assert phi2_closed(w) == phi2(w)
+        assert phi2_closed(w).blocks == phi2(w).blocks
     for w in words_upto(3, 4):
-        assert phi3_closed(w) == phi3(w)
+        assert phi3_closed(w).blocks == phi3(w).blocks
     # long words, where the counts of the precedence triples grow large
     rng = random.Random(17)
     for n, phi, closed in ((2, phi2, phi2_closed), (3, phi3, phi3_closed)):
         for _ in range(40):
             syms = rng.choices(range(1, n + 1), k=rng.randint(50, 400))
             w = AWord(tuple(syms), n)
-            assert closed(w) == phi(w), w
+            assert closed(w).blocks == phi(w).blocks, w
+
+
+def test_fold_matches_the_dense_reference_fold():
+    rng = random.Random(29)
+    for n, phi in ((1, phi1), (2, phi2), (3, phi3)):
+        for length in [0, 1, 2, 300] + [rng.randint(3, 300) for _ in range(6)]:
+            w = AWord(tuple(rng.choices(range(1, n + 1), k=length)), n)
+            assert phi(w).rows == ref.dense_fold(w), w
+
+
+def test_empty_word_keeps_the_images_split():
+    for n, phi in ((1, phi1), (2, phi2), (3, phi3)):
+        assert phi(AWord((), n)).sizes == generator_images(n)[1].sizes
+    assert phi1(AWord((), 1)).blocks == (((0, NEG_INF), (NEG_INF, 0)),)
 
 
 def test_wrong_rank_rejected():

@@ -1,15 +1,16 @@
 import json
 import pickle
+import random
 from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
 from baxt.represent import generator_images
-from baxt.semiring import (NEG_INF, UTMatrix, add, block_diag, from_rows,
-                           gen_J, gen_K, gen_P, gen_Q, identity_matrix,
-                           mat_mul, matrix_to_json, mul, scalar,
-                           skew_transpose)
+from baxt.semiring import (NEG_INF, UTMatrix, _product1, _product2, add,
+                           block_diag, from_rows, gen_J, gen_K, gen_P, gen_Q,
+                           identity_matrix, mat_mul, matrix_to_json, mul,
+                           scalar, skew_transpose, word_product)
 
 tvals = st.one_of(st.just(NEG_INF), st.integers(-50, 50))
 
@@ -89,6 +90,45 @@ def test_mixed_block_splits():
         assert mat_mul(E6, g) == g == mat_mul(g, E6)
         assert mat_mul(E6, g).rows == dense_mul(E6.rows, g.rows)
         assert mat_mul(from_rows(g.rows), g).rows == dense_mul(g.rows, g.rows)
+
+
+# entries that the unrolled kernels must keep exact: -inf absorbs a sum even
+# next to an int far beyond float range, where int + -inf raises
+KERNEL_VALUES = (NEG_INF, NEG_INF, 0, 1, -7, 10**400, -10**400)
+
+
+def seeded_block(rng, k):
+    return tuple(tuple(rng.choice(KERNEL_VALUES) if j >= i else NEG_INF
+                       for j in range(k)) for i in range(k))
+
+
+def test_unrolled_kernels_match_the_dense_reference():
+    rng = random.Random(11)
+    for k, kernel in ((1, _product1), (2, _product2)):
+        unit = identity_matrix(k).rows
+        for _ in range(3000):
+            a, b = seeded_block(rng, k), seeded_block(rng, k)
+            assert kernel((a, b)) == dense_mul(a, b), (a, b)
+        for length in list(range(6)) * 40:
+            seq = [seeded_block(rng, k) for _ in range(length)]
+            assert kernel(seq) == reduce(dense_mul, seq, unit), seq
+
+
+def test_word_product_matches_the_dense_fold():
+    rng = random.Random(13)
+    for sizes in ((1,), (2,), (1, 2, 2, 1), (3, 1), (2, 4)):
+        images = {a: UTMatrix([seeded_block(rng, k) for k in sizes])
+                  for a in "xyz"}
+        unit = identity_matrix(sum(sizes)).rows
+        for length in (0, 1, 2, 5, 40):
+            word = rng.choices("xyz", k=length)
+            got = word_product(images, word)
+            assert got.sizes == sizes
+            assert got.rows == reduce(dense_mul, (images[a].rows for a in word), unit)
+    with pytest.raises(ValueError):
+        word_product({1: gen_P(), 2: identity_matrix(2)}, (1, 2))
+    with pytest.raises(KeyError):
+        word_product({1: gen_P()}, (1, 2))
 
 
 def test_below_diagonal_entry_rejected():
