@@ -16,8 +16,12 @@ open letters at ranks 2 and 3), then at rank 3 the pivot sweep over the
 same pieces.  For sides of |u| letters over k variables that takes
 O(|u| log |u|) time, plus O(|u| + k^2) for the pivot sweep, and O(|u| + k)
 memory.  Only a NO runs the witness search of its rank, in the reference
-order: O(k^2) bisections over per-letter position lists, stopping at the
-first difference.
+order, stopping at the first difference.  It visits only the base subsets
+and pivots that the difference between the sides reaches (`_reach`): with
+W the bases that have a letter between the sides' common prefix and common
+suffix, and U the bases that are not settled by them, that is
+O(|u| + k |W & U| + |W| |U|) bisections over per-letter position lists,
+quadratic only when the difference reaches many bases on both counts.
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on restrictions built
@@ -38,7 +42,8 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, itemgetter
+from itertools import compress, count
+from operator import add, itemgetter, ne
 from typing import Optional
 
 from .words import IVar, IWord, Identity, occ_after, occ_before, restrict
@@ -122,6 +127,22 @@ def _positions(ids, size: int) -> list:
     for i, a in enumerate(ids):
         pos[a].append(i)
     return pos
+
+
+def _reach(u: list, v: list):
+    """The letters that the difference between two balanced sides that
+    differ reaches: those with an occurrence in the window, and those not
+    settled.  The window is the span between the sides' longest common
+    prefix u[:p] and their longest common suffix u[e:]; as u and v differ
+    at index p, e > p.  The window holds the same letters on both sides,
+    so a letter with no occurrence in it sits at the same positions on
+    both.  A letter is settled when it first occurs in the common prefix
+    and last occurs in the common suffix, which reads the same on both
+    sides."""
+    p = next(compress(count(), map(ne, u, v)))
+    e = len(u) - next(compress(count(), map(ne, reversed(u), reversed(v))))
+    head, moved, tail = set(u[:p]), set(u[p:e]), set(u[e:])
+    return moved, (head | moved | tail) - (head & tail)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +297,31 @@ _CHECKS = (("left", "pre", "pren"), ("right", "suf", "sufn"))
 def _subset_violation(names, u, v, ru, rv, strict: bool):
     """The pattern and witness of the first base subset, in sorted order
     (every base, then every pair of bases), whose statistics differ, in
-    the order pre, pren, suf, sufn; ru and rv are u and v reversed."""
+    the order pre, pren, suf, sufn; ru and rv are u and v reversed.
+
+    Only a subset with a base that has a letter in the window and a base
+    that is unsettled (see `_reach`) is tested, as every other subset has
+    equal statistics, so the first one that differs is the same.  Window
+    rule: when no base of the subset has a letter in the window, its
+    letters sit at the same positions on both sides, so the restrictions
+    are equal.  Settled rule: when every base of the subset is settled,
+    `_View.stats` reads pre and pren at first occurrences of its letters,
+    all inside the common prefix (the leading letter, the end of its run,
+    the first second letter), and counts letters before them, which the
+    prefix fixes, or in all of the side, which balance fixes (a second
+    letter that does not occur); suf and sufn likewise inside the common
+    suffix."""
     k = len(names)
+    moved, loose = _reach(u, v)
+    window, unsettled = {x >> 1 for x in moved}, {x >> 1 for x in loose}
+    # base i is paired only with bases that supply what it lacks of the two
+    supply = {(True, False): sorted(unsettled), (False, True): sorted(window),
+              (False, False): sorted(window & unsettled)}
     fu, fv, bu, bv = (_View(w, 2 * k) for w in (u, v, ru, rv))
     for i in range(k):
-        for j in range(i, k):
+        has = i in window, i in unsettled
+        partners = range(i, k) if all(has) else [j for j in supply[has] if j > i]
+        for j in partners:
             if j == i and fu.two[i] is None:
                 continue  # one letter alone has no statistics
             left = fu.stats(i, j, strict), fv.stats(i, j, strict)
@@ -305,10 +346,23 @@ def _subset_violation(names, u, v, ru, rv, strict: bool):
 
 def _occ_lr_witness(names, u, v) -> dict:
     """The first (pivot, letter, side) in sorted order whose directional
-    counts differ."""
+    counts differ.
+
+    Only a pivot with an occurrence in the window that is not settled (see
+    `_reach`) is tested, as every other one sees the same counts on both
+    sides, so the first one that differs is the same.  A settled pivot
+    first occurs inside the common prefix, which fixes the counts before
+    that position, and last occurs inside the common suffix, which fixes
+    the counts after it.  A pivot with no occurrence in the window sits at
+    the same positions on both sides.  Its first occurrence lies in the
+    common prefix, or else in the common suffix, where the count of a
+    letter before it is the letter's total, the same on both sides by
+    balance, less its count from there on, which the suffix fixes; its
+    last occurrence likewise."""
     pu, pv = _positions(u, 2 * len(names)), _positions(v, 2 * len(names))
     letters = [x for x, p in enumerate(pu) if p]
-    for x in letters:
+    moved, loose = _reach(u, v)
+    for x in sorted(moved & loose):
         fu, fv, lu, lv = pu[x][0], pv[x][0], pu[x][-1], pv[x][-1]
         for y in letters:
             if y == x:

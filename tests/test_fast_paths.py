@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_routes as ref
+from baxt import checker
 from baxt.checker import CheckReport, check
 from baxt.families import basis2, basis4, pk_qk
 from baxt.words import (Identity, IVar, ParseError, format_iword, ident,
@@ -228,6 +229,111 @@ def test_wide_checks_take_memory_linear_in_the_input():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, peak
+
+
+# ---------------------------------------------------------------------------
+# NO witnesses: only the subsets and pivots that the difference reaches
+# ---------------------------------------------------------------------------
+
+def _letter_pool(k, stars):
+    names = [f"v{i:04}" for i in range(k)]
+    return [IVar(b, s) for b in names for s in ((False, True) if stars else (False,))]
+
+
+def swapped_first(rng, k, stars):
+    """A NO whose first two letters, of the two bases that sort last, are
+    swapped over a shared body of 10 k letters: the window holds only those
+    two bases, and with no common prefix no base is settled."""
+    body = tuple(rng.choices(_letter_pool(k, stars), k=10 * k))
+    a, b = IVar(f"v{k - 2:04}"), IVar(f"v{k - 1:04}")
+    return Identity((a, b) + body, (b, a) + body)
+
+
+def false_core(rng, k, stars):
+    """check-wide's NO shape: the false core x y ~= y x among k fresh
+    variables, the core's names in the middle of the sorted order, entered
+    after the first third of each side.  Each of the three fresh pieces
+    holds every fresh letter (check-wide's pieces hold each ~10 times), so
+    the window reaches almost every base and only the core is unsettled."""
+    pool = _letter_pool(k + 2, stars)
+    x, y = (IVar(f"v{k // 2 + i:04}") for i in (0, 1))
+    fresh = [t for t in pool if t.base not in (x.base, y.base)]
+    pieces = []
+    for _ in range(3):
+        piece = fresh + rng.choices(fresh, k=len(fresh))
+        rng.shuffle(piece)
+        pieces.append(tuple(piece))
+    p0, p1, p2 = pieces
+    return Identity(p0 + (x,) + p1 + (y,) + p2, p0 + (y,) + p1 + (x,) + p2)
+
+
+def far_apart(rng, k, stars):
+    """A random side with its first two and its last two letters, each
+    pair of two bases, swapped: the window spans the side and nothing is
+    settled, so the witness search scans every subset and pivot."""
+    a, b, c, d = (IVar(f"v{i:04}", stars and rng.random() < 0.5)
+                  for i in rng.sample(range(k), 2) + rng.sample(range(k), 2))
+    body = tuple(rng.choices(_letter_pool(k, stars), k=10 * k))
+    return Identity((a, b) + body + (c, d), (b, a) + body + (d, c))
+
+
+WITNESS_SHAPES = (swapped_first, false_core, far_apart)
+WITNESS_RUNS = ((2, "involution"), (3, "involution"), (4, "involution"),
+                (5, "involution"), (2, "plain"))
+
+
+@pytest.mark.parametrize("shape", WITNESS_SHAPES)
+def test_no_witness_shapes_match_the_reference_routes(shape):
+    rng = random.Random(18)
+    for k in (3, 3, 4, 12, 12, 40, 120):
+        for n, mode in WITNESS_RUNS:
+            idn = shape(rng, k, mode == "involution")
+            report = check(idn, n, mode)
+            assert not report.verdict, (shape.__name__, k, n, mode)
+            assert report.to_json() == reference_check(idn, n, mode).to_json(), (
+                shape.__name__, k, n, mode)
+
+
+def test_reports_match_the_reference_routes_when_a_span_is_shuffled():
+    # a common prefix and suffix of every length around the difference,
+    # over few bases, so that bases outside the window, settled ones and
+    # ones reached on one count only meet in the first differing subset
+    rng = random.Random(18)
+    nos = 0
+    for _ in range(1500):
+        k = rng.randint(1, 6)
+        n, mode = rng.choice(WITNESS_RUNS)
+        u = rng.choices(_letter_pool(k, mode == "involution"), k=rng.randint(2, 40))
+        a = rng.randrange(len(u) - 1)
+        b = rng.randint(a + 2, len(u))
+        middle = u[a:b]
+        rng.shuffle(middle)
+        idn = Identity(tuple(u), tuple(u[:a] + middle + u[b:]))
+        report = check(idn, n, mode)
+        assert report.to_json() == reference_check(idn, n, mode).to_json(), (
+            str(idn), n, mode)
+        nos += not report.verdict
+    assert nos >= 500, nos
+
+
+@pytest.mark.parametrize("shape", [swapped_first, false_core])
+def test_no_witness_work_is_linear_in_the_variables(monkeypatch, shape):
+    # a scan over every subset or pivot makes 80k-2.5M bisections on these
+    # shapes, 16-260 times the bound; what the difference reaches, at most
+    # 20 k
+    calls = Counter()
+    for name in ("bisect_left", "bisect_right"):
+        def counted(*args, real=getattr(checker, name)):
+            calls["bisect"] += 1
+            return real(*args)
+        monkeypatch.setattr(checker, name, counted)
+    rng = random.Random(18)
+    for k in (200, 400):
+        for n, mode in WITNESS_RUNS:
+            idn = shape(rng, k, mode == "involution")
+            calls.clear()
+            assert not check(idn, n, mode).verdict
+            assert calls["bisect"] <= 24 * k, (k, n, mode, calls)
 
 
 # ---------------------------------------------------------------------------
