@@ -13,15 +13,19 @@ One sweep driver, `_sweep_check`, decides every rank >= 2 and the plain
 variant: balance, then the pieces of each side cut at first occurrences,
 read forward and reversed (sorted at rank >= 4 and in plain mode, first and
 open letters at ranks 2 and 3), then at rank 3 the pivot sweep over the
-same pieces.  For sides of |u| letters over k variables that takes
-O(|u| log |u|) time, plus O(|u| + k^2) for the pivot sweep, and O(|u| + k)
-memory.  Only a NO runs the witness search of its rank, in the reference
-order, stopping at the first difference.  It visits only the base subsets
-and pivots that the difference between the sides reaches (`_reach`): with
-W the bases that have a letter between the sides' common prefix and common
-suffix, and U the bases that are not settled by them, that is
-O(|u| + k |W & U| + |W| |U|) bisections over per-letter position lists,
-quadratic only when the difference reaches many bases on both counts.
+same pieces.  It compares and sweeps only the pieces that meet the window
+between the sides' common prefix and common suffix, and decides equal
+sides by their empty window.  For sides of |u| letters over k variables
+that takes O(|u|) C-level passes and a sort of the k cuts, plus Python
+work over the letters of the window's pieces (each piece sorted), plus at
+rank 3 O(k) per pivot in the window, and O(|u| + k) memory.  Only a NO
+runs the witness search of its rank, in the reference order, stopping at
+the first difference.  It visits only the base subsets and pivots that the
+difference between the sides reaches (`_reach`): with W the bases that
+have a letter in the window, and U the bases that are not settled by the
+common prefix and suffix, that is O(|u| + k |W & U| + |W| |U|) bisections
+over per-letter position lists, quadratic only when the difference reaches
+many bases on both counts.
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on restrictions built
@@ -42,7 +46,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import add, itemgetter, ne
 from typing import Optional
 
@@ -109,13 +113,22 @@ def _letter(names, a: int) -> IVar:
     return IVar(names[a >> 1], bool(a & 1))
 
 
+def _window(u: list, v: list):
+    """The window (p, e) between the longest common prefix u[:p] and the
+    longest common suffix u[e:] of two sides of one length, found by
+    C-level passes; p == e == len(u) when the sides are equal, and e > p
+    otherwise, as they differ at index p."""
+    p = next(compress(count(), map(ne, u, v)), len(u))
+    if p == len(u):
+        return p, p
+    return p, len(u) - next(compress(count(), map(ne, reversed(u), reversed(v))))
+
+
 def _pieces(u: list):
     """The first position of every letter of u, and the (start, end) of the
     pieces of u cut just before each of them.  The last piece ends after
     its first letter: sides that are balanced and agree on every earlier
     piece agree on the rest."""
-    if not u:
-        return {}, []
     first = dict(zip(reversed(u), range(len(u) - 1, -1, -1)))
     cuts = sorted(first.values())
     return first, list(zip(cuts, cuts[1:] + [cuts[-1] + 1]))
@@ -129,18 +142,14 @@ def _positions(ids, size: int) -> list:
     return pos
 
 
-def _reach(u: list, v: list):
+def _reach(u: list, p: int, e: int):
     """The letters that the difference between two balanced sides that
-    differ reaches: those with an occurrence in the window, and those not
-    settled.  The window is the span between the sides' longest common
-    prefix u[:p] and their longest common suffix u[e:]; as u and v differ
-    at index p, e > p.  The window holds the same letters on both sides,
-    so a letter with no occurrence in it sits at the same positions on
-    both.  A letter is settled when it first occurs in the common prefix
-    and last occurs in the common suffix, which reads the same on both
-    sides."""
-    p = next(compress(count(), map(ne, u, v)))
-    e = len(u) - next(compress(count(), map(ne, reversed(u), reversed(v))))
+    differ reaches, given their window (p, e) (`_window`): those with an
+    occurrence in the window u[p:e], and those not settled.  The window
+    holds the same letters on both sides, so a letter with no occurrence
+    in it sits at the same positions on both.  A letter is settled when it
+    first occurs in the common prefix u[:p] and last occurs in the common
+    suffix u[e:], which read the same on both sides."""
     head, moved, tail = set(u[:p]), set(u[p:e]), set(u[e:])
     return moved, (head | moved | tail) - (head & tail)
 
@@ -225,13 +234,13 @@ class _View:
                 s if strict else None)
 
 
-def _open_segments(u: list, cut, size: int, strict: bool) -> list:
-    """Per piece of u (cut by _pieces): its first letter, and its sorted
-    letters whose star partner has not occurred yet.  Unless strict, first
-    occurrences of second letters (x after x*, or x* after x) with no such
-    letter between them form one group, sorted, as rank 2 does not fix
-    their order."""
-    first, pieces = cut
+def _open_segments(u: list, first: dict, pieces: list, size: int,
+                   strict: bool) -> list:
+    """Per piece (start, end) of u, whose letters first occur at first: its
+    first letter, and its sorted letters whose star partner has not
+    occurred yet.  Unless strict, first occurrences of second letters (x
+    after x*, or x* after x) with no such letter between them form one
+    group, sorted, as rank 2 does not fix their order."""
     late = [first.get(x ^ 1, len(u)) for x in range(size)]
     out = []
     for a, b in pieces:
@@ -260,12 +269,15 @@ def _base_sums(p: list) -> list:
 
 def _pivot_sweep(u: list, v: list, pu: list, pv: list, size: int):
     """Both sides, with the same order of first occurrences, read by their
-    pieces pu, pv.  At the first occurrence of each letter y, compare the
-    counts of every letter before it: the first base, outside y's own, whose
-    star-blind counts differ (IV); and, when y's star partner has not
-    occurred in u, the first letter outside y's base whose counts differ
-    (V).  Two dicts, keyed by the pivots that fail."""
-    cu, cv = [0] * size, [0] * size
+    pieces pu, pv that meet the window; the sides agree before them.  At
+    the first occurrence of each letter y, compare the counts of every
+    letter before it: the first base, outside y's own, whose star-blind
+    counts differ (IV); and, when y's star partner has not occurred in u,
+    the first letter outside y's base whose counts differ (V).  Two dicts,
+    keyed by the pivots that fail."""
+    head = Counter(u[:pu[0][0]])
+    cu = list(map(head.get, range(size), repeat(0)))
+    cv = cu.copy()
     bad_iv, bad_v = {}, {}
     for (a, b), (c, d) in zip(pu, pv):
         y = u[a]
@@ -294,10 +306,11 @@ def _first_witness(left, right):
 _CHECKS = (("left", "pre", "pren"), ("right", "suf", "sufn"))
 
 
-def _subset_violation(names, u, v, ru, rv, strict: bool):
+def _subset_violation(names, u, v, ru, rv, strict: bool, p: int, e: int):
     """The pattern and witness of the first base subset, in sorted order
     (every base, then every pair of bases), whose statistics differ, in
-    the order pre, pren, suf, sufn; ru and rv are u and v reversed.
+    the order pre, pren, suf, sufn; ru and rv are u and v reversed, and
+    (p, e) is their window (`_window`).
 
     Only a subset with a base that has a letter in the window and a base
     that is unsettled (see `_reach`) is tested, as every other subset has
@@ -312,7 +325,7 @@ def _subset_violation(names, u, v, ru, rv, strict: bool):
     letter that does not occur); suf and sufn likewise inside the common
     suffix."""
     k = len(names)
-    moved, loose = _reach(u, v)
+    moved, loose = _reach(u, p, e)
     window, unsettled = {x >> 1 for x in moved}, {x >> 1 for x in loose}
     # base i is paired only with bases that supply what it lacks of the two
     supply = {(True, False): sorted(unsettled), (False, True): sorted(window),
@@ -344,9 +357,9 @@ def _subset_violation(names, u, v, ru, rv, strict: bool):
 # Rank >= 4 and the plain variant: the pivot witness
 # ---------------------------------------------------------------------------
 
-def _occ_lr_witness(names, u, v) -> dict:
+def _occ_lr_witness(names, u, v, p: int, e: int) -> dict:
     """The first (pivot, letter, side) in sorted order whose directional
-    counts differ.
+    counts differ, for sides with the window (p, e) (`_window`).
 
     Only a pivot with an occurrence in the window that is not settled (see
     `_reach`) is tested, as every other one sees the same counts on both
@@ -360,17 +373,17 @@ def _occ_lr_witness(names, u, v) -> dict:
     balance, less its count from there on, which the suffix fixes; its
     last occurrence likewise."""
     pu, pv = _positions(u, 2 * len(names)), _positions(v, 2 * len(names))
-    letters = [x for x, p in enumerate(pu) if p]
-    moved, loose = _reach(u, v)
+    letters = [x for x, at in enumerate(pu) if at]
+    moved, loose = _reach(u, p, e)
     for x in sorted(moved & loose):
         fu, fv, lu, lv = pu[x][0], pv[x][0], pu[x][-1], pv[x][-1]
         for y in letters:
             if y == x:
                 continue
-            p, q = pu[y], pv[y]
-            if bisect_left(p, fu) != bisect_left(q, fv):
+            ou, ov = pu[y], pv[y]
+            if bisect_left(ou, fu) != bisect_left(ov, fv):
                 side = "left"
-            elif len(p) - bisect_right(p, lu) != len(q) - bisect_right(q, lv):
+            elif len(ou) - bisect_right(ou, lu) != len(ov) - bisect_right(ov, lv):
                 side = "right"
             else:
                 continue
@@ -397,24 +410,87 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     With the order fixed, these counts agree exactly when the pieces agree
     on their first letter and on the letters whose partner has not
     occurred.  Mirrored for last occurrences.  Only on a NO does the
-    witness search of the rank run."""
+    witness search of the rank run.
+
+    Only the pieces that meet the window are read.  With u[:p] and u[e:]
+    the sides' longest common prefix and suffix (`_window`), the sides are
+    balanced exactly when they have one length and their windows u[p:e]
+    and v[p:e] hold the same letters; equal sides (p == e) agree at once.
+    Otherwise the span runs from the piece that holds p - 1 (the first
+    piece when p == 0) through the last piece that starts before e.  The
+    reversed sides have the window [|u| - e, |u| - p).  Three facts show
+    that the span decides as all the pieces do.
+
+    (a) Pieces inside the common prefix have the same cuts, contents and
+    open letters on both sides, and the piece that holds p - 1 starts at
+    the same cut.  Cuts before p are first occurrences inside u[:p].  A
+    letter y of a piece that starts at a < p is open when its partner
+    first occurs after a, and the partner first occurs either at the same
+    position of the prefix on both sides, or at or after p on both.
+
+    (b) Pieces that start at or after e have the same cuts and contents.
+    A letter that first occurs in the suffix has no occurrence before e on
+    either side, because the prefixes are equal and the two windows hold
+    the same multiset; so the same letters first occur before e, the cuts
+    at or after e are the same, and the span has the same piece indices
+    on both sides.  Such a piece lies in u[e:], and its open letters agree
+    too: a partner first occurs before e on both sides or at the same
+    place after it.  At rank >= 4 and in plain mode the lists of segments
+    are thus P + S_u + Q and P + S_v + Q, equal exactly when S_u == S_v.
+
+    (c) The rank-2 merge of second-letter groups needs no piece outside
+    the span.  A piece joins the group before it when its first letter is
+    a second letter and the piece before it has no open letters, a rule
+    that reads two adjacent pieces; a group is sorted and keeps the open
+    letters of its last piece.  Whether the span's first piece joins the
+    last group of P is decided alike on both sides by (a), and adds the
+    same letters to the span's first group on both.  Whether the first
+    piece of Q joins the span's last group depends on that group's open
+    letters.  If the span's segments agree, that join is decided alike and
+    adds the same letters, so all the segments agree.  If they differ and
+    the joins are decided alike, the groups that differ or the count of
+    groups still differ after the same letters are added.  If the joins
+    differ, then counted from the end the joining side holds the letters
+    of Q's first group together with at least one more letter where the
+    other side holds them alone.
+
+    At rank 3 the pivot sweep starts from the counts of the prefix before
+    the span, the same on both sides, and visits only the span's pivots.
+    A pivot outside the span sees equal counts before it on both sides:
+    in the prefix, the prefix fixes them; at a >= e, the count of a letter
+    before a is its total, the same by balance, less its count in u[a:],
+    which the suffix fixes.  So no pivot outside the span fails, and the
+    failing-pivot dicts, with the (IV) and (V) witnesses read from them,
+    are those of a sweep over every piece."""
     names, u, v = _letter_ids(ident)
+    balanced = len(u) == len(v)
+    if balanced:
+        p, e = _window(u, v)
+        if p == e:
+            return CheckReport(True, n, mode)
+        balanced = sorted(u[p:e]) == sorted(v[p:e])
     size, ru, rv = 2 * len(names), u[::-1], v[::-1]
     occ_lr = n >= 4 or mode == "plain"
     strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
 
-    def segments(w, cut):
-        return ([sorted(w[a:b]) for a, b in cut[1]] if occ_lr
-                else _open_segments(w, cut, size, strict))
+    def segments(w, first, pieces):
+        return ([sorted(w[a:b]) for a, b in pieces] if occ_lr
+                else _open_segments(w, first, pieces, size, strict))
 
-    # each side is cut once; the reversed ones only if the forward pieces agree
-    balanced = sorted(u) == sorted(v)
-    agreed = []  # per reading that agrees: both sides and their piece bounds
-    for a, b in ((u, v), (ru, rv)) if balanced else ():
-        ca, cb = _pieces(a), _pieces(b)
-        if segments(a, ca) != segments(b, cb):
+    # each side is cut once, and only its pieces that meet the window are
+    # compared; the reversed sides only if the forward pieces agree
+    readings = ((u, v, p, e), (ru, rv, len(u) - e, len(u) - p)) if balanced else ()
+    agreed = []  # per reading that agrees: both sides and their span
+    for a, b, lo, hi in readings:
+        (fa, pa), (fb, pb) = _pieces(a), _pieces(b)
+        # the span: from the piece that holds lo - 1 (the first piece when
+        # lo == 0) through the last piece that starts before hi, at the same
+        # piece indices on both sides
+        i, j = max(bisect_left(pa, (lo,)) - 1, 0), bisect_left(pa, (hi,))
+        pa, pb = pa[i:j], pb[i:j]
+        if segments(a, fa, pa) != segments(b, fb, pb):
             break
-        agreed.append((a, b, ca[1], cb[1]))
+        agreed.append((a, b, pa, pb))
     same = len(agreed) == 2
     # rank 3: directional occurrence sums per (pivot letter, base) (IV), and
     # exact directional counts for pivots whose star partner does not occur
@@ -430,9 +506,9 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
         return _no(n, "Balanced", _balance_witness(Counter(ident.lhs),
                                                    Counter(ident.rhs)), mode)
     if occ_lr:
-        return _no(n, "OccLR", _occ_lr_witness(names, u, v), mode)
+        return _no(n, "OccLR", _occ_lr_witness(names, u, v, p, e), mode)
     if not same:
-        return _no(n, *_subset_violation(names, u, v, ru, rv, strict))
+        return _no(n, *_subset_violation(names, u, v, ru, rv, strict, p, e))
     # the first pivot in sorted order, every (IV) one before every (V) one
     if left_iv or right_iv:
         y = min(left_iv.keys() | right_iv.keys())

@@ -3,8 +3,10 @@
 These are the straightforward implementations that the library's fast paths
 replaced: the rank-2/3 restriction procedure and the rank >= 4 / plain
 occurrence check built on per-letter position lists and bisection (O(k^2)
-pair loops), the recursive term parser with its character-by-character
-lexer, the rank >= 4 component letter maps written out as four families,
+pair loops), the sweeps over every piece of both whole sides rather than
+over the pieces that meet the window between their common prefix and
+suffix, the recursive term parser with its character-by-character lexer,
+the rank >= 4 component letter maps written out as four families,
 the monoid invariant key with quadratic lpi/rpi scans, and the isoterm
 search that checks every rearrangement of a word, enumerated recursively,
 the twin trees as nested nodes built by recursive persistent insertion,
@@ -24,10 +26,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import product
+from operator import add
 from typing import Optional
 
-from baxt.checker import (CheckReport, _balance_witness, _no, _yes, check,
-                          is_balanced)
+from baxt.checker import (CheckReport, _balance_witness, _first_witness,
+                          _letter, _letter_ids, _no, _occ_lr_witness,
+                          _subset_violation, _yes, check, is_balanced)
 from baxt.monoid import key_of as fast_key_of, sharp_word
 from baxt.oracle import enumerate_classes
 from baxt.represent import generator_images
@@ -253,6 +257,132 @@ def _occ_lr_check(ident: Identity, n: int, mode: str) -> CheckReport:
                 return _no(n, "OccLR", {"pivot": str(x), "letter": str(y),
                                         "side": "right"}, mode)
     return CheckReport(True, n, mode)
+
+
+# ---------------------------------------------------------------------------
+# Checker: the sweeps over every piece of both whole sides
+# ---------------------------------------------------------------------------
+
+def _full_pieces(u: list):
+    """The first position of every letter of u, and the (start, end) of
+    every piece of u, cut just before each of them; the last piece ends
+    after its first letter."""
+    if not u:
+        return {}, []
+    first = dict(zip(reversed(u), range(len(u) - 1, -1, -1)))
+    cuts = sorted(first.values())
+    return first, list(zip(cuts, cuts[1:] + [cuts[-1] + 1]))
+
+
+def _full_open_segments(u: list, cut, size: int, strict: bool) -> list:
+    """Per piece: its first letter and its sorted letters whose partner has
+    not occurred yet; unless strict, second letters with no such letter
+    between them form one sorted group."""
+    first, pieces = cut
+    late = [first.get(x ^ 1, len(u)) for x in range(size)]
+    out = []
+    for a, b in pieces:
+        x, open_letters = u[a], sorted([y for y in u[a:b] if late[y] > a])
+        if not strict and late[x] < a and out and not out[-1][1]:
+            out[-1] = (tuple(sorted(out[-1][0] + (x,))), open_letters)
+        else:
+            out.append(((x,), open_letters))
+    return out
+
+
+def _full_first_diff(p, q, lo: int, hi: int):
+    """First index outside lo..hi-1 at which p and q differ, or None."""
+    if p[:lo] == q[:lo] and p[hi:] == q[hi:]:
+        return None
+    for i, (a, b) in enumerate(zip(p, q)):
+        if a != b and not lo <= i < hi:
+            return i
+    return None
+
+
+def _full_base_sums(p: list) -> list:
+    """Per-letter counts summed per base (star-blind)."""
+    return list(map(add, p[::2], p[1::2]))
+
+
+def _full_pivot_sweep(u: list, v: list, pu: list, pv: list, size: int):
+    """From empty counts, at the first occurrence of every letter y: the
+    first base outside y's own whose star-blind counts before it differ
+    (IV), and, when y's partner has not occurred, the first letter outside
+    y's base whose counts differ (V)."""
+    cu, cv = [0] * size, [0] * size
+    bad_iv, bad_v = {}, {}
+    for (a, b), (c, d) in zip(pu, pv):
+        y = u[a]
+        z = y & ~1
+        if cu[:z] != cv[:z] or cu[z + 2:] != cv[z + 2:]:
+            w = _full_first_diff(_full_base_sums(cu), _full_base_sums(cv),
+                                 z >> 1, (z >> 1) + 1)
+            if w is not None:
+                bad_iv[y] = w
+            if cu[y ^ 1] == 0:
+                bad_v[y] = _full_first_diff(cu, cv, z, z + 2)
+        for x in u[a:b]:
+            cu[x] += 1
+        for x in v[c:d]:
+            cv[x] += 1
+    return bad_iv, bad_v
+
+
+def _full_window(u: list, v: list):
+    """The lengths of the common prefix, and the length less that of the
+    common suffix, of two balanced sides that differ, index by index."""
+    p = next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
+    q = next(i for i, (a, b) in enumerate(zip(u[::-1], v[::-1])) if a != b)
+    return p, len(u) - q
+
+
+def full_sweep_check(ident: Identity, n: int, mode: str = "involution",
+                     witness: bool = True) -> CheckReport:
+    """Every rank >= 2 and the plain variant, by cutting, comparing and
+    sweeping every piece of both whole sides, forward and reversed; a NO
+    names its witness by the library's searches."""
+    names, u, v = _letter_ids(ident)
+    size, ru, rv = 2 * len(names), u[::-1], v[::-1]
+    occ_lr = n >= 4 or mode == "plain"
+    strict = n >= 3
+
+    def segments(w, cut):
+        return ([sorted(w[a:b]) for a, b in cut[1]] if occ_lr
+                else _full_open_segments(w, cut, size, strict))
+
+    balanced = sorted(u) == sorted(v)
+    agreed = []
+    for a, b in ((u, v), (ru, rv)) if balanced else ():
+        ca, cb = _full_pieces(a), _full_pieces(b)
+        if segments(a, ca) != segments(b, cb):
+            break
+        agreed.append((a, b, ca[1], cb[1]))
+    same = len(agreed) == 2
+    (left_iv, left_v), (right_iv, right_v) = (
+        [_full_pivot_sweep(*reading, size) for reading in agreed]
+        if same and n == 3 and not occ_lr else (({}, {}), ({}, {})))
+    if same and not (left_iv or right_iv or left_v or right_v):
+        return CheckReport(True, n, mode)
+    if not witness:
+        return CheckReport(False, n, mode)
+    if not balanced:
+        return _no(n, "Balanced", _balance_witness(Counter(ident.lhs),
+                                                   Counter(ident.rhs)), mode)
+    p, e = _full_window(u, v)
+    if occ_lr:
+        return _no(n, "OccLR", _occ_lr_witness(names, u, v, p, e), mode)
+    if not same:
+        return _no(n, *_subset_violation(names, u, v, ru, rv, strict, p, e))
+    if left_iv or right_iv:
+        y = min(left_iv.keys() | right_iv.keys())
+        side, d = _first_witness(left_iv.get(y), right_iv.get(y))
+        return _no(3, "IV", {"pivot": str(_letter(names, y)),
+                             "base": names[d], "side": side})
+    y = min(left_v.keys() | right_v.keys())
+    side, d = ("left", left_v[y]) if y in left_v else ("right", right_v[y])
+    return _no(3, "V", {"pivot": str(_letter(names, y)),
+                        "letter": str(_letter(names, d)), "side": side})
 
 
 # ---------------------------------------------------------------------------

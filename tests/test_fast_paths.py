@@ -337,6 +337,89 @@ def test_no_witness_work_is_linear_in_the_variables(monkeypatch, shape):
 
 
 # ---------------------------------------------------------------------------
+# Verdicts over the window between the common prefix and suffix
+# ---------------------------------------------------------------------------
+
+def window_pairs(rng, size):
+    """(identity, star-free?) pairs: a shared random prefix and suffix of
+    0-20 letters, over k = 1..12 variables, around a middle of 1-20
+    letters that the other side keeps, swaps once, swaps twice far apart,
+    shuffles in a sub-range or shuffles whole, or changes in one letter
+    (a one-letter window) or drops one letter from, or a (V) shape; and
+    the empty sides."""
+    out = [(Identity((), ()), True)]
+    for _ in range(size):
+        plain = rng.random() < 0.25
+        pool = _letter_pool(rng.randint(1, 12), not plain)
+        head, mid, tail = (rng.choices(pool, k=rng.randint(lo, 20))
+                           for lo in (0, 1, 0))
+        other, shape = mid.copy(), rng.randrange(8)
+        i, j = sorted(rng.sample(range(len(mid)), 2)) if len(mid) > 1 else (0, 0)
+        if shape == 1:
+            # half the time with a letter of the same base, which keeps
+            # every star-blind count
+            partners = [t for t, x in enumerate(mid) if x == mid[i].star()]
+            if partners and rng.random() < 0.5:
+                j = rng.choice(partners)
+            other[i], other[j] = other[j], other[i]
+        elif shape == 2:
+            h = len(mid) // 2
+            for a, b in ((0, h), (h, len(mid))):
+                if b - a > 1:
+                    x, y = rng.sample(range(a, b), 2)
+                    other[x], other[y] = other[y], other[x]
+        elif shape == 3:
+            part = other[i:j + 1]
+            rng.shuffle(part)
+            other[i:j + 1] = part
+        elif shape == 4:
+            rng.shuffle(other)
+        elif shape == 5:
+            other[i] = rng.choice(pool)
+        elif shape == 6:
+            del other[i]
+        elif not plain:
+            # x and x* swapped around a letter new to the side, with both
+            # before and after them: the counts before that pivot differ
+            # only in x against x*, a (V) shape
+            x, y = rng.sample(pool, 2)
+            head = [t for t in head if t.base != y.base] + [x, x.star()]
+            tail += [x, x.star()]
+            mid, other = [x, y, x.star()], [x.star(), y, x]
+        out.append((Identity(tuple(head + mid + tail), tuple(head + other + tail)),
+                    plain))
+    return out
+
+
+def test_window_reports_match_the_full_side_sweep():
+    # the sweeps compare only the pieces that meet the window; the
+    # reference cuts, compares and sweeps both whole sides
+    kinds = Counter()
+    for idn, plain in window_pairs(random.Random(19), 4000):
+        runs = [(n, "involution") for n in (2, 3, 4, 5)]
+        if plain:
+            runs += [(2, "plain"), (5, "plain")]
+        for n, mode in runs:
+            report = check(idn, n, mode)
+            assert report.to_json() == ref.full_sweep_check(idn, n, mode).to_json(), (
+                str(idn), n, mode)
+            kinds[report.violated] += 1
+        if len(idn.lhs) != len(idn.rhs):
+            kinds["unequal lengths"] += 1
+        elif idn.lhs == idn.rhs:
+            kinds["equal"] += 1
+        else:
+            p, e = ref._full_window(idn.lhs, idn.rhs)
+            kinds["window at the start"] += p == 0
+            kinds["window at the end"] += e == len(idn.lhs)
+            kinds["one-letter window"] += e - p == 1
+    for kind in (None, "Balanced", "I", "II", "III", "IV", "V", "OccLR", "equal",
+                 "unequal lengths", "window at the start", "window at the end",
+                 "one-letter window"):
+        assert kinds[kind] >= 20, (kind, kinds)
+
+
+# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
