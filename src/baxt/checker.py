@@ -15,7 +15,7 @@ read forward and reversed (sorted at rank >= 4 and in plain mode, first and
 open letters at ranks 2 and 3), then at rank 3 the pivot sweep over the
 same pieces.  It compares and sweeps only the pieces that meet the window
 between the sides' common prefix and common suffix, and decides equal
-sides by their empty window.  For sides of |u| letters over k variables
+sides before it builds anything.  For sides of |u| letters over k variables
 that takes O(|u|) C-level passes and a sort of the k cuts, plus Python
 work over the letters of the window's pieces (each piece sorted), plus at
 rank 3 O(k) per pivot in the window, and O(|u| + k) memory.  Only a NO
@@ -115,12 +115,9 @@ def _letter(names, a: int) -> IVar:
 
 def _window(u: list, v: list):
     """The window (p, e) between the longest common prefix u[:p] and the
-    longest common suffix u[e:] of two sides of one length, found by
-    C-level passes; p == e == len(u) when the sides are equal, and e > p
-    otherwise, as they differ at index p."""
-    p = next(compress(count(), map(ne, u, v)), len(u))
-    if p == len(u):
-        return p, p
+    longest common suffix u[e:] of two different sides of one length,
+    found by C-level passes; e > p, as they differ at index p."""
+    p = next(compress(count(), map(ne, u, v)))
     return p, len(u) - next(compress(count(), map(ne, reversed(u), reversed(v))))
 
 
@@ -415,11 +412,12 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     Only the pieces that meet the window are read.  With u[:p] and u[e:]
     the sides' longest common prefix and suffix (`_window`), the sides are
     balanced exactly when they have one length and their windows u[p:e]
-    and v[p:e] hold the same letters; equal sides (p == e) agree at once.
-    Otherwise the span runs from the piece that holds p - 1 (the first
-    piece when p == 0) through the last piece that starts before e.  The
-    reversed sides have the window [|u| - e, |u| - p).  Three facts show
-    that the span decides as all the pieces do.
+    and v[p:e] hold the same letters.  Equal sides agree at once, before
+    any letter ids are built, so the window is never empty.  The span runs
+    from the piece that holds p - 1 (the first piece when p == 0) through
+    the last piece that starts before e.  The reversed sides have the
+    window [|u| - e, |u| - p).  Three facts show that the span decides as
+    all the pieces do.
 
     (a) Pieces inside the common prefix have the same cuts, contents and
     open letters on both sides, and the piece that holds p - 1 starts at
@@ -462,12 +460,12 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     which the suffix fixes.  So no pivot outside the span fails, and the
     failing-pivot dicts, with the (IV) and (V) witnesses read from them,
     are those of a sweep over every piece."""
+    if ident.lhs == ident.rhs:
+        return CheckReport(True, n, mode)
     names, u, v = _letter_ids(ident)
     balanced = len(u) == len(v)
     if balanced:
         p, e = _window(u, v)
-        if p == e:
-            return CheckReport(True, n, mode)
         balanced = sorted(u[p:e]) == sorted(v[p:e])
     size, ru, rv = 2 * len(names), u[::-1], v[::-1]
     occ_lr = n >= 4 or mode == "plain"

@@ -4,16 +4,22 @@ The brute-force engine substitutes every tuple of monoid classes (built from
 words up to a length bound) for the variables of an identity and looks for a
 falsifying assignment.  It is a bounded refuter, never a decision procedure:
 its positive outcome only means no counterexample within the bound.  One
-loop evaluates assignments until one refutes the identity.  An assignment
-whose two image words are equal is decided without keys, since one word is
-one class; only different words are compared by their keys.  The words are
-compared on the images of the two sides' differing middles alone, as P x S
-and P y S are equal words exactly when x and y are; sides that are one word
-have no middles, and their assignments are only counted.  The full scan
-feeds it the grid in chunks of first-base class indices, in order, and
-stops at the first refuting chunk; the chunks run in this process, or with
-jobs > 1 in a pool of processes, and give the same witness and evaluation
-count either way.  The sampler feeds it seeded random draws.
+loop evaluates assignments until one refutes the identity.  Most
+assignments of an identity that holds are settled by the content cover
+rule, with no image word and no key.  Write the sides as P X S and P Y S,
+P and S their common prefix and suffix of letters; when X and Y hold the
+same letters, an assignment sends them to p x s and p y s with x and y
+holding the same letters of 1..n, and when every letter of x occurs in p
+and in s the two are congruent (`_side_images` gives the proof).  That
+takes one OR per distinct letter of P, S and X over per-class content
+bitmasks, and one AND.  Only the other assignments build both image
+words: equal words are one class, and different words have their keys
+compared.  Sides that are one word only count the assignments.  The full
+scan feeds the loop the grid in chunks of first-base class indices, in
+order, and stops at the first refuting chunk; the chunks run in this
+process, or with jobs > 1 in a pool of processes, and give the same
+witness and evaluation count either way.  The sampler feeds it seeded
+random draws.
 
 The second engine evaluates identities in the two-generator commutative
 involution monoid a^m b^n (product adds exponents, star swaps them), whose
@@ -95,10 +101,25 @@ def _side_images(ident: Identity, bases, classes):
     """Two functions of class indices, one per base in the order of bases.
     images gives the words of both sides with each base sent to its class's
     representative; starred letters go to the involution of the base image.
-    differ tells whether those two words differ, from the images of the
-    sides without their common prefix and suffix of letters; it is None
-    when the two sides are one word, as then no assignment tells them
-    apart."""
+    covered tells whether the content cover rule settles the assignment as
+    congruent; it is None when the rule cannot fire, that is unless the
+    common prefix P and suffix S of letters are both nonempty and the
+    middles X and Y between them hold the same letters.
+
+    The rule: with p, x, y and s the images of P, X, Y and S, x and y hold
+    the same letters of 1..n, and if every letter of x occurs in p and in s
+    then p x s and p y s are congruent.  They have one evaluation, since
+    the sides are balanced.  Every letter first occurs at the same
+    position of both words: in p if it occurs in x, and otherwise at one
+    shared position of p or s.  The lpi triple of b is (a, b, l), where a
+    is the largest letter below b that occurs before b's first
+    occurrence; the letters before that position are the same on both
+    sides, so a is too.  If b first occurs in p, then p fixes l;
+    otherwise l is the count of a in p, plus its count in x (the same as
+    in y), plus its count in s before that position.  The rpi triples
+    agree by the mirror argument, with last occurrences in s.  So the
+    rule needs the content bitmasks of p, s and x, an OR per distinct
+    letter of P, S and X and one AND per assignment."""
     plain = [e.representative.symbols for e in classes]
     starred = [sharp_word(e.representative).symbols for e in classes]
     base_pos = {b: i for i, b in enumerate(bases)}
@@ -111,8 +132,7 @@ def _side_images(ident: Identity, bases, classes):
     s = 0
     while s < short - p and lhs_ops[-1 - s] == rhs_ops[-1 - s]:
         s += 1
-    lhs_mid = lhs_ops[p:len(lhs_ops) - s]
-    rhs_mid = rhs_ops[p:len(rhs_ops) - s]
+    mid = lhs_ops[p:len(lhs_ops) - s]
 
     def image(ops, idxs):
         out = []
@@ -123,9 +143,26 @@ def _side_images(ident: Identity, bases, classes):
     def images(idxs):
         return image(lhs_ops, idxs), image(rhs_ops, idxs)
 
-    def differ(idxs):
-        return image(lhs_mid, idxs) != image(rhs_mid, idxs)
-    return images, differ if lhs_mid or rhs_mid else None
+    if not (p and s and sorted(mid) == sorted(rhs_ops[p:len(rhs_ops) - s])):
+        return images, None
+    # content bitmasks per class, indexed by starred: bit a for letter a
+    masks = tuple([sum(1 << a for a in set(w)) for w in words]
+                  for words in (plain, starred))
+
+    def ors(ops):
+        return [(masks[st], bi) for bi, st in set(ops)]
+    in_p, in_s, in_x = ors(lhs_ops[:p]), ors(lhs_ops[len(lhs_ops) - s:]), ors(mid)
+
+    def covered(idxs):
+        mp = ms = mx = 0
+        for m, bi in in_p:
+            mp |= m[idxs[bi]]
+        for m, bi in in_s:
+            ms |= m[idxs[bi]]
+        for m, bi in in_x:
+            mx |= m[idxs[bi]]
+        return not mx & ~(mp & ms)
+    return images, covered
 
 
 def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
@@ -174,18 +211,21 @@ def default_max_len(num_bases: int) -> int:
 def _evaluate(ident, bases, classes, n, assignments):
     """Evaluate both sides on each assignment (class indices in the order
     of bases) up to the first that refutes the identity.  Returns it (None
-    if there is none) and the number of evaluations.  Equal image words are
-    one class, so only different words get their keys compared, and sides
-    that are one word only count the assignments."""
-    images, differ = _side_images(ident, bases, classes)
-    if differ is None:
+    if there is none) and the number of evaluations.  Sides that are one
+    word only count the assignments.  Otherwise an assignment that the
+    content cover rule settles costs O(|P| + |S| + |X|) ORs of bitmasks;
+    the rest build both image words, O(|u| max_len), and only different
+    words have their keys compared."""
+    if ident.lhs == ident.rhs:
         return None, sum(1 for _ in assignments)
+    images, covered = _side_images(ident, bases, classes)
     count = 0
     for count, idxs in enumerate(assignments, 1):
-        if differ(idxs):
-            lhs, rhs = images(idxs)
-            if key_of(lhs, n) != key_of(rhs, n):
-                return {b: classes[i] for b, i in zip(bases, idxs)}, count
+        if covered is not None and covered(idxs):
+            continue
+        lhs, rhs = images(idxs)
+        if lhs != rhs and key_of(lhs, n) != key_of(rhs, n):
+            return {b: classes[i] for b, i in zip(bases, idxs)}, count
     return None, count
 
 

@@ -251,8 +251,8 @@ def _cuts(monkeypatch, idn, n, mode="involution"):
 def test_balanced_sides_whose_pieces_agree_are_cut_once_each(monkeypatch, n, mode,
                                                              text, violated):
     # u, v and both reversed: four sides, the rank-3 pivot sweep included;
-    # equal sides (the four rows that read "s ≈ s") are decided by their
-    # empty window, and nothing is cut
+    # equal sides (the four rows that read "s ≈ s") are decided before
+    # their letter ids are built, and nothing is cut
     idn = parse_identity(text)
     report, cuts = _cuts(monkeypatch, idn, n, mode)
     assert report.violated == violated

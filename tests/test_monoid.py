@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -97,6 +98,39 @@ def _random_words(seed=7, size=2000):
 def test_key_matches_the_quadratic_reference_on_random_words():
     for symbols, n in _random_words():
         assert key_of(symbols, n) == ref.key_of(symbols, n), (len(symbols), n)
+
+
+def _cover_triples(seed=11, size=3000):
+    """Fixed-seed words p, x, y and s over ranks 1-5, y a shuffle of x.
+    The letters of x are drawn from those that p and s share, from those
+    of p, from those of s or from all of 1..n, a quarter of the time each
+    (all of 1..n where the chosen letters are none)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(size):
+        n = rng.randint(1, 5)
+        p = tuple(rng.choices(range(1, n + 1), k=rng.randint(0, 6)))
+        s = tuple(rng.choices(range(1, n + 1), k=rng.randint(0, 6)))
+        pool = rng.choice([sorted(set(p) & set(s)), sorted(set(p)), sorted(set(s)),
+                           range(1, n + 1)]) or range(1, n + 1)
+        x = tuple(rng.choices(pool, k=rng.randint(1, 5)))
+        out.append((n, p, x, tuple(rng.sample(x, len(x))), s))
+    return out
+
+
+def test_a_middle_whose_letters_occur_before_and_after_it_can_be_shuffled():
+    # the oracle's content cover rule: p x s and p y s, y a shuffle of x,
+    # are congruent when every letter of x occurs in p and in s.  Letters
+    # of x that all occur in p alone, or in s alone, are not enough
+    differ = Counter()
+    for n, p, x, y, s in _cover_triples():
+        same = key_of(p + x + s, n) == key_of(p + y + s, n)
+        in_p, in_s = set(x) <= set(p), set(x) <= set(s)
+        if in_p and in_s:
+            assert same, (n, p, x, y, s)
+        elif not same:
+            differ[in_p, in_s] += 1
+    assert differ[True, False] and differ[False, True] and differ[False, False]
 
 
 def test_equivalent():

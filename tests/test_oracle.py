@@ -279,9 +279,11 @@ def _near_miss(idn, i):
 
 def _differential_cases():
     """Every basis2, basis4 and pk_qk(2) row and one near miss of each, with
-    ranks 2-4 and max_len 1-2 in turn; and x y ~= y x and x x* ~= x* x at
-    every rank and max_len.  The full scan runs where the grid has at most
-    16,000 assignments, the sampler everywhere."""
+    ranks 2-4 and max_len 1-2 in turn; x y ~= y x and x x* ~= x* x at every
+    rank and max_len; the _OVERLAPS at rank 3, max_len 2; and the _COVERS
+    and _NO_COVER at rank 2, max_len 3 and at rank 3, max_len 2.  The full
+    scan runs where the grid has at most 16,000 assignments, the sampler
+    everywhere."""
     bounds = [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2), (4, 2)]
     cases = []
     for i, row in enumerate(basis2() + basis4() + [pk_qk(2)]):
@@ -290,31 +292,58 @@ def _differential_cases():
         cases.append((_near_miss(row, i % (len(row.rhs) - 1)), n, max_len))
     for text in ("x y ~= y x", "x x* ~= x* x"):
         cases += [(parse_identity(text), n, m) for n, m in bounds]
-    return cases + [(parse_identity(text), 3, 2) for text in _OVERLAPS]
+    cases += [(parse_identity(text), 3, 2) for text in _OVERLAPS]
+    return cases + [(parse_identity(text), n, m) for text in _COVERS + _NO_COVER
+                    for n, m in ((2, 3), (3, 2))]
 
 
 #: sides whose common prefix and suffix overlap in the shorter side
 _OVERLAPS = ("x y x ~= x", "x x ~= x", "x y ~= x y y", "y* x y* ~= y*",
              "x y x ~= x y* x", "x y ~= x y")
 
+#: balanced sides whose common prefix or suffix holds only some of the
+#: middle's bases, or none of them; the first four hold at rank 2 alone
+_COVERS = ("x x* x y x* y* ~= x x* y x x* y*", "y* x* x y y* y ~= y* x* y x y* y",
+           "x x* x y y* y y ~= x x* y x y* y y", "y x h x y x* x ~= y x h y x x* x",
+           "x h x y h* y ~= x h y x h* y", "h x y h* ~= h y x h*")
 
-def test_differing_middles_tell_whether_the_image_words_differ():
-    classes = enumerate_classes(2, 2)
-    for text in _OVERLAPS + ("x y ~= y x", "x* y x ~= x y x*"):
-        idn = parse_identity(text)
+#: sides with no common prefix, and unbalanced sides with a common prefix
+#: and suffix: the content cover rule never runs on them
+_NO_COVER = ("x y h x ~= y x h x", "x y h x ~= x y y h x", "x h y x ~= x h x x")
+
+
+def test_the_cover_rule_settles_only_congruent_assignments():
+    # every assignment that the rule settles has image words with equal
+    # keys, and the rule settles some assignments and declines others
+    settled = declined = 0
+    for idn, n, max_len in _differential_cases():
+        classes = enumerate_classes(n, max_len)
         bases = oracle.identity_bases(idn)
-        images, differ = oracle._side_images(idn, bases, classes)
-        # None stands for sides that are one word
-        assert (differ is None) == (idn.lhs == idn.rhs), text
+        if len(classes) ** len(bases) > 16000:
+            continue
+        images, covered = oracle._side_images(idn, bases, classes)
+        if covered is None:
+            continue
+        assert is_balanced(idn) and idn.lhs[0] == idn.rhs[0] \
+            and idn.lhs[-1] == idn.rhs[-1], idn
         for idxs in product(range(len(classes)), repeat=len(bases)):
-            lhs, rhs = images(idxs)
-            assert (differ is not None and differ(idxs)) == (lhs != rhs), \
-                (text, idxs)
+            if covered(idxs):
+                lhs, rhs = images(idxs)
+                assert oracle.key_of(lhs, n) == oracle.key_of(rhs, n), (idn, idxs)
+                settled += 1
+            else:
+                declined += 1
+    assert settled and declined
+    classes = enumerate_classes(3, 2)
+    for text in _NO_COVER:
+        idn = parse_identity(text)
+        assert oracle._side_images(idn, oracle.identity_bases(idn), classes)[1] is None
 
 
 def test_oracle_matches_the_reference_evaluation_loop():
     # the reference compares both sides' keys on every assignment; the
-    # oracle skips the keys where the two image words are equal
+    # oracle settles most assignments by the content cover rule, and skips
+    # the keys where the two image words are equal
     refuted = scanned = 0
     for seed, (idn, n, max_len) in enumerate(_differential_cases()):
         grid = len(enumerate_classes(n, max_len)) ** len(oracle.identity_bases(idn))
@@ -336,6 +365,7 @@ def test_oracle_matches_the_reference_evaluation_loop():
 
 def test_equal_image_words_are_decided_without_keys(monkeypatch):
     enumerate_classes(3, 2)  # cached before counting
+    enumerate_classes(4, 1)
     calls = []
     real = oracle.key_of
 
@@ -347,6 +377,10 @@ def test_equal_image_words_are_decided_without_keys(monkeypatch):
     res = brute_force_check(Identity(u, u), 3, 2)
     assert calls == []
     assert not res.refuted and res.evaluations == len(enumerate_classes(3, 2)) ** 2
+    # the content cover rule settles every assignment of a basis4 row
+    res = brute_force_check(basis4()[0], 4, 1)
+    assert calls == []
+    assert not res.refuted and res.evaluations == 15625
     # different image words are still compared by their keys
     assert brute_force_check(ident("x y", "y x"), 2, 1).refuted
     assert calls
