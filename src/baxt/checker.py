@@ -46,11 +46,12 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, repeat
-from operator import add, itemgetter, ne
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Optional
 
-from .words import IVar, IWord, Identity, occ_after, occ_before, restrict
+from .words import (IVar, IWord, Identity, common_ends, id_letter, letter_ids,
+                    occ_after, occ_before, restrict)
 
 
 class PlainModeError(ValueError):
@@ -94,32 +95,8 @@ def _no(n, violated, witness, mode="involution"):
 
 
 # ---------------------------------------------------------------------------
-# Letter tables
+# Sides as letter ids (`words.letter_ids`)
 # ---------------------------------------------------------------------------
-
-def _letter_ids(ident: Identity):
-    """Sorted base names, and both sides with every letter replaced by its
-    id 2 * (index of the base) + starred; ids sort like the letters."""
-    letters = set(ident.lhs)
-    letters.update(ident.rhs)
-    names = sorted({base for base, _ in letters})
-    index = {b: 2 * i for i, b in enumerate(names)}
-    ids = {x: index[x[0]] + x[1] for x in letters}
-    return (names, list(map(ids.__getitem__, ident.lhs)),
-            list(map(ids.__getitem__, ident.rhs)))
-
-
-def _letter(names, a: int) -> IVar:
-    return IVar(names[a >> 1], bool(a & 1))
-
-
-def _window(u: list, v: list):
-    """The window (p, e) between the longest common prefix u[:p] and the
-    longest common suffix u[e:] of two different sides of one length,
-    found by C-level passes; e > p, as they differ at index p."""
-    p = next(compress(count(), map(ne, u, v)))
-    return p, len(u) - next(compress(count(), map(ne, reversed(u), reversed(v))))
-
 
 def _pieces(u: list):
     """The first position of every letter of u, and the (start, end) of the
@@ -141,12 +118,13 @@ def _positions(ids, size: int) -> list:
 
 def _reach(u: list, p: int, e: int):
     """The letters that the difference between two balanced sides that
-    differ reaches, given their window (p, e) (`_window`): those with an
-    occurrence in the window u[p:e], and those not settled.  The window
-    holds the same letters on both sides, so a letter with no occurrence
-    in it sits at the same positions on both.  A letter is settled when it
-    first occurs in the common prefix u[:p] and last occurs in the common
-    suffix u[e:], which read the same on both sides."""
+    differ reaches, given the window (p, e) between their common ends
+    (`words.common_ends`): those with an occurrence in the window u[p:e],
+    and those not settled.  The window holds the same letters on both sides,
+    so a letter with no occurrence in it sits at the same positions on
+    both.  A letter is settled when it first occurs in the common prefix
+    u[:p] and last occurs in the common suffix u[e:], which read the same
+    on both sides."""
     head, moved, tail = set(u[:p]), set(u[p:e]), set(u[e:])
     return moved, (head | moved | tail) - (head & tail)
 
@@ -307,7 +285,7 @@ def _subset_violation(names, u, v, ru, rv, strict: bool, p: int, e: int):
     """The pattern and witness of the first base subset, in sorted order
     (every base, then every pair of bases), whose statistics differ, in
     the order pre, pren, suf, sufn; ru and rv are u and v reversed, and
-    (p, e) is their window (`_window`).
+    (p, e) is their window (see `_reach`).
 
     Only a subset with a base that has a letter in the window and a base
     that is unsettled (see `_reach`) is tested, as every other subset has
@@ -356,7 +334,7 @@ def _subset_violation(names, u, v, ru, rv, strict: bool, p: int, e: int):
 
 def _occ_lr_witness(names, u, v, p: int, e: int) -> dict:
     """The first (pivot, letter, side) in sorted order whose directional
-    counts differ, for sides with the window (p, e) (`_window`).
+    counts differ, for sides with the window (p, e) (see `_reach`).
 
     Only a pivot with an occurrence in the window that is not settled (see
     `_reach`) is tested, as every other one sees the same counts on both
@@ -384,8 +362,8 @@ def _occ_lr_witness(names, u, v, p: int, e: int) -> dict:
                 side = "right"
             else:
                 continue
-            return {"pivot": str(_letter(names, x)),
-                    "letter": str(_letter(names, y)), "side": side}
+            return {"pivot": str(id_letter(names, x)),
+                    "letter": str(id_letter(names, y)), "side": side}
     raise AssertionError("segment sweep and pivot counts disagree")
 
 
@@ -410,7 +388,7 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     witness search of the rank run.
 
     Only the pieces that meet the window are read.  With u[:p] and u[e:]
-    the sides' longest common prefix and suffix (`_window`), the sides are
+    the sides' common prefix and suffix (`words.common_ends`), the sides are
     balanced exactly when they have one length and their windows u[p:e]
     and v[p:e] hold the same letters.  Equal sides agree at once, before
     any letter ids are built, so the window is never empty.  The span runs
@@ -462,11 +440,10 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     are those of a sweep over every piece."""
     if ident.lhs == ident.rhs:
         return CheckReport(True, n, mode)
-    names, u, v = _letter_ids(ident)
-    balanced = len(u) == len(v)
-    if balanced:
-        p, e = _window(u, v)
-        balanced = sorted(u[p:e]) == sorted(v[p:e])
+    names, u, v = letter_ids(ident)
+    p, s = common_ends(u, v)
+    e = len(u) - s
+    balanced = len(u) == len(v) and sorted(u[p:e]) == sorted(v[p:e])
     size, ru, rv = 2 * len(names), u[::-1], v[::-1]
     occ_lr = n >= 4 or mode == "plain"
     strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
@@ -511,12 +488,12 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     if left_iv or right_iv:
         y = min(left_iv.keys() | right_iv.keys())
         side, d = _first_witness(left_iv.get(y), right_iv.get(y))
-        return _no(3, "IV", {"pivot": str(_letter(names, y)),
+        return _no(3, "IV", {"pivot": str(id_letter(names, y)),
                              "base": names[d], "side": side})
     y = min(left_v.keys() | right_v.keys())
     side, d = ("left", left_v[y]) if y in left_v else ("right", right_v[y])
-    return _no(3, "V", {"pivot": str(_letter(names, y)),
-                        "letter": str(_letter(names, d)), "side": side})
+    return _no(3, "V", {"pivot": str(id_letter(names, y)),
+                        "letter": str(id_letter(names, d)), "side": side})
 
 
 def check_baxt2(ident: Identity, witness: bool = True) -> CheckReport:

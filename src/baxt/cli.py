@@ -183,6 +183,8 @@ def _check_tuple(n: int, length: int, materialized: bool):
 
 
 def _cmd_repr(args, stdin_text):
+    if args.materialize and args.n < 4:
+        raise ValueError("--materialize applies to rank >= 4, not to ranks 1-3")
     w = parse_aword(args.word, args.n)
     if args.n >= 4:
         _check_tuple(args.n, len(w), args.materialize)

@@ -37,7 +37,7 @@ from typing import Optional
 
 from .monoid import (BaxtElement, RankMismatchError, key_of, key_to_json_obj,
                      sharp_word)
-from .words import AWord, Identity, IWord
+from .words import AWord, Identity, IWord, common_ends, letter_ids
 
 
 class BudgetExceededError(ValueError):
@@ -94,17 +94,18 @@ def _class_table(n: int, max_len: int) -> tuple[BaxtElement, ...]:
 
 
 def identity_bases(ident: Identity) -> list[str]:
-    return sorted({x.base for x in ident.lhs + ident.rhs})
+    return letter_ids(ident)[0]
 
 
-def _side_images(ident: Identity, bases, classes):
-    """Two functions of class indices, one per base in the order of bases.
-    images gives the words of both sides with each base sent to its class's
-    representative; starred letters go to the involution of the base image.
+def _side_images(u, v, classes):
+    """Two functions of class indices, one per base, for the sides u and v
+    as letter ids (`words.letter_ids`).  images gives the words of both
+    sides with each base sent to its class's representative; starred
+    letters go to the involution of the base image.
     covered tells whether the content cover rule settles the assignment as
     congruent; it is None when the rule cannot fire, that is unless the
-    common prefix P and suffix S of letters are both nonempty and the
-    middles X and Y between them hold the same letters.
+    common prefix P and suffix S of letters (`words.common_ends`) are both
+    nonempty and the middles X and Y between them hold the same letters.
 
     The rule: with p, x, y and s the images of P, X, Y and S, x and y hold
     the same letters of 1..n, and if every letter of x occurs in p and in s
@@ -120,38 +121,30 @@ def _side_images(ident: Identity, bases, classes):
     agree by the mirror argument, with last occurrences in s.  So the
     rule needs the content bitmasks of p, s and x, an OR per distinct
     letter of P, S and X and one AND per assignment."""
-    plain = [e.representative.symbols for e in classes]
-    starred = [sharp_word(e.representative).symbols for e in classes]
-    base_pos = {b: i for i, b in enumerate(bases)}
-    lhs_ops = [(base_pos[x.base], x.starred) for x in ident.lhs]
-    rhs_ops = [(base_pos[x.base], x.starred) for x in ident.rhs]
-    short = min(len(lhs_ops), len(rhs_ops))
-    p = 0
-    while p < short and lhs_ops[p] == rhs_ops[p]:
-        p += 1
-    s = 0
-    while s < short - p and lhs_ops[-1 - s] == rhs_ops[-1 - s]:
-        s += 1
-    mid = lhs_ops[p:len(lhs_ops) - s]
+    # once per search, per letter id a: base a >> 1, class words by starred a & 1
+    words = ([e.representative.symbols for e in classes],
+             [sharp_word(e.representative).symbols for e in classes])
+    lhs_ops, rhs_ops = ([(a >> 1, words[a & 1]) for a in w] for w in (u, v))
+    p, s = common_ends(u, v)
+    mid = u[p:len(u) - s]
 
     def image(ops, idxs):
         out = []
-        for bi, st in ops:
-            out.extend(starred[idxs[bi]] if st else plain[idxs[bi]])
+        for bi, w in ops:
+            out.extend(w[idxs[bi]])
         return tuple(out)
 
     def images(idxs):
         return image(lhs_ops, idxs), image(rhs_ops, idxs)
 
-    if not (p and s and sorted(mid) == sorted(rhs_ops[p:len(rhs_ops) - s])):
+    if not (p and s and sorted(mid) == sorted(v[p:len(v) - s])):
         return images, None
     # content bitmasks per class, indexed by starred: bit a for letter a
-    masks = tuple([sum(1 << a for a in set(w)) for w in words]
-                  for words in (plain, starred))
+    masks = tuple([sum(1 << a for a in set(w)) for w in side] for side in words)
 
-    def ors(ops):
-        return [(masks[st], bi) for bi, st in set(ops)]
-    in_p, in_s, in_x = ors(lhs_ops[:p]), ors(lhs_ops[len(lhs_ops) - s:]), ors(mid)
+    def ors(ids):
+        return [(masks[a & 1], a >> 1) for a in set(ids)]
+    in_p, in_s, in_x = ors(u[:p]), ors(u[len(u) - s:]), ors(mid)
 
     def covered(idxs):
         mp = ms = mx = 0
@@ -168,7 +161,7 @@ def _side_images(ident: Identity, bases, classes):
 def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
     """Multiply the images left to right on both sides and compare classes.
     Starred letters go to the involution of the base image."""
-    bases = identity_bases(ident)
+    bases, u, v = letter_ids(ident)
     for b in bases:
         if b not in sub:
             raise UnassignedVariableError(f"no image for {b}")
@@ -177,16 +170,16 @@ def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
     ranks = sorted({sub[b].rank for b in bases})
     if len(ranks) > 1:
         raise RankMismatchError(f"images of ranks {ranks} in one substitution")
-    lhs_key, rhs_key = _substitution_keys(ident, bases, sub)
+    lhs_key, rhs_key = _substitution_keys(bases, u, v, sub)
     return lhs_key == rhs_key
 
 
-def _substitution_keys(ident: Identity, bases, sub):
-    """The keys of both sides with each of the (nonempty) bases b sent to
-    the class sub[b]; the classes share one rank."""
+def _substitution_keys(bases, u, v, sub):
+    """The keys of the sides u and v, letter ids over the sorted bases, with
+    each (nonempty) base b sent to sub[b]; the classes share one rank."""
     classes = [sub[b] for b in bases]
     n = classes[0].rank
-    images, _ = _side_images(ident, bases, classes)
+    images, _ = _side_images(u, v, classes)
     lhs, rhs = images(range(len(bases)))
     return key_of(lhs, n), key_of(rhs, n)
 
@@ -208,17 +201,17 @@ def default_max_len(num_bases: int) -> int:
     return 3 if num_bases <= 2 else 2
 
 
-def _evaluate(ident, bases, classes, n, assignments):
-    """Evaluate both sides on each assignment (class indices in the order
-    of bases) up to the first that refutes the identity.  Returns it (None
-    if there is none) and the number of evaluations.  Sides that are one
-    word only count the assignments.  Otherwise an assignment that the
-    content cover rule settles costs O(|P| + |S| + |X|) ORs of bitmasks;
-    the rest build both image words, O(|u| max_len), and only different
-    words have their keys compared."""
-    if ident.lhs == ident.rhs:
+def _evaluate(bases, u, v, classes, n, assignments):
+    """Evaluate the sides u and v (letter ids) on each assignment (class
+    indices in the order of bases) up to the first that refutes the
+    identity.  Returns it (None if there is none) and the number of
+    evaluations.  Sides that are one word only count the assignments.
+    Otherwise an assignment that the content cover rule settles costs
+    O(|P| + |S| + |X|) ORs of bitmasks; the rest build both image words,
+    O(|u| max_len), and only different words have their keys compared."""
+    if u == v:
         return None, sum(1 for _ in assignments)
-    images, covered = _side_images(ident, bases, classes)
+    images, covered = _side_images(u, v, classes)
     count = 0
     for count, idxs in enumerate(assignments, 1):
         if covered is not None and covered(idxs):
@@ -229,11 +222,11 @@ def _evaluate(ident, bases, classes, n, assignments):
     return None, count
 
 
-def _scan(ident, bases, classes, n, first_range):
+def _scan(bases, u, v, classes, n, first_range):
     """_evaluate on the assignments whose first-base class index lies in
     first_range, row-major over the remaining bases."""
     grid = product(first_range, *[range(len(classes))] * (len(bases) - 1))
-    return _evaluate(ident, bases, classes, n, grid)
+    return _evaluate(bases, u, v, classes, n, grid)
 
 
 def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
@@ -254,7 +247,7 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    bases = identity_bases(ident)
+    bases, u, v = letter_ids(ident)
     if max_len is None:
         max_len = default_max_len(len(bases))
     if not bases:
@@ -281,7 +274,7 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
     total = len(classes) ** len(bases)
     check_budget(total, f"{total} evaluations")
 
-    scan = partial(_scan, ident, bases, classes, n)
+    scan = partial(_scan, bases, u, v, classes, n)
     m = len(classes)
     if jobs > 1:
         # at most one process per CPU and per first-base class, so no chunk
@@ -319,12 +312,12 @@ def sample_check(ident: Identity, n: int, max_len: int, samples: int,
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     check_budget(samples, f"{samples} samples")
-    bases = identity_bases(ident)
+    bases, u, v = letter_ids(ident)
     classes = _class_table(n, max_len)
     rng = random.Random(seed)
     # drawn one assignment at a time, so a refutation stops the draws
     draws = ([rng.randrange(len(classes)) for _ in bases] for _ in range(samples))
-    sub, count = _evaluate(ident, bases, classes, n, draws)
+    sub, count = _evaluate(bases, u, v, classes, n, draws)
     return OracleResult(sub, count, n, max_len, False)
 
 
@@ -332,7 +325,7 @@ def witness_to_json_obj(ident: Identity, result: OracleResult):
     if result.witness is None:
         return None
     sub = result.witness
-    lhs_key, rhs_key = _substitution_keys(ident, identity_bases(ident), sub)
+    lhs_key, rhs_key = _substitution_keys(*letter_ids(ident), sub)
     return {
         "assignment": {b: str(e.representative) for b, e in sorted(sub.items())},
         "lhs_key": key_to_json_obj(lhs_key),
@@ -366,6 +359,5 @@ def comm_assignments(bases):
 def comm_check(ident: Identity) -> bool:
     """Does the identity hold in the commutative involution monoid?
     Checked over all assignments with exponents up to 2."""
-    bases = identity_bases(ident)
     return all(comm_eval(ident.lhs, a) == comm_eval(ident.rhs, a)
-               for a in comm_assignments(bases))
+               for a in comm_assignments(identity_bases(ident)))

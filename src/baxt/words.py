@@ -12,12 +12,16 @@ to the letters using (t*)* = t and (st)* = t* s*.
 sequence (``x y* z``, the form every printer here emits) is split on
 whitespace and read letter by letter; any other side is parsed as a term
 and flattened.  Both readings give the same word and the same errors.
+``letter_ids`` encodes an identity for the checker and the oracle, and
+``common_ends`` finds the common prefix and suffix of its two sides.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Iterator, NamedTuple
 
 
@@ -386,3 +390,28 @@ def parse_side(text: str, pos: int = 0, endpos: int | None = None) -> IWord:
         base = tok.rstrip("*")
         table[tok] = IVar(base, (len(tok) - len(base)) % 2 == 1)
     return tuple(map(table.__getitem__, tokens))
+
+
+def letter_ids(ident: Identity):
+    """Sorted base names, and both sides with every letter replaced by its
+    id 2 * (index of the base) + starred; ids sort like the letters."""
+    letters = {*ident.lhs, *ident.rhs}
+    names = sorted({base for base, _ in letters})
+    index = {b: 2 * i for i, b in enumerate(names)}
+    ids = {x: index[x[0]] + x[1] for x in letters}
+    return (names, list(map(ids.__getitem__, ident.lhs)),
+            list(map(ids.__getitem__, ident.rhs)))
+
+
+def id_letter(names, a: int) -> IVar:
+    """The letter with id a under `letter_ids`, given its base names."""
+    return IVar(names[a >> 1], bool(a & 1))
+
+
+def common_ends(u, v) -> tuple[int, int]:
+    """The lengths p and s of the longest common prefix of two sides and the
+    longest common suffix of what follows it, by C-level passes."""
+    short = min(len(u), len(v))
+    p = next(compress(count(), map(ne, u, v)), short)
+    s = next(compress(count(), map(ne, reversed(u), reversed(v))), short)
+    return p, min(s, short - p)

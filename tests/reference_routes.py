@@ -11,10 +11,11 @@ the monoid invariant key with quadratic lpi/rpi scans, and the isoterm
 search that checks every rearrangement of a word, enumerated recursively,
 the twin trees as nested nodes built by recursive persistent insertion,
 with their DOT writer, the oracle's evaluation loop that compares the
-keys of both sides on every assignment, equal image words included, and
-the generator fold as a product of dense rows.  The tests assert that the
-library returns the same reports, words, errors, letter maps, keys,
-isoterm partners, trees, witnesses, evaluation counts and matrices.  The
+keys of both sides on every assignment, equal image words included, its
+common prefix and suffix found by index loops, and the generator fold as
+a product of dense rows.  The tests assert that the library returns the
+same reports, words, errors, letter maps, keys, isoterm partners, trees,
+witnesses, common ends, evaluation counts and matrices.  The
 rank-2 class key reads the procedure's statistics off one word, so a test
 can group words into classes without checking every pair.
 """
@@ -29,16 +30,16 @@ from itertools import product
 from operator import add
 from typing import Optional
 
-from baxt.checker import (CheckReport, _balance_witness, _first_witness,
-                          _letter, _letter_ids, _no, _occ_lr_witness,
-                          _subset_violation, _yes, check, is_balanced)
+from baxt.checker import (CheckReport, _balance_witness, _first_witness, _no,
+                          _occ_lr_witness, _subset_violation, _yes, check,
+                          is_balanced)
 from baxt.monoid import key_of as fast_key_of, sharp_word
 from baxt.oracle import enumerate_classes
 from baxt.represent import generator_images
 from baxt.semiring import NEG_INF
 from baxt.trees import BST
 from baxt.words import (AWord, Atom, Concat, Identity, IVar, IWord, ParseError,
-                        Star, Term)
+                        Star, Term, id_letter, letter_ids)
 from definitions import from_json_obj
 
 
@@ -337,12 +338,25 @@ def _full_window(u: list, v: list):
     return p, len(u) - q
 
 
+def common_ends_loops(u, v):
+    """The lengths p of the longest common prefix of two sides and s of the
+    longest common suffix of the rest, by index loops over any lengths."""
+    short = min(len(u), len(v))
+    p = 0
+    while p < short and u[p] == v[p]:
+        p += 1
+    s = 0
+    while s < short - p and u[-1 - s] == v[-1 - s]:
+        s += 1
+    return p, s
+
+
 def full_sweep_check(ident: Identity, n: int, mode: str = "involution",
                      witness: bool = True) -> CheckReport:
     """Every rank >= 2 and the plain variant, by cutting, comparing and
     sweeping every piece of both whole sides, forward and reversed; a NO
     names its witness by the library's searches."""
-    names, u, v = _letter_ids(ident)
+    names, u, v = letter_ids(ident)
     size, ru, rv = 2 * len(names), u[::-1], v[::-1]
     occ_lr = n >= 4 or mode == "plain"
     strict = n >= 3
@@ -377,12 +391,12 @@ def full_sweep_check(ident: Identity, n: int, mode: str = "involution",
     if left_iv or right_iv:
         y = min(left_iv.keys() | right_iv.keys())
         side, d = _first_witness(left_iv.get(y), right_iv.get(y))
-        return _no(3, "IV", {"pivot": str(_letter(names, y)),
+        return _no(3, "IV", {"pivot": str(id_letter(names, y)),
                              "base": names[d], "side": side})
     y = min(left_v.keys() | right_v.keys())
     side, d = ("left", left_v[y]) if y in left_v else ("right", right_v[y])
-    return _no(3, "V", {"pivot": str(_letter(names, y)),
-                        "letter": str(_letter(names, d)), "side": side})
+    return _no(3, "V", {"pivot": str(id_letter(names, y)),
+                        "letter": str(id_letter(names, d)), "side": side})
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,18 @@ def test_error_exits(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_materialize_below_rank_4_is_refused(capsys):
+    # ranks 1-3 have matrices and no tuple, so the flag has nothing to do
+    for n in ("1", "2", "3"):
+        assert run(["repr", "12"[:int(n)], "--n", n, "--materialize"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --materialize applies to rank >= 4, " \
+            "not to ranks 1-3\n"
+    assert run(["repr", "12", "--n", "4", "--materialize", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 180
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "x ~= x", "--n", "2", "--max-len", "-1"],
     ["oracle", "x ~= x", "--n", "2", "--jobs", "0"],

@@ -16,7 +16,8 @@ from baxt.oracle import (BudgetExceededError, UnassignedVariableError,
                          brute_force_check, comm_assignments, comm_check,
                          comm_eval, enumerate_classes, eval_substitution,
                          sample_check, witness_to_json_obj)
-from baxt.words import Identity, IVar, ident, iword, parse_aword, parse_identity
+from baxt.words import (Identity, IVar, common_ends, ident, iword, letter_ids,
+                        parse_aword, parse_identity)
 
 ivars = st.builds(IVar, st.sampled_from("xy"), st.booleans())
 iwords = st.lists(ivars, min_size=1, max_size=8).map(tuple)
@@ -318,10 +319,10 @@ def test_the_cover_rule_settles_only_congruent_assignments():
     settled = declined = 0
     for idn, n, max_len in _differential_cases():
         classes = enumerate_classes(n, max_len)
-        bases = oracle.identity_bases(idn)
+        bases, u, v = letter_ids(idn)
         if len(classes) ** len(bases) > 16000:
             continue
-        images, covered = oracle._side_images(idn, bases, classes)
+        images, covered = oracle._side_images(u, v, classes)
         if covered is None:
             continue
         assert is_balanced(idn) and idn.lhs[0] == idn.rhs[0] \
@@ -336,8 +337,19 @@ def test_the_cover_rule_settles_only_congruent_assignments():
     assert settled and declined
     classes = enumerate_classes(3, 2)
     for text in _NO_COVER:
+        _, u, v = letter_ids(parse_identity(text))
+        assert oracle._side_images(u, v, classes)[1] is None
+
+
+def test_common_ends_of_overlapping_sides_match_the_index_loops():
+    # the common prefix and suffix may meet in the shorter side; as letter
+    # ids and as letters, both readings find the same ends
+    for text in _OVERLAPS + _COVERS + _NO_COVER:
         idn = parse_identity(text)
-        assert oracle._side_images(idn, oracle.identity_bases(idn), classes)[1] is None
+        _, u, v = letter_ids(idn)
+        ends = ref.common_ends_loops(u, v)
+        assert common_ends(u, v) == common_ends(idn.lhs, idn.rhs) == ends, text
+        assert sum(ends) <= min(len(u), len(v))
 
 
 def test_oracle_matches_the_reference_evaluation_loop():

@@ -5,12 +5,13 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_routes as ref
 from baxt.words import (AWord, Atom, Concat, Identity, IVar, ParseError,
-                        PivotAbsentError, RangeError, Star, bar, content,
-                        flatten, format_iword, final_part, initial_part,
-                        iword, occ, occ_after, occ_before, parse_aword,
-                        parse_identity, parse_term, restrict, reverse,
-                        star_word, v)
+                        PivotAbsentError, RangeError, Star, bar, common_ends,
+                        content, flatten, format_iword, final_part, id_letter,
+                        initial_part, iword, letter_ids, occ, occ_after,
+                        occ_before, parse_aword, parse_identity, parse_term,
+                        restrict, reverse, star_word, v)
 
 ivars = st.builds(IVar, st.sampled_from("wxyz"), st.booleans())
 iwords = st.lists(ivars, max_size=12).map(tuple)
@@ -224,3 +225,33 @@ def test_identity_transforms():
 
 def test_format_iword_roundtrip():
     assert iword(format_iword(U)) == U
+
+
+@given(iwords, iwords)
+def test_letter_ids_sort_like_the_letters_and_decode_to_them(lhs, rhs):
+    names, u, v = letter_ids(Identity(lhs, rhs))
+    assert names == sorted({x.base for x in lhs + rhs})
+    assert [id_letter(names, a) for a in u] == list(lhs)
+    assert [id_letter(names, a) for a in v] == list(rhs)
+    pairs = sorted(set(zip(u + v, lhs + rhs)))
+    assert [x for _, x in pairs] == sorted(set(lhs + rhs))
+
+
+# short id lists over few letters, so that common ends are frequent
+ids = st.lists(st.integers(0, 3), max_size=10)
+
+
+@given(ids, ids)
+def test_common_ends_match_the_index_loops(u, v):
+    # sides of any lengths, empty ones included
+    p, s = common_ends(u, v)
+    assert (p, s) == ref.common_ends_loops(u, v)
+    assert p + s <= min(len(u), len(v))
+    if len(u) == len(v) and u != v:
+        assert (p, len(u) - s) == ref._full_window(u, v)
+
+
+@given(ids)
+def test_common_ends_of_a_side_with_itself_or_with_the_empty_side(u):
+    assert common_ends(u, u) == (len(u), 0)
+    assert common_ends(u, []) == common_ends([], u) == (0, 0)
