@@ -10,16 +10,21 @@ rule, with no image word and no key.  Write the sides as P X S and P Y S,
 P and S their common prefix and suffix of letters; when X and Y hold the
 same letters, an assignment sends them to p x s and p y s with x and y
 holding the same letters of 1..n, and when every letter of x occurs in p
-and in s the two are congruent (`_side_images` gives the proof).  That
-takes one OR per distinct letter of P, S and X over per-class content
-bitmasks, and one AND.  Only the other assignments build both image
-words: equal words are one class, and different words have their keys
-compared.  Sides that are one word only count the assignments.  The full
-scan feeds the loop the grid in chunks of first-base class indices, in
-order, and stops at the first refuting chunk; the chunks run in this
-process, or with jobs > 1 in a pool of processes, and give the same
-witness and evaluation count either way.  The sampler feeds it seeded
-random draws.
+and in s the two are congruent (`_cover` gives the proof).  The
+full scan assigns the sorted bases one at a time, row-major, keeping the
+ORs of per-class content bitmasks of p, s and x so far, and settles a
+whole block of assignments at once when no completion can uncover x;
+when every letter of X occurs in both P and S, the block is the whole
+grid and nothing is visited.  Only the assignments that no block settles
+build both image words: equal words are one class, and different words
+have their keys compared.  So a scan costs time in the blocks it visits
+and the assignments left undecided, not in the grid.  Sides that are one
+word only count the assignments.  The full scan is cut into chunks of
+first-base class indices, in order, and stops at the first refuting
+chunk; the chunks run in this process, or with jobs > 1 in a pool of
+processes, and give the same witness and evaluation count either way.
+The sampler feeds the same loop seeded random draws, checking the rule
+on each.
 
 The second engine evaluates identities in the two-generator commutative
 involution monoid a^m b^n (product adds exponents, star swaps them), whose
@@ -33,6 +38,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
+from operator import or_
 from typing import Optional
 
 from .monoid import (BaxtElement, RankMismatchError, key_of, key_to_json_obj,
@@ -97,15 +103,44 @@ def identity_bases(ident: Identity) -> list[str]:
     return letter_ids(ident)[0]
 
 
-def _side_images(u, v, classes):
-    """Two functions of class indices, one per base, for the sides u and v
-    as letter ids (`words.letter_ids`).  images gives the words of both
-    sides with each base sent to its class's representative; starred
-    letters go to the involution of the base image.
-    covered tells whether the content cover rule settles the assignment as
-    congruent; it is None when the rule cannot fire, that is unless the
-    common prefix P and suffix S of letters (`words.common_ends`) are both
-    nonempty and the middles X and Y between them hold the same letters.
+def _class_words(classes):
+    """The symbols of each class's representative, and of its involution:
+    the image words of a letter by its starred flag, built once per
+    search."""
+    return ([e.representative.symbols for e in classes],
+            [sharp_word(e.representative).symbols for e in classes])
+
+
+def _side_images(u, v, words):
+    """A function of class indices (one per base) that gives the words of
+    the sides u and v, letter ids (`words.letter_ids`), with each base sent
+    to its class's word in words (`_class_words`); starred letters go to
+    the involution of the base image."""
+    # per letter id a: base a >> 1, class words by starred a & 1
+    lhs_ops, rhs_ops = ([(a >> 1, words[a & 1]) for a in w] for w in (u, v))
+
+    def image(ops, idxs):
+        out = []
+        for bi, w in ops:
+            out.extend(w[idxs[bi]])
+        return tuple(out)
+
+    def images(idxs):
+        return image(lhs_ops, idxs), image(rhs_ops, idxs)
+    return images
+
+
+def _cover(u, v, words, n):
+    """The content cover rule on the sides u and v (letter ids) at rank n,
+    over the class words of `_class_words`, read once per search.  None
+    unless the rule can fire, that is unless the common prefix P and
+    suffix S of letters (`words.common_ends`) are both nonempty and the
+    middles X and Y between them hold the same letters.  Otherwise
+    (p, s, x, last_x, full): p[b][c] is the content bitmask (bit
+    a for letter a) of the image of base b's letters in P when b goes to
+    class c, s and x likewise for S and for X less every letter id that
+    occurs in both P and S, last_x is the largest base with a letter left
+    in x (-1 if none), and full holds the bits of 1..n.
 
     The rule: with p, x, y and s the images of P, X, Y and S, x and y hold
     the same letters of 1..n, and if every letter of x occurs in p and in s
@@ -119,43 +154,93 @@ def _side_images(u, v, classes):
     otherwise l is the count of a in p, plus its count in x (the same as
     in y), plus its count in s before that position.  The rpi triples
     agree by the mirror argument, with last occurrences in s.  So the
-    rule needs the content bitmasks of p, s and x, an OR per distinct
-    letter of P, S and X and one AND per assignment."""
-    # once per search, per letter id a: base a >> 1, class words by starred a & 1
-    words = ([e.representative.symbols for e in classes],
-             [sharp_word(e.representative).symbols for e in classes])
-    lhs_ops, rhs_ops = ([(a >> 1, words[a & 1]) for a in w] for w in (u, v))
+    rule needs the content bitmasks of p, s and x, ORed per base, and one
+    AND.  A letter id in both P and S has its image's letters in p and in
+    s whatever its class, so it is left out of x.  The masks only grow as
+    more bases are assigned, so a block of assignments that fixes bases
+    0..d is settled at once when the letters of x so far lie in p and s
+    and either no later base has a letter in x or p and s already share
+    all of 1..n."""
     p, s = common_ends(u, v)
     mid = u[p:len(u) - s]
-
-    def image(ops, idxs):
-        out = []
-        for bi, w in ops:
-            out.extend(w[idxs[bi]])
-        return tuple(out)
-
-    def images(idxs):
-        return image(lhs_ops, idxs), image(rhs_ops, idxs)
-
     if not (p and s and sorted(mid) == sorted(v[p:len(v) - s])):
-        return images, None
-    # content bitmasks per class, indexed by starred: bit a for letter a
+        return None
+    # content bitmasks per class, indexed by starred
     masks = tuple([sum(1 << a for a in set(w)) for w in side] for side in words)
+    nbases = max(max(u), max(v)) // 2 + 1
+    zero = [0] * len(words[0])
 
-    def ors(ids):
-        return [(masks[a & 1], a >> 1) for a in set(ids)]
-    in_p, in_s, in_x = ors(u[:p]), ors(u[len(u) - s:]), ors(mid)
+    def table(ids):
+        rows = [zero] * nbases
+        for a in ids:
+            row = rows[a >> 1]
+            rows[a >> 1] = masks[a & 1] if row is zero else list(
+                map(or_, row, masks[a & 1]))
+        return rows
+    in_p, in_s = set(u[:p]), set(u[len(u) - s:])
+    in_x = set(mid) - (in_p & in_s)
+    full = (1 << (n + 1)) - 2
+    last_x = max(in_x) >> 1 if in_x else -1
+    return table(in_p), table(in_s), table(in_x), last_x, full
 
-    def covered(idxs):
-        mp = ms = mx = 0
-        for m, bi in in_p:
-            mp |= m[idxs[bi]]
-        for m, bi in in_s:
-            ms |= m[idxs[bi]]
-        for m, bi in in_x:
-            mx |= m[idxs[bi]]
-        return not mx & ~(mp & ms)
-    return images, covered
+
+def _sifted(cover, assignments):
+    """The assignments as pairs (settled, idxs) for _evaluate: each one
+    that the content cover rule does not settle (all of them when cover is
+    None), after the count of those it settled since the last pair, and
+    (settled, None) at the end."""
+    settled = 0
+    tables = cover[:3] if cover is not None else None
+    for idxs in assignments:
+        if tables is not None:
+            mp = ms = mx = 0
+            for c, rp, rs, rx in zip(idxs, *tables):
+                mp |= rp[c]
+                ms |= rs[c]
+                mx |= rx[c]
+            if not mx & ~(mp & ms):
+                settled += 1
+                continue
+        yield settled, idxs
+        settled = 0
+    yield settled, None
+
+
+def _blocks(cover, m, first_range):
+    """The pairs of _sifted over the assignments whose first-base class
+    index lies in first_range, row-major over m classes for each remaining
+    base, with whole blocks settled at once: bases 0..d are assigned one at
+    a time, each depth keeps the ORs of the masks so far, and a block whose
+    masks settle it by the rule of `_cover` adds its m^(bases-d-1)
+    assignments without a visit.  The loop is iterative, so any number of
+    bases is safe."""
+    p, s, x, last_x, full = cover
+    last = len(p) - 1
+    size = [m ** (last - d) for d in range(last + 1)]
+    idxs = [0] * (last + 1)
+    # the masks of bases 0..d - 1, and the classes left to try, at depth d
+    mp, ms, mx = [0] * (last + 1), [0] * (last + 1), [0] * (last + 1)
+    todo = [iter(first_range)] + [None] * last
+    settled, d = 0, 0
+    while d >= 0:
+        c = next(todo[d], None)
+        if c is None:
+            d -= 1
+            continue
+        gp, gs, gx = mp[d] | p[d][c], ms[d] | s[d][c], mx[d] | x[d][c]
+        both = gp & gs
+        if not gx & ~both and (d >= last_x or both == full):
+            settled += size[d]
+            continue
+        idxs[d] = c
+        if d == last:
+            yield settled, tuple(idxs)
+            settled = 0
+            continue
+        d += 1
+        mp[d], ms[d], mx[d] = gp, gs, gx
+        todo[d] = iter(range(m))
+    yield settled, None
 
 
 def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
@@ -179,8 +264,7 @@ def _substitution_keys(bases, u, v, sub):
     each (nonempty) base b sent to sub[b]; the classes share one rank."""
     classes = [sub[b] for b in bases]
     n = classes[0].rank
-    images, _ = _side_images(u, v, classes)
-    lhs, rhs = images(range(len(bases)))
+    lhs, rhs = _side_images(u, v, _class_words(classes))(range(len(bases)))
     return key_of(lhs, n), key_of(rhs, n)
 
 
@@ -201,21 +285,19 @@ def default_max_len(num_bases: int) -> int:
     return 3 if num_bases <= 2 else 2
 
 
-def _evaluate(bases, u, v, classes, n, assignments):
-    """Evaluate the sides u and v (letter ids) on each assignment (class
-    indices in the order of bases) up to the first that refutes the
-    identity.  Returns it (None if there is none) and the number of
-    evaluations.  Sides that are one word only count the assignments.
-    Otherwise an assignment that the content cover rule settles costs
-    O(|P| + |S| + |X|) ORs of bitmasks; the rest build both image words,
-    O(|u| max_len), and only different words have their keys compared."""
-    if u == v:
-        return None, sum(1 for _ in assignments)
-    images, covered = _side_images(u, v, classes)
+def _evaluate(bases, classes, n, images, sifted):
+    """The first assignment that refutes the identity, as a witness (None if
+    there is none), and the number of assignments evaluated.  sifted yields
+    the pairs of `_sifted` in evaluation order: the assignments that the
+    content cover rule settled count only, and each other one (class
+    indices in the order of bases) builds both image words, O(|u|
+    max_len), and has its keys compared only where the words differ."""
     count = 0
-    for count, idxs in enumerate(assignments, 1):
-        if covered is not None and covered(idxs):
-            continue
+    for settled, idxs in sifted:
+        count += settled
+        if idxs is None:
+            break
+        count += 1
         lhs, rhs = images(idxs)
         if lhs != rhs and key_of(lhs, n) != key_of(rhs, n):
             return {b: classes[i] for b, i in zip(bases, idxs)}, count
@@ -224,9 +306,21 @@ def _evaluate(bases, u, v, classes, n, assignments):
 
 def _scan(bases, u, v, classes, n, first_range):
     """_evaluate on the assignments whose first-base class index lies in
-    first_range, row-major over the remaining bases."""
-    grid = product(first_range, *[range(len(classes))] * (len(bases) - 1))
-    return _evaluate(bases, u, v, classes, n, grid)
+    first_range, row-major over the remaining bases.  Sides that are one
+    word only count the assignments; so does an identity whose middle the
+    common prefix and suffix cover for every class.  Otherwise the cost is
+    a few ORs per block tried, and `_evaluate`'s per assignment that no
+    block settles."""
+    m = len(classes)
+    if u == v:
+        return None, len(first_range) * m ** (len(bases) - 1)
+    words = _class_words(classes)
+    cover = _cover(u, v, words, n)
+    if cover is None:
+        sifted = _sifted(None, product(first_range, *[range(m)] * (len(bases) - 1)))
+    else:
+        sifted = _blocks(cover, m, first_range)
+    return _evaluate(bases, classes, n, _side_images(u, v, words), sifted)
 
 
 def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
@@ -314,10 +408,17 @@ def sample_check(ident: Identity, n: int, max_len: int, samples: int,
     check_budget(samples, f"{samples} samples")
     bases, u, v = letter_ids(ident)
     classes = _class_table(n, max_len)
+    if u == v:
+        return OracleResult(None, samples, n, max_len, False)
+    words = _class_words(classes)
+    cover = _cover(u, v, words, n)
+    if cover is not None and cover[3] < 0:  # every draw would be settled
+        return OracleResult(None, samples, n, max_len, False)
     rng = random.Random(seed)
     # drawn one assignment at a time, so a refutation stops the draws
     draws = ([rng.randrange(len(classes)) for _ in bases] for _ in range(samples))
-    sub, count = _evaluate(bases, u, v, classes, n, draws)
+    sub, count = _evaluate(bases, classes, n, _side_images(u, v, words),
+                           _sifted(cover, draws))
     return OracleResult(sub, count, n, max_len, False)
 
 

@@ -1,7 +1,8 @@
 import os
+import random
 import subprocess
 import sys
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -314,31 +315,61 @@ _NO_COVER = ("x y h x ~= y x h x", "x y h x ~= x y y h x", "x h y x ~= x h x x")
 
 
 def test_the_cover_rule_settles_only_congruent_assignments():
-    # every assignment that the rule settles has image words with equal
-    # keys, and the rule settles some assignments and declines others
-    settled = declined = 0
+    # the scan passes over whole blocks of the grid that the content cover
+    # rule settles, statically settled grids included: every assignment in
+    # them has image words with equal keys, the blocks settle exactly what
+    # the rule settles one assignment at a time, and the rule settles some
+    # assignments and declines others
+    settled = declined = static = 0
     for idn, n, max_len in _differential_cases():
         classes = enumerate_classes(n, max_len)
+        m = len(classes)
         bases, u, v = letter_ids(idn)
-        if len(classes) ** len(bases) > 16000:
+        if m ** len(bases) > 16000:
             continue
-        images, covered = oracle._side_images(u, v, classes)
-        if covered is None:
+        words = oracle._class_words(classes)
+        images, cover = oracle._side_images(u, v, words), oracle._cover(u, v, words, n)
+        if cover is None:
             continue
         assert is_balanced(idn) and idn.lhs[0] == idn.rhs[0] \
             and idn.lhs[-1] == idn.rhs[-1], idn
-        for idxs in product(range(len(classes)), repeat=len(bases)):
-            if covered(idxs):
-                lhs, rhs = images(idxs)
-                assert oracle.key_of(lhs, n) == oracle.key_of(rhs, n), (idn, idxs)
-                settled += 1
-            else:
+        static += cover[3] < 0
+        pairs = list(oracle._blocks(cover, m, range(m)))
+        grid = product(range(m), repeat=len(bases))
+        assert pairs == list(oracle._sifted(cover, grid)), idn
+        grid = product(range(m), repeat=len(bases))
+        for skipped, idxs in pairs:
+            for sub in islice(grid, skipped):
+                lhs, rhs = images(sub)
+                assert oracle.key_of(lhs, n) == oracle.key_of(rhs, n), (idn, sub)
+            settled += skipped
+            if idxs is not None:
+                assert next(grid) == idxs
                 declined += 1
-    assert settled and declined
-    classes = enumerate_classes(3, 2)
+        assert next(grid, None) is None, idn
+        # the chunks of a parallel scan decline the same assignments
+        halves = [p for r in (range(m // 2), range(m // 2, m))
+                  for p in oracle._blocks(cover, m, r)]
+        assert [idxs for _, idxs in halves if idxs] \
+            == [idxs for _, idxs in pairs if idxs], idn
+        assert sum(s for s, _ in halves) == sum(s for s, _ in pairs), idn
+    assert settled and declined and static
+    words = oracle._class_words(enumerate_classes(3, 2))
     for text in _NO_COVER:
         _, u, v = letter_ids(parse_identity(text))
-        assert oracle._side_images(u, v, classes)[1] is None
+        assert oracle._cover(u, v, words, 3) is None
+
+
+def test_a_deep_block_scan_needs_no_recursion():
+    # 1,500 bases with the middle's bases sorting last: no block settles
+    # before the last base, and one class (max_len 0) is one assignment
+    pad = " ".join(f"v{i:04}" for i in range(1498))
+    idn = parse_identity(f"{pad} x x* x y x* y* ~= {pad} x x* y x x* y*")
+    _, u, v = letter_ids(idn)
+    assert oracle._cover(u, v, oracle._class_words(enumerate_classes(2, 0)), 2)[3] \
+        == 1499
+    res = brute_force_check(idn, 2, 0)
+    assert (res.witness, res.evaluations, res.exhaustive) == (None, 1, True)
 
 
 def test_common_ends_of_overlapping_sides_match_the_index_loops():
@@ -375,6 +406,68 @@ def test_oracle_matches_the_reference_evaluation_loop():
     assert 0 < refuted < scanned
 
 
+def _spliced_corpus(count=120, seed=22):
+    """Random identities P X S ~= P Y S over 1-4 bases, at the (n, max_len)
+    below in turn with at most 4,000 assignments.  P holds every letter of
+    X among random letters; S holds random letters only, or every letter
+    of X too, or every letter of X but one letter id.  Y is a rearrangement
+    of X, random letters, or X with one letter dropped or doubled."""
+    rng = random.Random(seed)
+    bounds = [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)]
+    cases = []
+    for i in range(count):
+        n, max_len = bounds[i % len(bounds)]
+        nbases = rng.randint(1, 4)
+        while len(enumerate_classes(n, max_len)) ** nbases > 4000:
+            nbases -= 1
+        letters = [IVar(b, s) for b in rng.sample("hkstxyz", nbases)
+                   for s in (False, True)]
+        x = rng.choices(letters, k=rng.randint(2, 5))
+        kind = i % 5
+        if kind < 3:
+            for _ in range(10):  # a different order, where one is found
+                y = rng.sample(x, len(x))
+                if y != x:
+                    break
+        elif kind == 3:
+            y = rng.choices(letters, k=rng.randint(1, 4))
+        else:
+            j = rng.randrange(len(x))
+            y = x[:j] + x[j + 1:] if rng.random() < 0.5 else x[:j + 1] + x[j:]
+        ends = []
+        for held in (x, x if kind == 1 else x[1:] if kind == 2 else []):
+            end = rng.choices(letters, k=rng.randint(1, 3)) + list(held)
+            ends.append(rng.sample(end, len(end)))
+        p, s = ends
+        if kind == 2:  # all of X in P, all but one letter id of it in S
+            s = [a for a in s if a != x[0]] or [x[0].star()]
+        cases.append((Identity(tuple(p + x + s), tuple(p + y + s)), n, max_len))
+    return cases
+
+
+def test_block_scan_matches_the_reference_on_random_splices():
+    kinds = set()
+    for seed, (idn, n, max_len) in enumerate(_spliced_corpus()):
+        witness, count = ref.oracle_scan(idn, n, max_len)
+        for jobs in (1, 2):
+            res = brute_force_check(idn, n, max_len, jobs=jobs)
+            assert (_reps(res.witness), res.evaluations, res.exhaustive) \
+                == (_reps(witness), count, True), (idn, n, max_len, jobs)
+        witness, count = ref.oracle_sample(idn, n, max_len, 100, seed)
+        res = sample_check(idn, n, max_len, 100, seed)
+        assert (_reps(res.witness), res.evaluations, res.exhaustive) \
+            == (_reps(witness), count, False), (idn, n, max_len, seed)
+        _, u, v = letter_ids(idn)
+        words = oracle._class_words(enumerate_classes(n, max_len))
+        cover = oracle._cover(u, v, words, n)
+        kinds.add(("none" if cover is None else "static" if cover[3] < 0
+                   else "blocks", witness is None))
+    # the statically covered grids hold; the rule is missing or fires on
+    # grids that hold and on grids that are refuted
+    assert kinds == {("static", True), ("blocks", True), ("blocks", False),
+                     ("none", True), ("none", False)}
+
+
 def test_equal_image_words_are_decided_without_keys(monkeypatch):
     enumerate_classes(3, 2)  # cached before counting
     enumerate_classes(4, 1)
@@ -389,13 +482,24 @@ def test_equal_image_words_are_decided_without_keys(monkeypatch):
     res = brute_force_check(Identity(u, u), 3, 2)
     assert calls == []
     assert not res.refuted and res.evaluations == len(enumerate_classes(3, 2)) ** 2
-    # the content cover rule settles every assignment of a basis4 row
+    # the content cover rule settles every assignment of a basis4 row, and
+    # builds no image word
+    built = []
+    side_images = oracle._side_images
+
+    def counting_images(u, v, words):
+        images = side_images(u, v, words)
+        return lambda idxs: built.append(idxs) or images(idxs)
+    monkeypatch.setattr(oracle, "_side_images", counting_images)
     res = brute_force_check(basis4()[0], 4, 1)
-    assert calls == []
+    assert calls == [] and built == []
     assert not res.refuted and res.evaluations == 15625
+    res = brute_force_check(basis4()[1], 3, 2)
+    assert calls == [] and built == []
+    assert not res.refuted and res.evaluations == 4826809
     # different image words are still compared by their keys
     assert brute_force_check(ident("x y", "y x"), 2, 1).refuted
-    assert calls
+    assert calls and built
 
 
 def test_witness_json():
