@@ -3,28 +3,26 @@
 The brute-force engine substitutes every tuple of monoid classes (built from
 words up to a length bound) for the variables of an identity and looks for a
 falsifying assignment.  It is a bounded refuter, never a decision procedure:
-its positive outcome only means no counterexample within the bound.  One
-loop evaluates assignments until one refutes the identity.  Most
-assignments of an identity that holds are settled by the content cover
-rule, with no image word and no key.  Write the sides as P X S and P Y S,
-P and S their common prefix and suffix of letters; when X and Y hold the
-same letters, an assignment sends them to p x s and p y s with x and y
-holding the same letters of 1..n, and when every letter of x occurs in p
-and in s the two are congruent (`_cover` gives the proof).  The
-full scan assigns the sorted bases one at a time, row-major, keeping the
-ORs of per-class content bitmasks of p, s and x so far, and settles a
-whole block of assignments at once when no completion can uncover x;
-when every letter of X occurs in both P and S, the block is the whole
-grid and nothing is visited.  Only the assignments that no block settles
-build both image words: equal words are one class, and different words
-have their keys compared.  So a scan costs time in the blocks it visits
-and the assignments left undecided, not in the grid.  Sides that are one
-word only count the assignments.  The full scan is cut into chunks of
-first-base class indices, in order, and stops at the first refuting
-chunk; the chunks run in this process, or with jobs > 1 in a pool of
-processes, and give the same witness and evaluation count either way.
-The sampler feeds the same loop seeded random draws, checking the rule
-on each.
+its positive outcome only means no counterexample within the bound.  A
+search yields only the assignments that the content cover rule leaves
+undecided, stops at the first of them that refutes the identity, and
+derives its evaluation count from that witness's place in the enumeration.
+Write the sides as P X S and P Y S, P and S their common prefix and suffix
+of letters; when X and Y hold the same letters, an assignment sends them to
+p x s and p y s with x and y holding the same letters of 1..n, and when
+every letter of x occurs in p and in s the two are congruent (`_cover`
+gives the proof).  The full scan assigns the sorted bases one at a time,
+row-major, keeping the ORs of per-class content bitmasks of p, s and x so
+far, and passes over a whole block of assignments when no completion can
+uncover x; when every letter of X occurs in both P and S, the block is the
+whole grid and nothing is visited.  Each undecided assignment builds both
+image words: equal words are one class, and different words have their
+keys compared.  So a scan costs time in the blocks it tries and the
+assignments left undecided, not in the grid.  Sides that are one word visit
+nothing.  The full scan is cut into chunks of first-base class indices, in
+order, and stops at the first refuting chunk; the chunks run in this
+process, or with jobs > 1 in a pool of processes, and give the same witness
+either way.  The sampler checks the rule on each seeded random draw.
 
 The second engine evaluates identities in the two-generator commutative
 involution monoid a^m b^n (product adds exponents, star swaps them), whose
@@ -36,7 +34,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import product
 from operator import or_
 from typing import Optional
@@ -184,44 +182,31 @@ def _cover(u, v, words, n):
     return table(in_p), table(in_s), table(in_x), last_x, full
 
 
-def _sifted(cover, assignments):
-    """The assignments as pairs (settled, idxs) for _evaluate: each one
-    that the content cover rule does not settle (all of them when cover is
-    None), after the count of those it settled since the last pair, and
-    (settled, None) at the end."""
-    settled = 0
-    tables = cover[:3] if cover is not None else None
-    for idxs in assignments:
-        if tables is not None:
-            mp = ms = mx = 0
-            for c, rp, rs, rx in zip(idxs, *tables):
-                mp |= rp[c]
-                ms |= rs[c]
-                mx |= rx[c]
-            if not mx & ~(mp & ms):
-                settled += 1
-                continue
-        yield settled, idxs
-        settled = 0
-    yield settled, None
+def _settles(cover, idxs):
+    """Does the content cover rule of `_cover` settle the assignment idxs,
+    class indices in the order of bases?"""
+    mp = ms = mx = 0
+    for c, rp, rs, rx in zip(idxs, *cover[:3]):
+        mp |= rp[c]
+        ms |= rs[c]
+        mx |= rx[c]
+    return not mx & ~(mp & ms)
 
 
 def _blocks(cover, m, first_range):
-    """The pairs of _sifted over the assignments whose first-base class
-    index lies in first_range, row-major over m classes for each remaining
-    base, with whole blocks settled at once: bases 0..d are assigned one at
-    a time, each depth keeps the ORs of the masks so far, and a block whose
-    masks settle it by the rule of `_cover` adds its m^(bases-d-1)
-    assignments without a visit.  The loop is iterative, so any number of
-    bases is safe."""
+    """The assignments whose first-base class index lies in first_range,
+    row-major over m classes for each remaining base, that the content
+    cover rule of `_cover` leaves undecided.  Bases 0..d are assigned one
+    at a time, each depth keeps the ORs of the masks so far, and a block
+    whose masks settle it is passed over whole.  The loop is iterative, so
+    any number of bases is safe."""
     p, s, x, last_x, full = cover
     last = len(p) - 1
-    size = [m ** (last - d) for d in range(last + 1)]
     idxs = [0] * (last + 1)
     # the masks of bases 0..d - 1, and the classes left to try, at depth d
     mp, ms, mx = [0] * (last + 1), [0] * (last + 1), [0] * (last + 1)
     todo = [iter(first_range)] + [None] * last
-    settled, d = 0, 0
+    d = 0
     while d >= 0:
         c = next(todo[d], None)
         if c is None:
@@ -230,17 +215,27 @@ def _blocks(cover, m, first_range):
         gp, gs, gx = mp[d] | p[d][c], ms[d] | s[d][c], mx[d] | x[d][c]
         both = gp & gs
         if not gx & ~both and (d >= last_x or both == full):
-            settled += size[d]
             continue
         idxs[d] = c
         if d == last:
-            yield settled, tuple(idxs)
-            settled = 0
+            yield tuple(idxs)
             continue
         d += 1
         mp[d], ms[d], mx[d] = gp, gs, gx
         todo[d] = iter(range(m))
-    yield settled, None
+
+
+def _refutes(u, v, words, n):
+    """A predicate on assignments (class indices, one per base): do the
+    sides u and v, letter ids, have different classes under it?  It builds
+    both image words over the class words of `_class_words`, O(|u|
+    max_len), and compares keys only where the words differ."""
+    images = _side_images(u, v, words)
+
+    def refutes(idxs):
+        lhs, rhs = images(idxs)
+        return lhs != rhs and key_of(lhs, n) != key_of(rhs, n)
+    return refutes
 
 
 def eval_substitution(ident: Identity, sub: dict[str, BaxtElement]) -> bool:
@@ -285,42 +280,24 @@ def default_max_len(num_bases: int) -> int:
     return 3 if num_bases <= 2 else 2
 
 
-def _evaluate(bases, classes, n, images, sifted):
-    """The first assignment that refutes the identity, as a witness (None if
-    there is none), and the number of assignments evaluated.  sifted yields
-    the pairs of `_sifted` in evaluation order: the assignments that the
-    content cover rule settled count only, and each other one (class
-    indices in the order of bases) builds both image words, O(|u|
-    max_len), and has its keys compared only where the words differ."""
-    count = 0
-    for settled, idxs in sifted:
-        count += settled
-        if idxs is None:
-            break
-        count += 1
-        lhs, rhs = images(idxs)
-        if lhs != rhs and key_of(lhs, n) != key_of(rhs, n):
-            return {b: classes[i] for b, i in zip(bases, idxs)}, count
-    return None, count
-
-
 def _scan(bases, u, v, classes, n, first_range):
-    """_evaluate on the assignments whose first-base class index lies in
-    first_range, row-major over the remaining bases.  Sides that are one
-    word only count the assignments; so does an identity whose middle the
-    common prefix and suffix cover for every class.  Otherwise the cost is
-    a few ORs per block tried, and `_evaluate`'s per assignment that no
-    block settles."""
-    m = len(classes)
+    """The first assignment (class indices in the order of bases) that
+    refutes the identity, among those whose first-base class index lies in
+    first_range, row-major over the remaining bases; None if there is none.
+    Sides that are one word, and an identity whose middle the common
+    prefix and suffix cover for every class, visit nothing.  Otherwise the
+    cost is a few ORs per block tried, and `_refutes`'s per assignment that
+    no block settles."""
     if u == v:
-        return None, len(first_range) * m ** (len(bases) - 1)
+        return None
+    m = len(classes)
     words = _class_words(classes)
     cover = _cover(u, v, words, n)
     if cover is None:
-        sifted = _sifted(None, product(first_range, *[range(m)] * (len(bases) - 1)))
+        undecided = product(first_range, *[range(m)] * (len(bases) - 1))
     else:
-        sifted = _blocks(cover, m, first_range)
-    return _evaluate(bases, classes, n, _side_images(u, v, words), sifted)
+        undecided = _blocks(cover, m, first_range)
+    return next(filter(_refutes(u, v, words, n), undecided), None)
 
 
 def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
@@ -328,14 +305,17 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
     """Exhaustive refutation search over all class assignments.
 
     Bases are tried in sorted order and classes in length-then-lex order, so
-    the reported witness is the first in that fixed enumeration.  A grid
-    larger than DEFAULT_BUDGET raises instead of silently truncating, and
-    before the classes are enumerated when a lower bound on its size, or
-    the class table itself, is already larger.  The grid is cut into one
-    chunk per job, and jobs is first capped at the number of CPUs and of
-    first-base classes.  The chunks come back in enumeration order, and
-    every chunk before the first refuting one was scanned in full, so the
-    witness and the count do not depend on jobs.
+    the reported witness is the first in that fixed enumeration.  The scan
+    yields only the assignments that the content cover rule leaves, and
+    stops at the first that refutes; evaluations is the witness's place in
+    the enumeration, its row-major rank plus one, or the whole grid when
+    there is none.  A grid larger than DEFAULT_BUDGET raises instead of
+    silently truncating, and before the classes are enumerated when a lower
+    bound on its size, or the class table itself, is already larger.  The
+    grid is cut into one chunk per job, and jobs is first capped at the
+    number of CPUs and of first-base classes.  The chunks come back in
+    enumeration order, so the witness, and with it the count, does not
+    depend on jobs.
     """
     if max_len is not None and max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -376,30 +356,27 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
         jobs = min(jobs, m, os.cpu_count() or 1)
     bounds = [(i * m) // jobs for i in range(jobs + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # a witness is a nonempty tuple, and the chunks come back in order
     if jobs == 1:
-        return _first_refutation(map(scan, chunks), n, max_len)
-    # imported only here: the process pool machinery would add to the
-    # memory of every run that does not use it
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _first_refutation(pool.map(scan, chunks), n, max_len)
-
-
-def _first_refutation(scans, n, max_len) -> OracleResult:
-    """The first refuting chunk's witness, and the evaluations up to and
-    including it."""
-    count = 0
-    for sub, c in scans:
-        count += c
-        if sub is not None:
-            return OracleResult(sub, count, n, max_len, True)
-    return OracleResult(None, count, n, max_len, True)
+        idxs = next(filter(None, map(scan, chunks)), None)
+    else:
+        # imported only here: the process pool machinery would add to the
+        # memory of every run that does not use it
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            idxs = next(filter(None, pool.map(scan, chunks)), None)
+    if idxs is None:
+        return OracleResult(None, total, n, max_len, True)
+    rank = reduce(lambda r, c: r * m + c, idxs, 0)
+    return OracleResult({b: classes[i] for b, i in zip(bases, idxs)}, rank + 1,
+                        n, max_len, True)
 
 
 def sample_check(ident: Identity, n: int, max_len: int, samples: int,
                  seed: int = 0) -> OracleResult:
     """Uniform random draws from the same grid; deterministic for a seed.
-    More samples than the budget, or a class table over it, are refused
+    evaluations is the witness's draw number, or samples when no draw
+    refutes.  More samples than the budget, or a class table over it, are refused
     before anything is enumerated or drawn."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -415,11 +392,13 @@ def sample_check(ident: Identity, n: int, max_len: int, samples: int,
     if cover is not None and cover[3] < 0:  # every draw would be settled
         return OracleResult(None, samples, n, max_len, False)
     rng = random.Random(seed)
-    # drawn one assignment at a time, so a refutation stops the draws
-    draws = ([rng.randrange(len(classes)) for _ in bases] for _ in range(samples))
-    sub, count = _evaluate(bases, classes, n, _side_images(u, v, words),
-                           _sifted(cover, draws))
-    return OracleResult(sub, count, n, max_len, False)
+    refutes = _refutes(u, v, words, n)
+    for count in range(1, samples + 1):
+        idxs = [rng.randrange(len(classes)) for _ in bases]
+        if (cover is None or not _settles(cover, idxs)) and refutes(idxs):
+            return OracleResult({b: classes[i] for b, i in zip(bases, idxs)},
+                                count, n, max_len, False)
+    return OracleResult(None, samples, n, max_len, False)
 
 
 def witness_to_json_obj(ident: Identity, result: OracleResult):

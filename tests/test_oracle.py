@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import islice, product
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -156,20 +156,27 @@ def test_small_grids_keep_their_class_table():
     assert not sample_check(ident("x y", "x y"), 4, 3, 5).refuted
 
 
-def test_brute_force_parallel_matches_serial():
+def test_brute_force_parallel_matches_serial(monkeypatch):
+    # three CPUs, so that three jobs make three chunks on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cases = [
-        (ident("x y x*", "x* y x"), 2),   # witness in the first chunk
-        (ident("x y", "y x"), 1),         # witness in a later chunk
-        (ident("x y* x", "x y* x"), 2),   # no witness: every chunk is scanned
+        (ident("x y x*", "x* y x"), 2, 2),   # witness in the first chunk
+        (ident("x y", "y x"), 2, 1),         # witness in a later chunk
+        (ident("x y* x", "x y* x"), 2, 2),   # no witness: every chunk is scanned
+        # four classes in chunks of 1, 1 and 2 at three jobs: the witness
+        # y -> 3 lies in the last chunk, at evaluation 4
+        (ident("y* y y* y", "y* y* y y"), 3, 1),
     ]
-    for idn, max_len in cases:
-        serial = brute_force_check(idn, 2, max_len)
-        for jobs in (2, 3):
-            parallel = brute_force_check(idn, 2, max_len, jobs=jobs)
-            assert parallel == serial, (idn, jobs)
-            if serial.refuted:
-                assert {b: str(e.representative) for b, e in serial.witness.items()} \
-                    == {b: str(e.representative) for b, e in parallel.witness.items()}
+    for idn, n, max_len in cases:
+        witness, count = ref.oracle_scan(idn, n, max_len)
+        serial = brute_force_check(idn, n, max_len)
+        for jobs in (1, 2, 3):
+            res = brute_force_check(idn, n, max_len, jobs=jobs)
+            assert res == serial, (idn, jobs)
+            assert (_reps(res.witness), res.evaluations) == (_reps(witness), count), \
+                (idn, jobs)
+    # the last case
+    assert serial.evaluations == 4 and _reps(serial.witness) == {"y": "3"}
 
 
 def test_pool_holds_at_most_one_process_per_cpu_and_class(monkeypatch):
@@ -317,8 +324,8 @@ _NO_COVER = ("x y h x ~= y x h x", "x y h x ~= x y y h x", "x h y x ~= x h x x")
 def test_the_cover_rule_settles_only_congruent_assignments():
     # the scan passes over whole blocks of the grid that the content cover
     # rule settles, statically settled grids included: every assignment in
-    # them has image words with equal keys, the blocks settle exactly what
-    # the rule settles one assignment at a time, and the rule settles some
+    # them has image words with equal keys, the blocks leave exactly what
+    # the rule leaves one assignment at a time, and the rule settles some
     # assignments and declines others
     settled = declined = static = 0
     for idn, n, max_len in _differential_cases():
@@ -334,25 +341,18 @@ def test_the_cover_rule_settles_only_congruent_assignments():
         assert is_balanced(idn) and idn.lhs[0] == idn.rhs[0] \
             and idn.lhs[-1] == idn.rhs[-1], idn
         static += cover[3] < 0
-        pairs = list(oracle._blocks(cover, m, range(m)))
-        grid = product(range(m), repeat=len(bases))
-        assert pairs == list(oracle._sifted(cover, grid)), idn
-        grid = product(range(m), repeat=len(bases))
-        for skipped, idxs in pairs:
-            for sub in islice(grid, skipped):
-                lhs, rhs = images(sub)
-                assert oracle.key_of(lhs, n) == oracle.key_of(rhs, n), (idn, sub)
-            settled += skipped
-            if idxs is not None:
-                assert next(grid) == idxs
-                declined += 1
-        assert next(grid, None) is None, idn
-        # the chunks of a parallel scan decline the same assignments
-        halves = [p for r in (range(m // 2), range(m // 2, m))
-                  for p in oracle._blocks(cover, m, r)]
-        assert [idxs for _, idxs in halves if idxs] \
-            == [idxs for _, idxs in pairs if idxs], idn
-        assert sum(s for s, _ in halves) == sum(s for s, _ in pairs), idn
+        undecided = list(oracle._blocks(cover, m, range(m)))
+        grid = list(product(range(m), repeat=len(bases)))
+        assert undecided == [a for a in grid if not oracle._settles(cover, a)], idn
+        for sub in set(grid) - set(undecided):
+            lhs, rhs = images(sub)
+            assert oracle.key_of(lhs, n) == oracle.key_of(rhs, n), (idn, sub)
+        settled += len(grid) - len(undecided)
+        declined += len(undecided)
+        # the chunks of a parallel scan, in order, leave the same assignments
+        halves = [a for r in (range(m // 2), range(m // 2, m))
+                  for a in oracle._blocks(cover, m, r)]
+        assert halves == undecided, idn
     assert settled and declined and static
     words = oracle._class_words(enumerate_classes(3, 2))
     for text in _NO_COVER:
@@ -469,8 +469,8 @@ def test_block_scan_matches_the_reference_on_random_splices():
 
 
 def test_equal_image_words_are_decided_without_keys(monkeypatch):
-    enumerate_classes(3, 2)  # cached before counting
-    enumerate_classes(4, 1)
+    for n, max_len in ((3, 2), (4, 1), (2, 3)):
+        enumerate_classes(n, max_len)  # cached before counting
     calls = []
     real = oracle.key_of
 
@@ -497,6 +497,21 @@ def test_equal_image_words_are_decided_without_keys(monkeypatch):
     res = brute_force_check(basis4()[1], 3, 2)
     assert calls == [] and built == []
     assert not res.refuted and res.evaluations == 4826809
+    # the sampler draws nothing on equal sides or a statically covered
+    # identity, and builds image words only for the draws the rule declines
+    for idn in (Identity(u, u), basis4()[1]):
+        res = sample_check(idn, 3, 2, 10 ** 7)
+        assert calls == [] and built == []
+        assert not res.refuted and res.evaluations == 10 ** 7
+    idn = parse_identity(_COVERS[0])
+    res = sample_check(idn, 2, 3, 300, seed=5)
+    bases, u, v = letter_ids(idn)
+    cover = oracle._cover(u, v, oracle._class_words(enumerate_classes(2, 3)), 2)
+    rng, m = random.Random(5), len(enumerate_classes(2, 3))
+    draws = [[rng.randrange(m) for _ in bases] for _ in range(300)]
+    assert not res.refuted and res.evaluations == 300
+    assert built == [a for a in draws if not oracle._settles(cover, a)]
+    assert 0 < len(built) < 300
     # different image words are still compared by their keys
     assert brute_force_check(ident("x y", "y x"), 2, 1).refuted
     assert calls and built
