@@ -47,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, itemgetter
+from operator import add
 from typing import Optional
 
 from .words import (IVar, IWord, Identity, common_ends, id_letter, letter_ids,
@@ -95,7 +95,7 @@ def _no(n, violated, witness, mode="involution"):
 
 
 # ---------------------------------------------------------------------------
-# Sides as letter ids (`words.letter_ids`)
+# Sides as letter ids, the encoding an `Identity` carries (`words.letter_ids`)
 # ---------------------------------------------------------------------------
 
 def _pieces(u: list):
@@ -135,27 +135,28 @@ def _reach(u: list, p: int, e: int):
 
 def is_balanced(ident: Identity) -> bool:
     """Same content and, letter by letter (star-sensitive), same counts."""
-    return Counter(ident.lhs) == Counter(ident.rhs)
+    _, u, v = letter_ids(ident)
+    return Counter(u) == Counter(v)
 
 
-def _balance_witness(cu: Counter, cv: Counter) -> dict:
-    """The first letter (or base name), in sorted order, whose counts in the
-    two sides' Counters differ."""
+def _balance_witness(cu: Counter, cv: Counter, name=str) -> dict:
+    """The first key, in sorted order, whose counts in the two sides'
+    Counters differ: its name (a letter or a base name) and both counts."""
     x = min(x for x in cu.keys() | cv.keys() if cu[x] != cv[x])
-    return {"letter": str(x), "lhs": cu[x], "rhs": cv[x]}
+    return {"letter": name(x), "lhs": cu[x], "rhs": cv[x]}
 
 
 def check_baxt1(ident: Identity, witness: bool = True) -> CheckReport:
     """Rank 1 is the free monogenic monoid with trivial star: only the
     per-base counts matter (the witness names the base, as a bare letter
     prints)."""
-    base = itemgetter(0)
-    cu, cv = Counter(map(base, ident.lhs)), Counter(map(base, ident.rhs))
+    names, u, v = letter_ids(ident)
+    cu, cv = (Counter([a >> 1 for a in w]) for w in (u, v))
     if cu == cv:
         return _yes(1)
     if not witness:
         return CheckReport(False, 1, "involution")
-    return _no(1, "Balanced", _balance_witness(cu, cv))
+    return _no(1, "Balanced", _balance_witness(cu, cv, names.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +391,12 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     Only the pieces that meet the window are read.  With u[:p] and u[e:]
     the sides' common prefix and suffix (`words.common_ends`), the sides are
     balanced exactly when they have one length and their windows u[p:e]
-    and v[p:e] hold the same letters.  Equal sides agree at once, before
-    any letter ids are built, so the window is never empty.  The span runs
-    from the piece that holds p - 1 (the first piece when p == 0) through
-    the last piece that starts before e.  The reversed sides have the
-    window [|u| - e, |u| - p).  Three facts show that the span decides as
-    all the pieces do.
+    and v[p:e] hold the same letters.  Equal sides agree at once, by one
+    comparison of their letter ids, so the window is never empty.  The
+    span runs from the piece that holds p - 1 (the first piece when
+    p == 0) through the last piece that starts before e.  The reversed
+    sides have the window [|u| - e, |u| - p).  Three facts show that the
+    span decides as all the pieces do.
 
     (a) Pieces inside the common prefix have the same cuts, contents and
     open letters on both sides, and the piece that holds p - 1 starts at
@@ -438,9 +439,9 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     which the suffix fixes.  So no pivot outside the span fails, and the
     failing-pivot dicts, with the (IV) and (V) witnesses read from them,
     are those of a sweep over every piece."""
-    if ident.lhs == ident.rhs:
-        return CheckReport(True, n, mode)
     names, u, v = letter_ids(ident)
+    if u == v:
+        return CheckReport(True, n, mode)
     p, s = common_ends(u, v)
     e = len(u) - s
     balanced = len(u) == len(v) and sorted(u[p:e]) == sorted(v[p:e])
@@ -478,8 +479,8 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     if not witness:
         return CheckReport(False, n, mode)
     if not balanced:
-        return _no(n, "Balanced", _balance_witness(Counter(ident.lhs),
-                                                   Counter(ident.rhs)), mode)
+        return _no(n, "Balanced", _balance_witness(
+            Counter(u), Counter(v), lambda a: str(id_letter(names, a))), mode)
     if occ_lr:
         return _no(n, "OccLR", _occ_lr_witness(names, u, v, p, e), mode)
     if not same:
@@ -517,7 +518,8 @@ def check_plain(ident: Identity, n: int = 2, witness: bool = True) -> CheckRepor
     plus equal directional counts."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    if any(x.starred for x in {*ident.lhs, *ident.rhs}):
+    _, u, v = letter_ids(ident)
+    if any(a & 1 for a in {*u, *v}):
         raise PlainModeError("starred letter present; use the involution checker")
     if n < 2:
         r = check_baxt1(ident, witness)

@@ -12,8 +12,14 @@ to the letters using (t*)* = t and (st)* = t* s*.
 sequence (``x y* z``, the form every printer here emits) is split on
 whitespace and read letter by letter; any other side is parsed as a term
 and flattened.  Both readings give the same word and the same errors.
-``letter_ids`` encodes an identity for the checker and the oracle, and
-``common_ends`` finds the common prefix and suffix of its two sides.
+
+An ``Identity`` carries the encoding that the checker and the oracle read
+(``letter_ids``): the sorted base names, and each side as letter ids
+2 * (index of the base) + starred.  ``parse_identity`` encodes an identity
+of plain letters straight from its tokens, with no ``IVar``; an identity
+built from ``IVar`` sides encodes on first use.  Its ``lhs`` and ``rhs``
+are an ``IVar`` view, decoded on first use.  ``common_ends`` finds the
+common prefix and suffix of the two sides.
 """
 
 from __future__ import annotations
@@ -336,21 +342,93 @@ def _well_formed(tok: str) -> bool:
 # Identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Identity:
-    """A formal equation lhs ~ rhs between involution words."""
+    """A formal equation lhs ~ rhs between involution words.
 
-    lhs: IWord
-    rhs: IWord
+    An identity carries its letter-id encoding (`letter_ids`): the sorted
+    base names, and both sides with each letter replaced by its id.  It
+    holds the form it was built from, the `IVar` sides or the encoding,
+    and derives the other once, on first use; `lhs` and `rhs` are the
+    `IVar` view.  The encoding is canonical, since the same sides give the
+    same names and ids and back, so equality and hashing read it.
+    """
+
+    __slots__ = ("_sides", "_code")
+
+    def __init__(self, lhs: IWord, rhs: IWord):
+        self._sides = (lhs, rhs)
+        self._code = None
+
+    @classmethod
+    def _encoded(cls, names: tuple, u: tuple, v: tuple) -> "Identity":
+        self = cls.__new__(cls)
+        self._sides, self._code = None, (names, u, v)
+        return self
+
+    def _view(self) -> tuple:
+        if self._sides is None:
+            names, u, v = self._code
+            # the letter with id a (`id_letter`) at index a
+            letters = [IVar(b, s) for b in names for s in (False, True)]
+            self._sides = (tuple(map(letters.__getitem__, u)),
+                           tuple(map(letters.__getitem__, v)))
+        return self._sides
+
+    def _encoding(self) -> tuple:
+        if self._code is None:
+            lhs, rhs = self._sides
+            self._code = _encode(lhs, rhs, {x: x for x in {*lhs, *rhs}})
+        return self._code
+
+    @property
+    def lhs(self) -> IWord:
+        return self._view()[0]
+
+    @property
+    def rhs(self) -> IWord:
+        return self._view()[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, Identity):
+            return NotImplemented
+        return self._encoding() == other._encoding()
+
+    def __hash__(self):
+        return hash(self._encoding())
+
+    def __repr__(self) -> str:
+        return f"Identity(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
     def __str__(self) -> str:
         return f"{format_iword(self.lhs)} ≈ {format_iword(self.rhs)}"
 
     def reversed(self) -> "Identity":
-        return Identity(reverse(self.lhs), reverse(self.rhs))
+        if self._code is None:
+            lhs, rhs = self._sides
+            return Identity(reverse(lhs), reverse(rhs))
+        names, u, v = self._code
+        return Identity._encoded(names, u[::-1], v[::-1])
 
     def starred(self) -> "Identity":
-        return Identity(star_word(self.lhs), star_word(self.rhs))
+        if self._code is None:
+            lhs, rhs = self._sides
+            return Identity(star_word(lhs), star_word(rhs))
+        # x* has the id of x with its last bit flipped
+        names, u, v = self._code
+        return Identity._encoded(names, tuple([a ^ 1 for a in reversed(u)]),
+                                 tuple([a ^ 1 for a in reversed(v)]))
+
+
+def _encode(lhs, rhs, letters: dict) -> tuple:
+    """The letter-id encoding of two sides, given the (base, starred) pair
+    of each of their distinct letter keys: the sorted base names, and the
+    sides with every key replaced by its id 2 * (index of the base) +
+    starred.  Ids sort like the letters."""
+    names = sorted({base for base, _ in letters.values()})
+    index = {b: 2 * i for i, b in enumerate(names)}
+    ids = {key: index[base] + starred for key, (base, starred) in letters.items()}
+    return (tuple(names), tuple(map(ids.__getitem__, lhs)),
+            tuple(map(ids.__getitem__, rhs)))
 
 
 def ident(lhs_text: str, rhs_text: str) -> Identity:
@@ -358,14 +436,33 @@ def ident(lhs_text: str, rhs_text: str) -> Identity:
 
 
 def parse_identity(text: str) -> Identity:
-    """Parse ``"u ≈ v"`` or ``"u ~= v"``; each side is read by `parse_side`.
-    Error positions index the whole text."""
+    """Parse ``"u ≈ v"`` or ``"u ~= v"``.  When both sides are plain letter
+    sequences, the identity is encoded straight from the tokens, with no
+    `IVar`; otherwise each side is read by `parse_side`.  Error positions
+    index the whole text."""
     for sep in ("≈", "~="):
         i = text.find(sep)
         if i >= 0:
-            return Identity(parse_side(text, 0, i),
-                            parse_side(text, i + len(sep), len(text)))
+            j = i + len(sep)
+            left, right = text[:i].split(), text[j:].split()
+            distinct = {*left, *right}
+            if left and right and _plain(distinct):
+                return Identity._encoded(*_encode(
+                    left, right, {tok: _token_letter(tok) for tok in distinct}))
+            return Identity(parse_side(text, 0, i), parse_side(text, j, len(text)))
     raise ParseError("identity needs a '≈' or '~=' separator")
+
+
+def _plain(tokens) -> bool:
+    """Is every token a single letter: an identifier with its stars
+    attached, as `format_iword` prints it?"""
+    return all(_well_formed(tok) and _LETTER.fullmatch(tok) for tok in tokens)
+
+
+def _token_letter(tok: str) -> tuple:
+    """The (base, starred) pair of a single-letter token."""
+    base = tok.rstrip("*")
+    return base, (len(tok) - len(base)) % 2 == 1
 
 
 def parse_side(text: str, pos: int = 0, endpos: int | None = None) -> IWord:
@@ -382,25 +479,18 @@ def parse_side(text: str, pos: int = 0, endpos: int | None = None) -> IWord:
         endpos = len(text)
     tokens = text[pos:endpos].split()
     distinct = set(tokens)
-    if not (tokens and all(_well_formed(tok) and _LETTER.fullmatch(tok)
-                           for tok in distinct)):
+    if not (tokens and _plain(distinct)):
         return flatten(_parse_term(text, pos, endpos))
-    table = {}
-    for tok in distinct:
-        base = tok.rstrip("*")
-        table[tok] = IVar(base, (len(tok) - len(base)) % 2 == 1)
+    table = {tok: IVar(*_token_letter(tok)) for tok in distinct}
     return tuple(map(table.__getitem__, tokens))
 
 
 def letter_ids(ident: Identity):
-    """Sorted base names, and both sides with every letter replaced by its
-    id 2 * (index of the base) + starred; ids sort like the letters."""
-    letters = {*ident.lhs, *ident.rhs}
-    names = sorted({base for base, _ in letters})
-    index = {b: 2 * i for i, b in enumerate(names)}
-    ids = {x: index[x[0]] + x[1] for x in letters}
-    return (names, list(map(ids.__getitem__, ident.lhs)),
-            list(map(ids.__getitem__, ident.rhs)))
+    """The encoding an identity carries: sorted base names (a list), and
+    both sides with every letter replaced by its id 2 * (index of the base)
+    + starred; ids sort like the letters."""
+    names, u, v = ident._encoding()
+    return list(names), u, v
 
 
 def id_letter(names, a: int) -> IVar:

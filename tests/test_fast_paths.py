@@ -1,9 +1,11 @@
 """Differential tests: the checker's sweeps and the iterative, regex-lexed
 parser against the reference routes they replaced (`reference_routes.py`),
-on a fixed-seed corpus and on generated input.  `parse_identity` reads a
-side of plain letters with one split and any other side as a term; both
-readings are tested against the recursive reference parser."""
+on a fixed-seed corpus and on generated input.  `parse_identity` encodes an
+identity of plain letters straight from its tokens and reads any other side
+as a term; both readings are tested against the recursive reference parser,
+and the encoded identities against ones built from `IVar` sides."""
 
+import pickle
 import random
 import re
 import sys
@@ -18,8 +20,8 @@ from baxt import checker
 from baxt.checker import CheckReport, check
 from baxt.families import basis2, basis4, pk_qk
 from baxt.words import (Identity, IVar, ParseError, format_iword, ident,
-                        occ_after, occ_before, parse_identity, parse_term,
-                        restrict, v)
+                        letter_ids, occ_after, occ_before, parse_identity,
+                        parse_side, parse_term, restrict, v)
 from definitions import pre, pren, suf, sufn
 
 TEMPLATES = basis2() + basis4() + [pk_qk(2), pk_qk(3)]
@@ -473,13 +475,86 @@ def test_identities_parse_as_the_reference(lhs, sep, rhs):
     assert _parse(parse_identity, text) == _parse(ref.parse_identity, text)
 
 
-IWORDS = st.lists(st.builds(IVar, st.sampled_from(["x", "y", "_z", "é1", "ab"]),
-                            st.booleans()), min_size=1, max_size=12).map(tuple)
+LETTERS = st.builds(IVar, st.sampled_from(["x", "y", "_z", "é1", "ab"]), st.booleans())
+IWORDS = st.lists(LETTERS, min_size=1, max_size=12).map(tuple)
 
 
 @given(IWORDS, IWORDS)
 def test_printed_identities_parse_back(u, w):
     assert parse_identity(f"{format_iword(u)} ~= {format_iword(w)}") == Identity(u, w)
+
+
+def _typed(word, doubled):
+    """The word as typed, with two more stars on the letters flagged in
+    doubled (x** reads as x, x*** as x*)."""
+    return " ".join(str(x) + "**" * d for x, d in zip(word, doubled))
+
+
+def _agree(a, b):
+    assert a == b and hash(a) == hash(b)
+    assert (a.lhs, a.rhs) == (b.lhs, b.rhs)
+    assert str(a) == str(b) and repr(a) == repr(b)
+    assert letter_ids(a) == letter_ids(b)
+
+
+@given(IWORDS, IWORDS, st.lists(st.booleans(), min_size=24, max_size=24))
+def test_encoded_identities_agree_with_ones_built_from_letters(u, w, doubled):
+    left, right = _typed(u, doubled[:12]), _typed(w, doubled[12:])
+    assert (parse_side(left), parse_side(right)) == (u, w)
+
+    def forms():
+        # fresh each time, since comparing them derives their other form:
+        # as parsed (letter ids only), built from letters (letters only),
+        # and built from letters holding its letter ids too
+        both = Identity(u, w)
+        letter_ids(both)
+        return (parse_identity(f"{left} ~= {right}"),
+                Identity(parse_side(left), parse_side(right)), both)
+
+    # the oracle's process pool may carry identities
+    for op in (lambda i: i, Identity.reversed, Identity.starred,
+               lambda i: i.starred().reversed(),
+               lambda i: pickle.loads(pickle.dumps(i))):
+        encoded, built, both = map(op, forms())
+        _agree(encoded, built)
+        _agree(encoded, both)
+    encoded = forms()[0]
+    assert encoded != Identity(w, u) or u == w
+    assert encoded != Identity(u + u, w)
+
+
+@given(IWORDS, IWORDS, st.booleans())
+def test_identities_with_a_term_side_agree_with_the_reference(u, w, wrap_left):
+    # one side a term, the other plain letters: read by the term route
+    left, right = format_iword(u), format_iword(w)
+    text = f"({left}) ~= {right}" if wrap_left else f"{left} ~= ({right})"
+    mixed = parse_identity(text)
+    _agree(mixed, Identity(u, w))
+    _agree(mixed, parse_identity(f"{left} ~= {right}"))
+    assert _parse(ref.parse_identity, text) == mixed
+
+
+def test_checks_of_parsed_letters_build_no_letter_view(monkeypatch):
+    # an identity parsed from plain letters carries only its letter ids,
+    # and `check` reads nothing else, at any rank and in plain mode, for
+    # YES and NO, with and without a witness
+    texts = [format_iword(idn.lhs) + " ~= " + format_iword(idn.rhs)
+             for idn in basis4() + [pk_qk(3), basis2()[5]]]
+    texts += ["x y ~= y x", "x y* x ~= x y* x", "x y ~= x", "x* y ~= y x*"]
+    built = []
+    view = Identity._view
+    monkeypatch.setattr(Identity, "_view", lambda idn: built.append(idn) or view(idn))
+    verdicts = set()
+    for text in texts:
+        for n, mode in ((1, "involution"), (2, "involution"), (3, "involution"),
+                        (4, "involution"), (2, "plain"), (5, "plain")):
+            for witness in (True, False):
+                idn = parse_identity(text)
+                try:
+                    verdicts.add(check(idn, n, mode, witness).verdict)
+                except checker.PlainModeError:
+                    continue
+    assert built == [] and verdicts == {True, False}
 
 
 def test_split_and_the_lexer_agree_on_whitespace():
