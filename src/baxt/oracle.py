@@ -15,14 +15,16 @@ gives the proof).  The full scan assigns the sorted bases one at a time,
 row-major, keeping the ORs of per-class content bitmasks of p, s and x so
 far, and passes over a whole block of assignments when no completion can
 uncover x; when every letter of X occurs in both P and S, the block is the
-whole grid and nothing is visited.  Each undecided assignment builds both
-image words: equal words are one class, and different words have their
-keys compared.  So a scan costs time in the blocks it tries and the
-assignments left undecided, not in the grid.  Sides that are one word visit
-nothing.  The full scan is cut into chunks of first-base class indices, in
-order, and stops at the first refuting chunk; the chunks run in this
-process, or with jobs > 1 in a pool of processes, and give the same witness
-either way.  The sampler checks the rule on each seeded random draw.
+whole grid and nothing is visited.  Each undecided assignment builds the
+middles' images, and full words and keys only where they differ: equal
+middles give equal words, one class.  So a scan costs time in the blocks
+it tries and the assignments left undecided, not in the grid.  The class
+words and their content masks are built once per (n, max_len), like the
+class table.  Sides that are one word visit nothing.  The full scan is
+cut into chunks of first-base class indices, in order, and stops at the
+first refuting chunk; the chunks run in this process, or with jobs > 1 in
+a pool of processes, and give the same witness either way.  The sampler
+checks the rule on each seeded random draw.
 
 The second engine evaluates identities in the two-generator commutative
 involution monoid a^m b^n (product adds exponents, star swaps them), whose
@@ -103,10 +105,20 @@ def identity_bases(ident: Identity) -> list[str]:
 
 def _class_words(classes):
     """The symbols of each class's representative, and of its involution:
-    the image words of a letter by its starred flag, built once per
-    search."""
-    return ([e.representative.symbols for e in classes],
-            [sharp_word(e.representative).symbols for e in classes])
+    the image words of a letter by its starred flag."""
+    return (tuple(e.representative.symbols for e in classes),
+            tuple(sharp_word(e.representative).symbols for e in classes))
+
+
+@lru_cache(maxsize=None)
+def _table_images(n: int, max_len: int):
+    """The class words of enumerate_classes(n, max_len) (`_class_words`),
+    and each one's content bitmask (bit a for letter a), indexed alike by
+    starred flag: built once per class table, and read by every search
+    over it."""
+    words = _class_words(enumerate_classes(n, max_len))
+    return words, tuple(tuple(sum(1 << a for a in set(w)) for w in side)
+                        for side in words)
 
 
 def _side_images(u, v, words):
@@ -128,15 +140,15 @@ def _side_images(u, v, words):
     return images
 
 
-def _cover(u, v, words, n):
+def _cover(u, v, ends, masks, n):
     """The content cover rule on the sides u and v (letter ids) at rank n,
-    over the class words of `_class_words`, read once per search.  None
-    unless the rule can fire, that is unless the common prefix P and
-    suffix S of letters (`words.common_ends`) are both nonempty and the
-    middles X and Y between them hold the same letters.  Otherwise
-    (p, s, x, last_x, full): p[b][c] is the content bitmask (bit
-    a for letter a) of the image of base b's letters in P when b goes to
-    class c, s and x likewise for S and for X less every letter id that
+    made once per search from the class content masks of `_table_images`.
+    None unless the rule can fire, that is unless the common prefix P and
+    suffix S of letters, of lengths ends (`words.common_ends`), are both
+    nonempty and the middles X and Y between them hold the same letters.
+    Otherwise (p, s, x, last_x, full): p[b][c] is the content bitmask
+    (bit a for letter a) of the image of base b's letters in P when b goes
+    to class c, s and x likewise for S and for X less every letter id that
     occurs in both P and S, last_x is the largest base with a letter left
     in x (-1 if none), and full holds the bits of 1..n.
 
@@ -159,14 +171,12 @@ def _cover(u, v, words, n):
     0..d is settled at once when the letters of x so far lie in p and s
     and either no later base has a letter in x or p and s already share
     all of 1..n."""
-    p, s = common_ends(u, v)
+    p, s = ends
     mid = u[p:len(u) - s]
     if not (p and s and sorted(mid) == sorted(v[p:len(v) - s])):
         return None
-    # content bitmasks per class, indexed by starred
-    masks = tuple([sum(1 << a for a in set(w)) for w in side] for side in words)
     nbases = max(max(u), max(v)) // 2 + 1
-    zero = [0] * len(words[0])
+    zero = [0] * len(masks[0])
 
     def table(ids):
         rows = [zero] * nbases
@@ -225,16 +235,25 @@ def _blocks(cover, m, first_range):
         todo[d] = iter(range(m))
 
 
-def _refutes(u, v, words, n):
+def _refutes(u, v, ends, words, n):
     """A predicate on assignments (class indices, one per base): do the
-    sides u and v, letter ids, have different classes under it?  It builds
-    both image words over the class words of `_class_words`, O(|u|
-    max_len), and compares keys only where the words differ."""
-    images = _side_images(u, v, words)
+    sides u = P X S and v = P Y S, letter ids whose common prefix P and
+    suffix S have lengths ends, have different classes under it?  Made
+    once per search, over the class words of `_table_images`.  Per
+    assignment it builds the images x and y of the middles, O(|X| + |Y|)
+    max_len; the words p x s and p y s are equal iff x and y are.  Only
+    where they differ does it build p and s and compare the keys of the
+    full words: congruent words can have middles that are not congruent."""
+    p, s = ends
+    middles = _side_images(u[p:len(u) - s], v[p:len(v) - s], words)
+    outer = _side_images(u[:p], u[len(u) - s:], words)
 
     def refutes(idxs):
-        lhs, rhs = images(idxs)
-        return lhs != rhs and key_of(lhs, n) != key_of(rhs, n)
+        x, y = middles(idxs)
+        if x == y:
+            return False
+        head, tail = outer(idxs)
+        return key_of(head + x + tail, n) != key_of(head + y + tail, n)
     return refutes
 
 
@@ -280,24 +299,19 @@ def default_max_len(num_bases: int) -> int:
     return 3 if num_bases <= 2 else 2
 
 
-def _scan(bases, u, v, classes, n, first_range):
-    """The first assignment (class indices in the order of bases) that
-    refutes the identity, among those whose first-base class index lies in
-    first_range, row-major over the remaining bases; None if there is none.
-    Sides that are one word, and an identity whose middle the common
-    prefix and suffix cover for every class, visit nothing.  Otherwise the
-    cost is a few ORs per block tried, and `_refutes`'s per assignment that
-    no block settles."""
-    if u == v:
-        return None
-    m = len(classes)
-    words = _class_words(classes)
-    cover = _cover(u, v, words, n)
+def _scan(u, v, ends, words, cover, nbases, n, first_range):
+    """The first assignment (class indices in the order of the nbases
+    bases) that refutes the identity, among those whose first-base class
+    index lies in first_range, row-major over the remaining bases; None if
+    there is none.  cover is `_cover`'s, and leaves some assignment
+    undecided.  The cost is a few ORs per block tried, and `_refutes`'s per
+    assignment that no block settles."""
+    m = len(words[0])
     if cover is None:
-        undecided = product(first_range, *[range(m)] * (len(bases) - 1))
+        undecided = product(first_range, *[range(m)] * (nbases - 1))
     else:
         undecided = _blocks(cover, m, first_range)
-    return next(filter(_refutes(u, v, words, n), undecided), None)
+    return next(filter(_refutes(u, v, ends, words, n), undecided), None)
 
 
 def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
@@ -347,8 +361,15 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
     classes = _class_table(n, max_len)
     total = len(classes) ** len(bases)
     check_budget(total, f"{total} evaluations")
+    if u == v:  # the sides are one word
+        return OracleResult(None, total, n, max_len, True)
+    words, masks = _table_images(n, max_len)
+    ends = common_ends(u, v)
+    cover = _cover(u, v, ends, masks, n)
+    if cover is not None and cover[3] < 0:  # every assignment is settled
+        return OracleResult(None, total, n, max_len, True)
 
-    scan = partial(_scan, bases, u, v, classes, n)
+    scan = partial(_scan, u, v, ends, words, cover, len(bases), n)
     m = len(classes)
     if jobs > 1:
         # at most one process per CPU and per first-base class, so no chunk
@@ -387,12 +408,13 @@ def sample_check(ident: Identity, n: int, max_len: int, samples: int,
     classes = _class_table(n, max_len)
     if u == v:
         return OracleResult(None, samples, n, max_len, False)
-    words = _class_words(classes)
-    cover = _cover(u, v, words, n)
+    words, masks = _table_images(n, max_len)
+    ends = common_ends(u, v)
+    cover = _cover(u, v, ends, masks, n)
     if cover is not None and cover[3] < 0:  # every draw would be settled
         return OracleResult(None, samples, n, max_len, False)
     rng = random.Random(seed)
-    refutes = _refutes(u, v, words, n)
+    refutes = _refutes(u, v, ends, words, n)
     for count in range(1, samples + 1):
         idxs = [rng.randrange(len(classes)) for _ in bases]
         if (cover is None or not _settles(cover, idxs)) and refutes(idxs):

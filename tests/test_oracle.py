@@ -321,6 +321,13 @@ _COVERS = ("x x* x y x* y* ~= x x* y x x* y*", "y* x* x y y* y ~= y* x* y x y* y
 _NO_COVER = ("x y h x ~= y x h x", "x y h x ~= x y y h x", "x h y x ~= x h x x")
 
 
+def _cover(u, v, n, max_len):
+    """The content cover rule of the sides u and v, letter ids, over the
+    class table of (n, max_len)."""
+    return oracle._cover(u, v, common_ends(u, v),
+                         oracle._table_images(n, max_len)[1], n)
+
+
 def test_the_cover_rule_settles_only_congruent_assignments():
     # the scan passes over whole blocks of the grid that the content cover
     # rule settles, statically settled grids included: every assignment in
@@ -334,8 +341,8 @@ def test_the_cover_rule_settles_only_congruent_assignments():
         bases, u, v = letter_ids(idn)
         if m ** len(bases) > 16000:
             continue
-        words = oracle._class_words(classes)
-        images, cover = oracle._side_images(u, v, words), oracle._cover(u, v, words, n)
+        words = oracle._table_images(n, max_len)[0]
+        images, cover = oracle._side_images(u, v, words), _cover(u, v, n, max_len)
         if cover is None:
             continue
         assert is_balanced(idn) and idn.lhs[0] == idn.rhs[0] \
@@ -354,10 +361,9 @@ def test_the_cover_rule_settles_only_congruent_assignments():
                   for a in oracle._blocks(cover, m, r)]
         assert halves == undecided, idn
     assert settled and declined and static
-    words = oracle._class_words(enumerate_classes(3, 2))
     for text in _NO_COVER:
         _, u, v = letter_ids(parse_identity(text))
-        assert oracle._cover(u, v, words, 3) is None
+        assert _cover(u, v, 3, 2) is None
 
 
 def test_a_deep_block_scan_needs_no_recursion():
@@ -366,8 +372,7 @@ def test_a_deep_block_scan_needs_no_recursion():
     pad = " ".join(f"v{i:04}" for i in range(1498))
     idn = parse_identity(f"{pad} x x* x y x* y* ~= {pad} x x* y x x* y*")
     _, u, v = letter_ids(idn)
-    assert oracle._cover(u, v, oracle._class_words(enumerate_classes(2, 0)), 2)[3] \
-        == 1499
+    assert _cover(u, v, 2, 0)[3] == 1499
     res = brute_force_check(idn, 2, 0)
     assert (res.witness, res.evaluations, res.exhaustive) == (None, 1, True)
 
@@ -458,8 +463,7 @@ def test_block_scan_matches_the_reference_on_random_splices():
         assert (_reps(res.witness), res.evaluations, res.exhaustive) \
             == (_reps(witness), count, False), (idn, n, max_len, seed)
         _, u, v = letter_ids(idn)
-        words = oracle._class_words(enumerate_classes(n, max_len))
-        cover = oracle._cover(u, v, words, n)
+        cover = _cover(u, v, n, max_len)
         kinds.add(("none" if cover is None else "static" if cover[3] < 0
                    else "blocks", witness is None))
     # the statically covered grids hold; the rule is missing or fires on
@@ -491,22 +495,27 @@ def test_equal_image_words_are_decided_without_keys(monkeypatch):
         images = side_images(u, v, words)
         return lambda idxs: built.append(idxs) or images(idxs)
     monkeypatch.setattr(oracle, "_side_images", counting_images)
+    # nor the predicate that would build them
+    predicates = []
+    refutes = oracle._refutes
+    monkeypatch.setattr(oracle, "_refutes",
+                        lambda *args: predicates.append(args) or refutes(*args))
     res = brute_force_check(basis4()[0], 4, 1)
-    assert calls == [] and built == []
+    assert calls == [] and built == [] and predicates == []
     assert not res.refuted and res.evaluations == 15625
     res = brute_force_check(basis4()[1], 3, 2)
-    assert calls == [] and built == []
+    assert calls == [] and built == [] and predicates == []
     assert not res.refuted and res.evaluations == 4826809
     # the sampler draws nothing on equal sides or a statically covered
     # identity, and builds image words only for the draws the rule declines
     for idn in (Identity(u, u), basis4()[1]):
         res = sample_check(idn, 3, 2, 10 ** 7)
-        assert calls == [] and built == []
+        assert calls == [] and built == [] and predicates == []
         assert not res.refuted and res.evaluations == 10 ** 7
     idn = parse_identity(_COVERS[0])
     res = sample_check(idn, 2, 3, 300, seed=5)
     bases, u, v = letter_ids(idn)
-    cover = oracle._cover(u, v, oracle._class_words(enumerate_classes(2, 3)), 2)
+    cover = _cover(u, v, 2, 3)
     rng, m = random.Random(5), len(enumerate_classes(2, 3))
     draws = [[rng.randrange(m) for _ in bases] for _ in range(300)]
     assert not res.refuted and res.evaluations == 300
@@ -515,6 +524,88 @@ def test_equal_image_words_are_decided_without_keys(monkeypatch):
     # different image words are still compared by their keys
     assert brute_force_check(ident("x y", "y x"), 2, 1).refuted
     assert calls and built
+
+
+def test_each_class_table_is_built_once(monkeypatch):
+    # the class words and masks of one (n, max_len) serve every search over
+    # it: one involution word per class, however many searches
+    n, max_len = 3, 1
+    classes = enumerate_classes(n, max_len)
+    oracle._table_images.cache_clear()
+    sharps = []
+    real = oracle.sharp_word
+    monkeypatch.setattr(oracle, "sharp_word",
+                        lambda w: sharps.append(w) or real(w))
+    idn = parse_identity(_COVERS[4])
+    brute_force_check(idn, n, max_len)
+    brute_force_check(ident("x y", "y x"), n, max_len)
+    sample_check(idn, n, max_len, 50, seed=1)
+    assert len(sharps) == len(classes)
+    # every search still asks for the class table, so a search after the
+    # table's cache is cleared enumerates it again
+    for search in (lambda: brute_force_check(idn, n, max_len),
+                   lambda: sample_check(idn, n, max_len, 20)):
+        enumerate_classes.cache_clear()
+        search()
+        assert enumerate_classes.cache_info().misses == 1
+    assert len(sharps) == len(classes)
+
+
+def test_middle_first_refutation_matches_the_full_words():
+    # sides P X S and P Y S have equal image words exactly when the
+    # middles' images are equal; where those differ the full words' keys
+    # decide, and congruent words can have middles that are not congruent
+    equal = congruent = split = 0
+    for idn, n, max_len in _differential_cases() + _spliced_corpus():
+        m = len(enumerate_classes(n, max_len))
+        bases, u, v = letter_ids(idn)
+        if m ** len(bases) > 4000:
+            continue
+        words = oracle._table_images(n, max_len)[0]
+        p, s = ends = common_ends(u, v)
+        refutes = oracle._refutes(u, v, ends, words, n)
+        images = oracle._side_images(u, v, words)
+        middles = oracle._side_images(u[p:len(u) - s], v[p:len(v) - s], words)
+        for sub in product(range(m), repeat=len(bases)):
+            lhs, rhs = images(sub)
+            differ = oracle.key_of(lhs, n) != oracle.key_of(rhs, n)
+            assert refutes(sub) == differ, (idn, n, max_len, sub)
+            x, y = middles(sub)
+            equal += x == y
+            if x != y and not differ:
+                congruent += 1
+                split += oracle.key_of(x, n) != oracle.key_of(y, n)
+    assert equal and congruent and split
+
+
+@pytest.mark.parametrize("idn, n, max_len", [
+    # holds; no undecided assignment has different middles
+    (pk_qk(2), 3, 1),
+    # refuted at the 19th undecided assignment, the 7th with different
+    # middles
+    (parse_identity(_COVERS[3]), 3, 2),
+])
+def test_keys_only_where_the_middles_differ(monkeypatch, idn, n, max_len):
+    # a scan up to its witness: the undecided assignments with equal
+    # middles cost no key, the others one key per side
+    classes = enumerate_classes(n, max_len)
+    m = len(classes)
+    bases, u, v = letter_ids(idn)
+    p, s = common_ends(u, v)
+    words = oracle._table_images(n, max_len)[0]
+    middles = oracle._side_images(u[p:len(u) - s], v[p:len(v) - s], words)
+    undecided = list(oracle._blocks(_cover(u, v, n, max_len), m, range(m)))
+    calls = []
+    real = oracle.key_of
+    monkeypatch.setattr(oracle, "key_of",
+                        lambda w, n: calls.append(w) or real(w, n))
+    res = brute_force_check(idn, n, max_len)
+    if res.refuted:
+        witness = tuple(classes.index(res.witness[b]) for b in bases)
+        undecided = undecided[:undecided.index(witness) + 1]
+    differ = sum(x != y for x, y in map(middles, undecided))
+    assert len(calls) == 2 * differ
+    assert differ < len(undecided)
 
 
 def test_witness_json():
