@@ -16,16 +16,17 @@ open letters at ranks 2 and 3), then at rank 3 the pivot sweep over the
 same pieces.  It compares and sweeps only the pieces that meet the window
 between the sides' common prefix and common suffix, and decides equal
 sides before it builds anything.  For sides of |u| letters over k variables
-that takes O(|u|) C-level passes and a sort of the k cuts, plus Python
-work over the letters of the window's pieces (each piece sorted), plus at
-rank 3 O(k) per pivot in the window, and O(|u| + k) memory.  Only a NO
-runs the witness search of its rank, in the reference order, stopping at
-the first difference.  It visits only the base subsets and pivots that the
-difference between the sides reaches (`_reach`): with W the bases that
-have a letter in the window, and U the bases that are not settled by the
-common prefix and suffix, that is O(|u| + k |W & U| + |W| |U|) bisections
-over per-letter position lists, quadratic only when the difference reaches
-many bases on both counts.
+that takes O(|u|) C-level passes and a sort of the k cuts, plus
+O(L log L) Python work over the L letters of the window's pieces (sorts of
+pieces, of open letters and, once each, of rank-2 groups), plus at rank 3
+O(1) per pivot in the window that passes and O(k) per one that fails, and
+O(|u| + k) memory.  Only a NO runs the witness search of its rank, in the
+reference order, stopping at the first difference.  It visits only the
+base subsets and pivots that the difference between the sides reaches
+(`_reach`): with W the bases that have a letter in the window, and U the
+bases that are not settled by the common prefix and suffix, that is
+O(|u| + k |W & U| + |W| |U|) bisections over per-letter position lists,
+quadratic only when the difference reaches many bases on both counts.
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on restrictions built
@@ -46,8 +47,6 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add
 from typing import Optional
 
 from .words import (IVar, IWord, Identity, common_ends, id_letter, letter_ids,
@@ -216,31 +215,20 @@ def _open_segments(u: list, first: dict, pieces: list, size: int,
     first letter, and its sorted letters whose star partner has not
     occurred yet.  Unless strict, first occurrences of second letters (x
     after x*, or x* after x) with no such letter between them form one
-    group, sorted, as rank 2 does not fix their order."""
+    group, as rank 2 does not fix their order; a group is a list that
+    each joining piece appends to, sorted once at the end."""
     late = [first.get(x ^ 1, len(u)) for x in range(size)]
     out = []
     for a, b in pieces:
         x, open_letters = u[a], sorted([y for y in u[a:b] if late[y] > a])
         if not strict and late[x] < a and out and not out[-1][1]:
-            out[-1] = (tuple(sorted(out[-1][0] + (x,))), open_letters)
+            out[-1][0].append(x)
+            out[-1][1] = open_letters
         else:
-            out.append(((x,), open_letters))
+            out.append([[x], open_letters])
+    for group, _ in out:
+        group.sort()
     return out
-
-
-def _first_diff(p, q, lo: int, hi: int):
-    """First index outside lo..hi-1 at which p and q differ, or None."""
-    if p[:lo] == q[:lo] and p[hi:] == q[hi:]:
-        return None
-    for i, (a, b) in enumerate(zip(p, q)):
-        if a != b and not lo <= i < hi:
-            return i
-    return None
-
-
-def _base_sums(p: list) -> list:
-    """Per-letter counts summed per base (star-blind)."""
-    return list(map(add, p[::2], p[1::2]))
 
 
 def _pivot_sweep(u: list, v: list, pu: list, pv: list, size: int):
@@ -250,24 +238,33 @@ def _pivot_sweep(u: list, v: list, pu: list, pv: list, size: int):
     letter before it: the first base, outside y's own, whose star-blind
     counts differ (IV); and, when y's star partner has not occurred in u,
     the first letter outside y's base whose counts differ (V).  Two dicts,
-    keyed by the pivots that fail."""
-    head = Counter(u[:pu[0][0]])
-    cu = list(map(head.get, range(size), repeat(0)))
-    cv = cu.copy()
+    keyed by the pivots that fail.  It keeps each letter's count in u less
+    its count in v, and the letters and bases whose differences are
+    nonzero, updated for the letters of each piece: a pivot that passes
+    leaves both sets inside its base and costs O(1), one that fails the
+    size of the sets.  As the order of first occurrences is the same, y,
+    and its partner when it has not occurred in u, occur on neither side
+    before y, so (V) reads the least letter whose difference is nonzero."""
+    seen = set(u[:pu[0][0]])
+    diff = [0] * size
+    letters, bases = set(), set()
     bad_iv, bad_v = {}, {}
     for (a, b), (c, d) in zip(pu, pv):
         y = u[a]
-        z = y & ~1
-        if cu[:z] != cv[:z] or cu[z + 2:] != cv[z + 2:]:
-            w = _first_diff(_base_sums(cu), _base_sums(cv), z >> 1, (z >> 1) + 1)
-            if w is not None:
-                bad_iv[y] = w
-            if cu[y ^ 1] == 0:
-                bad_v[y] = _first_diff(cu, cv, z, z + 2)
-        for x in u[a:b]:
-            cu[x] += 1
-        for x in v[c:d]:
-            cv[x] += 1
+        z = min(bases - {y >> 1}, default=None)
+        if z is not None:
+            bad_iv[y] = z
+        if letters and y ^ 1 not in seen:
+            bad_v[y] = min(letters)
+        piece, other = u[a:b], v[c:d]
+        for x in piece:
+            diff[x] += 1
+        for x in other:
+            diff[x] -= 1
+        for x in {*piece, *other}:
+            (letters.add if diff[x] else letters.discard)(x)
+            (bases.add if diff[x] + diff[x ^ 1] else bases.discard)(x >> 1)
+        seen.update(piece)
     return bad_iv, bad_v
 
 
@@ -431,14 +428,15 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     of Q's first group together with at least one more letter where the
     other side holds them alone.
 
-    At rank 3 the pivot sweep starts from the counts of the prefix before
-    the span, the same on both sides, and visits only the span's pivots.
-    A pivot outside the span sees equal counts before it on both sides:
-    in the prefix, the prefix fixes them; at a >= e, the count of a letter
-    before a is its total, the same by balance, less its count in u[a:],
-    which the suffix fixes.  So no pivot outside the span fails, and the
-    failing-pivot dicts, with the (IV) and (V) witnesses read from them,
-    are those of a sweep over every piece."""
+    At rank 3 the pivot sweep starts from the letters of the prefix before
+    the span, with zero differences, as the prefix is the same on both
+    sides, and visits only the span's pivots.  A pivot outside the span
+    sees equal counts before it on both sides: in the prefix, the prefix
+    fixes them; at a >= e, the count of a letter before a is its total,
+    the same by balance, less its count in u[a:], which the suffix fixes.
+    So no pivot outside the span fails, and the failing-pivot dicts, with
+    the (IV) and (V) witnesses read from them, are those of a sweep over
+    every piece."""
     names, u, v = letter_ids(ident)
     if u == v:
         return CheckReport(True, n, mode)

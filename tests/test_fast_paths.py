@@ -3,13 +3,18 @@ parser against the reference routes they replaced (`reference_routes.py`),
 on a fixed-seed corpus and on generated input.  `parse_identity` encodes an
 identity of plain letters straight from its tokens and reads any other side
 as a term; both readings are tested against the recursive reference parser,
-and the encoded identities against ones built from `IVar` sides."""
+and the encoded identities against ones built from `IVar` sides.  A
+guard times `check` at 1,000 and 4,000 variables on families whose routes
+are linear in the number of variables."""
 
+import gc
 import pickle
 import random
 import re
 import sys
+import time
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -19,9 +24,9 @@ import reference_routes as ref
 from baxt import checker
 from baxt.checker import CheckReport, check
 from baxt.families import basis2, basis4, pk_qk
-from baxt.words import (Identity, IVar, ParseError, format_iword, ident,
-                        letter_ids, occ_after, occ_before, parse_identity,
-                        parse_side, parse_term, restrict, v)
+from baxt.words import (Identity, IVar, ParseError, common_ends, format_iword,
+                        ident, letter_ids, occ_after, occ_before,
+                        parse_identity, parse_side, parse_term, restrict, v)
 from definitions import pre, pren, suf, sufn
 
 TEMPLATES = basis2() + basis4() + [pk_qk(2), pk_qk(3)]
@@ -419,6 +424,127 @@ def test_window_reports_match_the_full_side_sweep():
                  "unequal lengths", "window at the start", "window at the end",
                  "one-letter window"):
         assert kinds[kind] >= 20, (kind, kinds)
+
+
+# ---------------------------------------------------------------------------
+# The rank-2 merge and the rank-3 pivot sweep against their reference loops
+# ---------------------------------------------------------------------------
+
+def test_open_segments_match_the_reference_merge():
+    # random whole sides as letter ids; a side of few bases holds long
+    # runs of second letters, which merge into groups of many pieces
+    rng = random.Random(26)
+    groups = Counter()
+    for _ in range(3000):
+        size = 2 * rng.randint(1, 8)
+        u = rng.choices(range(size), k=rng.randint(1, 40))
+        first, pieces = checker._pieces(u)
+        for strict in (False, True):
+            out = checker._open_segments(u, first, pieces, size, strict)
+            assert [(tuple(g), o) for g, o in out] == ref._full_open_segments(
+                u, (first, pieces), size, strict), (u, strict)
+            groups[strict, min(max(len(g) for g, _ in out), 3)] += 1
+    assert groups[False, 3] >= 200 and groups[True, 1] == 3000, groups
+
+
+def iv_family(k):
+    """H z1 f1 ... zk fk H ~= H z1 ... zk f1 ... fk H with H = f1 f1* ...
+    fk fk*: the segments agree, and from z2 on every pivot fails (IV) and
+    (V), before more letters and bases each time."""
+    fs, zs = [f"f{i:03}" for i in range(k)], [f"z{i:03}" for i in range(k)]
+    head = " ".join(f"{f} {f}*" for f in fs)
+    lhs = " ".join(f"{z} {f}" for z, f in zip(zs, fs))
+    return parse_identity(f"{head} {lhs} {head} ~= {head} {' '.join(zs + fs)} {head}")
+
+
+def _pivot_sweeps(idn):
+    """Per reading of a balanced identity with unequal sides whose rank-3
+    segments agree over every piece: the pivot sweep over the span that
+    `checker._sweep_check` reads, and the reference sweep over every
+    piece from empty counts."""
+    names, u, v = letter_ids(idn)
+    if u == v or sorted(u) != sorted(v):
+        return
+    size = 2 * len(names)
+    p, s = common_ends(u, v)
+    e = len(u) - s
+    for a, b, lo, hi in ((u, v, p, e), (u[::-1], v[::-1], len(u) - e, len(u) - p)):
+        ca, cb = ref._full_pieces(a), ref._full_pieces(b)
+        if (ref._full_open_segments(a, ca, size, True)
+                != ref._full_open_segments(b, cb, size, True)):
+            continue
+        pa, pb = ca[1], cb[1]
+        i, j = max(bisect_left(pa, (lo,)) - 1, 0), bisect_left(pa, (hi,))
+        yield (checker._pivot_sweep(a, b, pa[i:j], pb[i:j], size),
+               ref._full_pivot_sweep(a, b, pa, pb, size))
+
+
+def test_pivot_sweep_matches_the_full_sweep():
+    rng = random.Random(26)
+    rank3 = []
+    for _ in range(3000):
+        u = rng.choices(_letter_pool(rng.randint(1, 8), True), k=rng.randint(2, 30))
+        w = u.copy()
+        i, j = sorted(rng.sample(range(len(u)), 2))
+        part = w[i:j + 1]
+        rng.shuffle(part)
+        w[i:j + 1] = part
+        rank3.append(Identity(tuple(u), tuple(w)))
+    failing = Counter()
+    for idn in [idn for idn, _ in window_pairs(random.Random(19), 2000)] + rank3:
+        for fast, full in _pivot_sweeps(idn):
+            assert fast == full, str(idn)
+            failing["IV"] += len(fast[0])
+            failing["V"] += len(fast[1])
+    assert failing["IV"] >= 400 and failing["V"] >= 400, failing
+    for k in (2, 3, 7, 20, 50):
+        sweeps = list(_pivot_sweeps(iv_family(k)))
+        assert len(sweeps) == 2, k
+        for fast, full in sweeps:
+            assert fast == full and len(fast[0]) == len(fast[1]) == k - 1, k
+        assert check(iv_family(k), 3).violated == "IV"
+
+
+# ---------------------------------------------------------------------------
+# Time linear in the number of variables
+# ---------------------------------------------------------------------------
+
+def _best_times(idns, n, witness):
+    """The least time of `check` on each identity over 5 rounds, one
+    call on each per round, so a burst of load on the machine slows a
+    call on every identity, not all the calls on one.  The collector is
+    off, as timeit times: a full collection walks every live object of the
+    session, whatever the size of the check."""
+    best = [float("inf")] * len(idns)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for i, idn in enumerate(idns):
+                start = time.perf_counter()
+                check(idn, n, witness=witness)
+                best[i] = min(best[i], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best
+
+
+# each row names the docstring whose bound it holds the checker to
+K_SCALING = [
+    pytest.param(pk_qk, 2, True, id="pk_qk-n2-_open_segments"),
+    pytest.param(pk_qk, 3, True, id="pk_qk-n3-_pivot_sweep"),
+] + [
+    pytest.param(lambda k: far_apart(random.Random(26), k, True), n, False,
+                 id=f"far_apart-n{n}-no_witness-checker")
+    for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("family, n, witness", K_SCALING)
+def test_check_time_is_linear_in_the_variables(family, n, witness):
+    # 4 times the variables: about 4 times the time if linear, 16 if
+    # quadratic
+    small, large = _best_times([family(1000), family(4000)], n, witness)
+    assert large < 8 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------
