@@ -22,11 +22,11 @@ pieces, of open letters and, once each, of rank-2 groups), plus at rank 3
 O(1) per pivot in the window that passes and O(k) per one that fails, and
 O(|u| + k) memory.  Only a NO runs the witness search of its rank, in the
 reference order, stopping at the first difference.  It visits only the
-base subsets and pivots that the difference between the sides reaches
-(`_reach`): with W the bases that have a letter in the window, and U the
-bases that are not settled by the common prefix and suffix, that is
-O(|u| + k |W & U| + |W| |U|) bisections over per-letter position lists,
-quadratic only when the difference reaches many bases on both counts.
+base subsets and pivots that hold a misaligned letter (`_misaligned`),
+found by one pass over the window.  With M the bases that hold one, that
+takes O(|u| + k |M|) steps at ranks 2 and 3, a step being a bisection of
+a per-letter position list, and O(|u| + k log |u|) time at rank >= 4 and
+in plain mode.
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on restrictions built
@@ -115,17 +115,36 @@ def _positions(ids, size: int) -> list:
     return pos
 
 
-def _reach(u: list, p: int, e: int):
-    """The letters that the difference between two balanced sides that
-    differ reaches, given the window (p, e) between their common ends
-    (`words.common_ends`): those with an occurrence in the window u[p:e],
-    and those not settled.  The window holds the same letters on both sides,
-    so a letter with no occurrence in it sits at the same positions on
-    both.  A letter is settled when it first occurs in the common prefix
-    u[:p] and last occurs in the common suffix u[e:], which read the same
-    on both sides."""
-    head, moved, tail = set(u[:p]), set(u[p:e]), set(u[e:])
-    return moved, (head | moved | tail) - (head & tail)
+def _misaligned(u, v, pu: list, pv: list, p: int, e: int) -> set:
+    """The misaligned letters of two balanced sides u, v with per-letter
+    positions pu, pv and the window (p, e) between their common ends
+    (`words.common_ends`).  A length L is even when u[:L] and v[:L] hold
+    the same letters: every L <= p and, by balance, every L >= e, and
+    inside the window the ones that one pass over it finds.  A letter is
+    aligned when its first occurrence t is at the same position on both
+    sides with L = t even, and its last occurrence t' likewise with
+    L = t' + 1 even; a letter with no occurrence in the window is.
+
+    An aligned letter sees the same count of every other letter before its
+    first occurrence on both sides, and, by balance, after its last one.  A
+    misaligned one does not: the letters before its first occurrence (or,
+    by balance, after its last) differ in number or as multisets, and it
+    is not among them."""
+    diff, nonzero, same = [0] * len(pu), 0, [True]
+    for x, y in zip(u[p:e], v[p:e]):
+        if x != y:
+            diff[x] += 1
+            diff[y] -= 1
+            nonzero += ((diff[x] == 1) - (diff[x] == 0)
+                        + (diff[y] == -1) - (diff[y] == 0))
+        same.append(not nonzero)
+
+    def even(t):
+        return not p < t < e or same[t - p]
+
+    return {x for x in set(u[p:e])
+            if not (pu[x][0] == pv[x][0] and even(pu[x][0])
+                    and pu[x][-1] == pv[x][-1] and even(pu[x][-1] + 1))}
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +166,8 @@ def _balance_witness(cu: Counter, cv: Counter, name=str) -> dict:
 
 def check_baxt1(ident: Identity, witness: bool = True) -> CheckReport:
     """Rank 1 is the free monogenic monoid with trivial star: only the
-    per-base counts matter (the witness names the base, as a bare letter
-    prints)."""
+    per-base counts matter, O(|u|) (the witness names the base, as a bare
+    letter prints)."""
     names, u, v = letter_ids(ident)
     cu, cv = (Counter([a >> 1 for a in w]) for w in (u, v))
     if cu == cv:
@@ -281,32 +300,22 @@ _CHECKS = (("left", "pre", "pren"), ("right", "suf", "sufn"))
 
 def _subset_violation(names, u, v, ru, rv, strict: bool, p: int, e: int):
     """The pattern and witness of the first base subset, in sorted order
-    (every base, then every pair of bases), whose statistics differ, in
-    the order pre, pren, suf, sufn; ru and rv are u and v reversed, and
-    (p, e) is their window (see `_reach`).
+    (each base, then its pairs with every later base), whose statistics
+    differ, in the order pre, pren, suf, sufn; ru and rv are u and v
+    reversed, and (p, e) is their window (`words.common_ends`).
 
-    Only a subset with a base that has a letter in the window and a base
-    that is unsettled (see `_reach`) is tested, as every other subset has
-    equal statistics, so the first one that differs is the same.  Window
-    rule: when no base of the subset has a letter in the window, its
-    letters sit at the same positions on both sides, so the restrictions
-    are equal.  Settled rule: when every base of the subset is settled,
-    `_View.stats` reads pre and pren at first occurrences of its letters,
-    all inside the common prefix (the leading letter, the end of its run,
-    the first second letter), and counts letters before them, which the
-    prefix fixes, or in all of the side, which balance fixes (a second
-    letter that does not occur); suf and sufn likewise inside the common
-    suffix."""
+    Only a subset with a base that holds a misaligned letter
+    (`_misaligned`) is tested.  `_View.stats` reads first occurrences of
+    the subset's letters and counts of its letters before them, or in all
+    of the side (a letter that does not occur), and on the reversed sides
+    last occurrences; so a subset whose letters are all aligned has equal
+    statistics, and the first one that differs is the same."""
     k = len(names)
-    moved, loose = _reach(u, p, e)
-    window, unsettled = {x >> 1 for x in moved}, {x >> 1 for x in loose}
-    # base i is paired only with bases that supply what it lacks of the two
-    supply = {(True, False): sorted(unsettled), (False, True): sorted(window),
-              (False, False): sorted(window & unsettled)}
     fu, fv, bu, bv = (_View(w, 2 * k) for w in (u, v, ru, rv))
+    bad = {x >> 1 for x in _misaligned(u, v, fu.pos, fv.pos, p, e)}
+    order = sorted(bad)
     for i in range(k):
-        has = i in window, i in unsettled
-        partners = range(i, k) if all(has) else [j for j in supply[has] if j > i]
+        partners = range(i, k) if i in bad else order[bisect_right(order, i):]
         for j in partners:
             if j == i and fu.two[i] is None:
                 continue  # one letter alone has no statistics
@@ -332,36 +341,23 @@ def _subset_violation(names, u, v, ru, rv, strict: bool, p: int, e: int):
 
 def _occ_lr_witness(names, u, v, p: int, e: int) -> dict:
     """The first (pivot, letter, side) in sorted order whose directional
-    counts differ, for sides with the window (p, e) (see `_reach`).
-
-    Only a pivot with an occurrence in the window that is not settled (see
-    `_reach`) is tested, as every other one sees the same counts on both
-    sides, so the first one that differs is the same.  A settled pivot
-    first occurs inside the common prefix, which fixes the counts before
-    that position, and last occurs inside the common suffix, which fixes
-    the counts after it.  A pivot with no occurrence in the window sits at
-    the same positions on both sides.  Its first occurrence lies in the
-    common prefix, or else in the common suffix, where the count of a
-    letter before it is the letter's total, the same on both sides by
-    balance, less its count from there on, which the suffix fixes; its
-    last occurrence likewise."""
+    counts differ, for sides with the window (p, e) (`words.common_ends`):
+    the pivots whose counts differ are the misaligned letters
+    (`_misaligned`), so the pivot is the least of them."""
     pu, pv = _positions(u, 2 * len(names)), _positions(v, 2 * len(names))
-    letters = [x for x, at in enumerate(pu) if at]
-    moved, loose = _reach(u, p, e)
-    for x in sorted(moved & loose):
-        fu, fv, lu, lv = pu[x][0], pv[x][0], pu[x][-1], pv[x][-1]
-        for y in letters:
-            if y == x:
-                continue
-            ou, ov = pu[y], pv[y]
-            if bisect_left(ou, fu) != bisect_left(ov, fv):
-                side = "left"
-            elif len(ou) - bisect_right(ou, lu) != len(ov) - bisect_right(ov, lv):
-                side = "right"
-            else:
-                continue
-            return {"pivot": str(id_letter(names, x)),
-                    "letter": str(id_letter(names, y)), "side": side}
+    x = min(_misaligned(u, v, pu, pv, p, e))
+    fu, fv, lu, lv = pu[x][0], pv[x][0], pu[x][-1], pv[x][-1]
+    for y, (ou, ov) in enumerate(zip(pu, pv)):
+        if y == x:
+            continue
+        if bisect_left(ou, fu) != bisect_left(ov, fv):
+            side = "left"
+        elif len(ou) - bisect_right(ou, lu) != len(ov) - bisect_right(ov, lv):
+            side = "right"
+        else:
+            continue
+        return {"pivot": str(id_letter(names, x)),
+                "letter": str(id_letter(names, y)), "side": side}
     raise AssertionError("segment sweep and pivot counts disagree")
 
 

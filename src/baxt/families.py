@@ -43,11 +43,8 @@ _BASIS2_SLOTS = [
 
 def _row(p1: str, p2: str, p3: str, p4: str) -> Identity:
     h, k, s, t, x, y = (IVar(c) for c in "hkstxy")
-
-    def frame(mid):
-        return (v(p1), h, v(p2), k) + mid + (s, v(p3), t, v(p4))
-
-    return Identity(frame((x, y)), frame((y, x)))
+    head, tail = (v(p1), h, v(p2), k), (s, v(p3), t, v(p4))
+    return Identity(head + (x, y) + tail, head + (y, x) + tail)
 
 
 def basis2_rows() -> list[tuple[str, Identity]]:
@@ -58,7 +55,8 @@ def basis2_rows() -> list[tuple[str, Identity]]:
 def basis2() -> list[Identity]:
     """The rank-2 basis: every displayed row, then the reverse of every row,
     which the basis statement includes."""
-    return [ident for _, ident in basis2_rows()] + basis2_reverses()
+    rows = [ident for _, ident in basis2_rows()]
+    return rows + [ident.reversed() for ident in rows]
 
 
 def basis2_reverses() -> list[Identity]:

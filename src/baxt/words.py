@@ -135,15 +135,17 @@ IWord = tuple  # tuple[IVar, ...]
 
 
 def v(name: str) -> IVar:
-    """Shorthand: ``v("x*")`` is the starred partner of ``v("x")``."""
-    if name.endswith("*"):
-        return IVar(name[:-1], True)
-    return IVar(name, False)
+    """The letter of one token, read as `parse_side` reads it: ``v("x*")``
+    is the starred partner of ``v("x")``, and ``v("x**")`` is ``v("x")``."""
+    if not (name and _plain((name,))):
+        raise ParseError(f"not a letter: {name!r}")
+    return IVar(*_token_letter(name))
 
 
 def iword(text: str) -> IWord:
-    """Build an IWord from whitespace-separated tokens, e.g. ``"x y* z"``."""
-    return tuple(v(tok) for tok in text.split())
+    """The word of a side, read as `parse_side` reads it, e.g. ``"x y* z"``;
+    blank text is the empty word."""
+    return parse_side(text) if text.strip() else ()
 
 
 def format_iword(u: IWord) -> str:

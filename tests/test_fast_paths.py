@@ -3,9 +3,11 @@ parser against the reference routes they replaced (`reference_routes.py`),
 on a fixed-seed corpus and on generated input.  `parse_identity` encodes an
 identity of plain letters straight from its tokens and reads any other side
 as a term; both readings are tested against the recursive reference parser,
-and the encoded identities against ones built from `IVar` sides.  A
-guard times `check` at 1,000 and 4,000 variables on families whose routes
-are linear in the number of variables."""
+and the encoded identities against ones built from `IVar` sides.  The
+misaligned letters that both NO witness searches start from are tested
+against the pivots whose counts differ, letter by letter.  A guard times
+`check` at 1,000 and 4,000 variables on families whose routes are linear
+in the number of variables."""
 
 import gc
 import pickle
@@ -14,7 +16,7 @@ import re
 import sys
 import time
 import tracemalloc
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import pytest
@@ -25,7 +27,7 @@ from baxt import checker
 from baxt.checker import CheckReport, check
 from baxt.families import basis2, basis4, pk_qk
 from baxt.words import (Identity, IVar, ParseError, common_ends, format_iword,
-                        ident, letter_ids, occ_after, occ_before,
+                        ident, iword, letter_ids, occ_after, occ_before,
                         parse_identity, parse_side, parse_term, restrict, v)
 from definitions import pre, pren, suf, sufn
 
@@ -239,7 +241,7 @@ def test_wide_checks_take_memory_linear_in_the_input():
 
 
 # ---------------------------------------------------------------------------
-# NO witnesses: only the subsets and pivots that the difference reaches
+# NO witnesses: only the subsets and pivots that hold a misaligned letter
 # ---------------------------------------------------------------------------
 
 def _letter_pool(k, stars):
@@ -323,11 +325,59 @@ def test_reports_match_the_reference_routes_when_a_span_is_shuffled():
     assert nos >= 500, nos
 
 
+def _differing_pivots(u, v, pu, pv):
+    """The letters of balanced sides u, v that see a different count of
+    some other letter before their first occurrence, or after their last,
+    letter by letter."""
+    return {x for x in set(u) for y in set(u) if y != x and (
+        bisect_left(pu[y], pu[x][0]) != bisect_left(pv[y], pv[x][0])
+        or len(pu[y]) - bisect_right(pu[y], pu[x][-1])
+        != len(pv[y]) - bisect_right(pv[y], pv[x][-1]))}
+
+
+def test_misaligned_letters_are_the_pivots_whose_counts_differ():
+    # the rule behind both witness searches: a pivot's counts differ
+    # exactly when it is misaligned, and a base subset whose statistics
+    # differ holds a misaligned letter
+    rng = random.Random(27)
+    shuffled = []
+    for _ in range(3000):
+        u = rng.choices(_letter_pool(rng.randint(1, 8), True), k=rng.randint(2, 30))
+        w = u.copy()
+        i, j = sorted(rng.sample(range(len(u)), 2))
+        part = w[i:j + 1]
+        rng.shuffle(part)
+        w[i:j + 1] = part
+        shuffled.append(Identity(tuple(u), tuple(w)))
+    seen = Counter()
+    for idn in shuffled + [idn for idn, _ in window_pairs(random.Random(19), 2000)]:
+        names, u, v = letter_ids(idn)
+        if u == v or sorted(u) != sorted(v):
+            continue
+        size = 2 * len(names)
+        p, s = common_ends(u, v)
+        pu, pv = checker._positions(u, size), checker._positions(v, size)
+        bad = checker._misaligned(u, v, pu, pv, p, len(u) - s)
+        assert bad == _differing_pivots(u, v, pu, pv), str(idn)
+        seen["misaligned"] += bool(bad)
+        views = [checker._View(w, size) for w in (u, v, u[::-1], v[::-1])]
+        for i in range(len(names)):
+            for j in range(i, len(names)):
+                if j == i and views[0].two[i] is None:
+                    continue
+                for strict in (False, True):
+                    fu, fv, bu, bv = (w.stats(i, j, strict) for w in views)
+                    if fu != fv or bu != bv:
+                        assert {i, j} & {x >> 1 for x in bad}, (str(idn), i, j)
+                        seen["differing subsets"] += 1
+    assert seen["misaligned"] >= 2500 and seen["differing subsets"] >= 20000, seen
+
+
 @pytest.mark.parametrize("shape", [swapped_first, false_core])
 def test_no_witness_work_is_linear_in_the_variables(monkeypatch, shape):
     # a scan over every subset or pivot makes 80k-2.5M bisections on these
-    # shapes, 16-260 times the bound; what the difference reaches, at most
-    # 20 k
+    # shapes, 16-260 times the bound; the subsets and pivots that hold a
+    # misaligned letter, at most 20 k
     calls = Counter()
     for name in ("bisect_left", "bisect_right"):
         def counted(*args, real=getattr(checker, name)):
@@ -509,7 +559,7 @@ def test_pivot_sweep_matches_the_full_sweep():
 # Time linear in the number of variables
 # ---------------------------------------------------------------------------
 
-def _best_times(idns, n, witness):
+def _best_times(idns, n, mode, witness):
     """The least time of `check` on each identity over 5 rounds, one
     call on each per round, so a burst of load on the machine slows a
     call on every identity, not all the calls on one.  The collector is
@@ -522,28 +572,43 @@ def _best_times(idns, n, witness):
         for _ in range(5):
             for i, idn in enumerate(idns):
                 start = time.perf_counter()
-                check(idn, n, witness=witness)
+                check(idn, n, mode, witness)
                 best[i] = min(best[i], time.perf_counter() - start)
     finally:
         gc.enable()
     return best
 
 
+def _far_apart(mode):
+    return lambda k: far_apart(random.Random(26), k, mode == "involution")
+
+
 # each row names the docstring whose bound it holds the checker to
 K_SCALING = [
-    pytest.param(pk_qk, 2, True, id="pk_qk-n2-_open_segments"),
-    pytest.param(pk_qk, 3, True, id="pk_qk-n3-_pivot_sweep"),
+    pytest.param(pk_qk, 2, "involution", True, id="pk_qk-n2-_open_segments"),
+    pytest.param(pk_qk, 3, "involution", True, id="pk_qk-n3-_pivot_sweep"),
+    pytest.param(lambda k: swapped_first(random.Random(26), k, True), 3, "involution",
+                 True, id="swapped_first-n3-_subset_violation"),
+    pytest.param(_far_apart("involution"), 1, "involution", True,
+                 id="far_apart-n1-check_baxt1"),
 ] + [
-    pytest.param(lambda k: far_apart(random.Random(26), k, True), n, False,
+    pytest.param(_far_apart("involution"), n, "involution", False,
                  id=f"far_apart-n{n}-no_witness-checker")
-    for n in (2, 3, 4)]
+    for n in (2, 3, 4)
+] + [
+    pytest.param(_far_apart(mode), n, mode, True, id=f"far_apart-n{n}-{mode}-{search}")
+    for n, mode, search in ((2, "involution", "_subset_violation"),
+                            (3, "involution", "_subset_violation"),
+                            (4, "involution", "_occ_lr_witness"),
+                            (5, "involution", "_occ_lr_witness"),
+                            (2, "plain", "_occ_lr_witness"))]
 
 
-@pytest.mark.parametrize("family, n, witness", K_SCALING)
-def test_check_time_is_linear_in_the_variables(family, n, witness):
+@pytest.mark.parametrize("family, n, mode, witness", K_SCALING)
+def test_check_time_is_linear_in_the_variables(family, n, mode, witness):
     # 4 times the variables: about 4 times the time if linear, 16 if
     # quadratic
-    small, large = _best_times([family(1000), family(4000)], n, witness)
+    small, large = _best_times([family(1000), family(4000)], n, mode, witness)
     assert large < 8 * small, (small, large)
 
 
@@ -603,6 +668,26 @@ def test_identities_parse_as_the_reference(lhs, sep, rhs):
 
 LETTERS = st.builds(IVar, st.sampled_from(["x", "y", "_z", "é1", "ab"]), st.booleans())
 IWORDS = st.lists(LETTERS, min_size=1, max_size=12).map(tuple)
+
+
+@given(PLAIN_SIDE)
+def test_letters_and_words_read_tokens_as_the_parser(text):
+    # the shorthands `v`, `iword` and `ident` read a token as `parse_side`
+    # does: x** is x, and x*** is x*
+    word = parse_side(text) if text.split() else ()
+    assert iword(text) == tuple(map(v, text.split())) == word
+    assert ident(text, "x**") == Identity(word, (IVar("x"),))
+
+
+def test_letters_that_the_parser_refuses_are_refused():
+    for tok in ("1", "(", "*", "", "x)", "x y"):
+        with pytest.raises(ParseError):
+            v(tok)
+    with pytest.raises(ParseError):
+        iword("1 ( *")
+    assert iword("(x y)*") == parse_side("y* x*")
+    assert check(ident("x**", "x"), 2).verdict
+    assert ident("x**", "x") == parse_identity("x** ~= x")
 
 
 @given(IWORDS, IWORDS)
