@@ -19,14 +19,11 @@ sides before it builds anything.  For sides of |u| letters over k variables
 that takes O(|u|) C-level passes and a sort of the k cuts, plus
 O(L log L) Python work over the L letters of the window's pieces (sorts of
 pieces, of open letters and, once each, of rank-2 groups), plus at rank 3
-O(1) per pivot in the window that passes and O(k) per one that fails, and
-O(|u| + k) memory.  Only a NO runs the witness search of its rank, in the
-reference order, stopping at the first difference.  It visits only the
-base subsets and pivots that hold a misaligned letter (`_misaligned`),
-found by one pass over the window.  With M the bases that hold one, that
-takes O(|u| + k |M|) steps at ranks 2 and 3, a step being a bisection of
-a per-letter position list, and O(|u| + k log |u|) time at rank >= 4 and
-in plain mode.
+O(1) per pivot in the window, and O(|u| + k) memory.  Only a NO names its
+witness: a subset witness (ranks 2 and 3) from the subsets with a base that
+holds a misaligned letter (`_misaligned`), in O(|u| + k |M|) bisections
+for the M such bases; a pivot witness ((IV), (V) and OccLR) from the count
+differences of one pivot (`_differences`), in O(|u| + k log |u|).
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on restrictions built
@@ -252,29 +249,23 @@ def _open_segments(u: list, first: dict, pieces: list, size: int,
 
 def _pivot_sweep(u: list, v: list, pu: list, pv: list, size: int):
     """Both sides, with the same order of first occurrences, read by their
-    pieces pu, pv that meet the window; the sides agree before them.  At
-    the first occurrence of each letter y, compare the counts of every
-    letter before it: the first base, outside y's own, whose star-blind
-    counts differ (IV); and, when y's star partner has not occurred in u,
-    the first letter outside y's base whose counts differ (V).  Two dicts,
-    keyed by the pivots that fail.  It keeps each letter's count in u less
-    its count in v, and the letters and bases whose differences are
-    nonzero, updated for the letters of each piece: a pivot that passes
-    leaves both sets inside its base and costs O(1), one that fails the
-    size of the sets.  As the order of first occurrences is the same, y,
-    and its partner when it has not occurred in u, occur on neither side
-    before y, so (V) reads the least letter whose difference is nonzero."""
+    pieces pu, pv that meet the window; the sides agree before them.  The
+    pivots y that fail (IV), where a base's star-blind counts before y
+    differ, and those that fail (V), where y's star partner has not occurred
+    in u and a letter's counts differ: two sets.  It keeps each letter's
+    count in u less its count in v, and the letters and bases whose
+    differences are nonzero, so a pivot costs O(1).  As the segments agree,
+    no letter of y's own base differs before y: y first occurs in the same
+    piece on both sides, and every y* before it is open in an earlier one."""
     seen = set(u[:pu[0][0]])
     diff = [0] * size
-    letters, bases = set(), set()
-    bad_iv, bad_v = {}, {}
+    letters, bases, bad_iv, bad_v = set(), set(), set(), set()
     for (a, b), (c, d) in zip(pu, pv):
         y = u[a]
-        z = min(bases - {y >> 1}, default=None)
-        if z is not None:
-            bad_iv[y] = z
+        if bases:
+            bad_iv.add(y)
         if letters and y ^ 1 not in seen:
-            bad_v[y] = min(letters)
+            bad_v.add(y)
         piece, other = u[a:b], v[c:d]
         for x in piece:
             diff[x] += 1
@@ -336,8 +327,24 @@ def _subset_violation(names, u, v, ru, rv, strict: bool, p: int, e: int):
 
 
 # ---------------------------------------------------------------------------
-# Rank >= 4 and the plain variant: the pivot witness
+# Pivot witnesses: the count differences around one pivot
 # ---------------------------------------------------------------------------
+
+def _differences(pu: list, pv: list, x: int):
+    """Per letter whose counts differ on balanced sides with positions pu,
+    pv: its count in u less that in v before the first x, and after the
+    last x.  Two dicts, in O(k log |u|) time, not both empty."""
+    fu, fv, lu, lv = pu[x][0], pv[x][0], pu[x][-1], pv[x][-1]
+    before, after = {}, {}
+    for y, (ou, ov) in enumerate(zip(pu, pv)):
+        if d := bisect_left(ou, fu) - bisect_left(ov, fv):
+            before[y] = d
+        if d := bisect_right(ov, lv) - bisect_right(ou, lu):  # same lengths
+            after[y] = d
+    if not (before or after):
+        raise AssertionError("segment sweep and pivot counts disagree")
+    return before, after
+
 
 def _occ_lr_witness(names, u, v, p: int, e: int) -> dict:
     """The first (pivot, letter, side) in sorted order whose directional
@@ -346,19 +353,10 @@ def _occ_lr_witness(names, u, v, p: int, e: int) -> dict:
     (`_misaligned`), so the pivot is the least of them."""
     pu, pv = _positions(u, 2 * len(names)), _positions(v, 2 * len(names))
     x = min(_misaligned(u, v, pu, pv, p, e))
-    fu, fv, lu, lv = pu[x][0], pv[x][0], pu[x][-1], pv[x][-1]
-    for y, (ou, ov) in enumerate(zip(pu, pv)):
-        if y == x:
-            continue
-        if bisect_left(ou, fu) != bisect_left(ov, fv):
-            side = "left"
-        elif len(ou) - bisect_right(ou, lu) != len(ov) - bisect_right(ov, lv):
-            side = "right"
-        else:
-            continue
-        return {"pivot": str(id_letter(names, x)),
-                "letter": str(id_letter(names, y)), "side": side}
-    raise AssertionError("segment sweep and pivot counts disagree")
+    before, after = _differences(pu, pv, x)
+    y = min(before.keys() | after.keys())
+    return {"pivot": str(id_letter(names, x)), "letter": str(id_letter(names, y)),
+            "side": "left" if y in before else "right"}
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +428,9 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     sees equal counts before it on both sides: in the prefix, the prefix
     fixes them; at a >= e, the count of a letter before a is its total,
     the same by balance, less its count in u[a:], which the suffix fixes.
-    So no pivot outside the span fails, and the failing-pivot dicts, with
-    the (IV) and (V) witnesses read from them, are those of a sweep over
-    every piece."""
+    So no pivot outside the span fails, the failing-pivot sets are those
+    of a sweep over every piece, at O(1) per pivot, and a NO names the
+    witness of the least failing pivot from its `_differences`."""
     names, u, v = letter_ids(ident)
     if u == v:
         return CheckReport(True, n, mode)
@@ -462,12 +460,11 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
             break
         agreed.append((a, b, pa, pb))
     same = len(agreed) == 2
-    # rank 3: directional occurrence sums per (pivot letter, base) (IV), and
-    # exact directional counts for pivots whose star partner does not occur
-    # on the relevant side of them (V)
+    # rank 3: the pivots that fail the directional sums per base (IV), and
+    # the exact counts where the star partner has not occurred (V)
     (left_iv, left_v), (right_iv, right_v) = (
         [_pivot_sweep(*reading, size) for reading in agreed]
-        if same and n == 3 and not occ_lr else (({}, {}), ({}, {})))
+        if same and n == 3 and not occ_lr else ((set(), set()), (set(), set())))
     if same and not (left_iv or right_iv or left_v or right_v):
         return CheckReport(True, n, mode)
     if not witness:
@@ -479,16 +476,19 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
         return _no(n, "OccLR", _occ_lr_witness(names, u, v, p, e), mode)
     if not same:
         return _no(n, *_subset_violation(names, u, v, ru, rv, strict, p, e))
-    # the first pivot in sorted order, every (IV) one before every (V) one
+    # the first pivot in sorted order, every (IV) one before every (V) one;
+    # the reversed reading's counts before it are the counts after it
+    y = min(left_iv | right_iv or left_v | right_v)
+    before, after = _differences(_positions(u, size), _positions(v, size), y)
+    pivot = str(id_letter(names, y))
     if left_iv or right_iv:
-        y = min(left_iv.keys() | right_iv.keys())
-        side, d = _first_witness(left_iv.get(y), right_iv.get(y))
-        return _no(3, "IV", {"pivot": str(id_letter(names, y)),
-                             "base": names[d], "side": side})
-    y = min(left_v.keys() | right_v.keys())
-    side, d = ("left", left_v[y]) if y in left_v else ("right", right_v[y])
-    return _no(3, "V", {"pivot": str(id_letter(names, y)),
-                        "letter": str(id_letter(names, d)), "side": side})
+        # per reading, the least base whose star-blind sum differs
+        side, d = _first_witness(*(min(
+            (x >> 1 for x in c if c.get(x & ~1, 0) + c.get(x | 1, 0)), default=None)
+            for c in (before, after)))
+        return _no(3, "IV", {"pivot": pivot, "base": names[d], "side": side})
+    side, d = ("left", min(before)) if y in left_v else ("right", min(after))
+    return _no(3, "V", {"pivot": pivot, "letter": str(id_letter(names, d)), "side": side})
 
 
 def check_baxt2(ident: Identity, witness: bool = True) -> CheckReport:

@@ -24,7 +24,7 @@ from .represent import (materialize, phi1, phi2, phi3, phi_n,
                         tuple_to_json_obj)
 from .semiring import matrix_to_json
 from .trees import p_baxt, to_dot, to_json, to_text
-from .words import format_iword, parse_aword, parse_identity, parse_side
+from .words import format_iword, iword, parse_aword, parse_identity
 
 
 def _at_least(lo: int):
@@ -272,7 +272,7 @@ def _cmd_family(args, stdin_text):
 
 def _cmd_isoterm(args, stdin_text):
     # a side of a check-id identity; blank text is the empty word
-    u = parse_side(args.word) if args.word.strip() else ()
+    u = iword(args.word)
     partners = families.isoterm_search(u, args.n)
     if args.format == "json":
         print(json.dumps({"word": format_iword(u), "isoterm": not partners,

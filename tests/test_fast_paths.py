@@ -27,7 +27,7 @@ from baxt import checker
 from baxt.checker import CheckReport, check
 from baxt.families import basis2, basis4, pk_qk
 from baxt.words import (Identity, IVar, ParseError, common_ends, format_iword,
-                        ident, iword, letter_ids, occ_after, occ_before,
+                        id_letter, ident, iword, letter_ids, occ_after, occ_before,
                         parse_identity, parse_side, parse_term, restrict, v)
 from definitions import pre, pren, suf, sufn
 
@@ -335,6 +335,20 @@ def _differing_pivots(u, v, pu, pv):
         != len(pv[y]) - bisect_right(pv[y], pv[x][-1]))}
 
 
+def _defined_differences(idn, names, x):
+    """Per letter whose counts differ, its count on the left side less that
+    on the right before the first pivot x, and after the last, by
+    `occ_before` and `occ_after`."""
+    pivot = id_letter(names, x)
+    out = []
+    for count in (occ_before, occ_after):
+        diffs = {y: count(pivot, id_letter(names, y), idn.lhs)
+                 - count(pivot, id_letter(names, y), idn.rhs)
+                 for y in range(2 * len(names))}
+        out.append({y: d for y, d in diffs.items() if d})
+    return tuple(out)
+
+
 def test_misaligned_letters_are_the_pivots_whose_counts_differ():
     # the rule behind both witness searches: a pivot's counts differ
     # exactly when it is misaligned, and a base subset whose statistics
@@ -350,7 +364,8 @@ def test_misaligned_letters_are_the_pivots_whose_counts_differ():
         w[i:j + 1] = part
         shuffled.append(Identity(tuple(u), tuple(w)))
     seen = Counter()
-    for idn in shuffled + [idn for idn, _ in window_pairs(random.Random(19), 2000)]:
+    cases = shuffled + [idn for idn, _ in window_pairs(random.Random(19), 2000)]
+    for number, idn in enumerate(cases):
         names, u, v = letter_ids(idn)
         if u == v or sorted(u) != sorted(v):
             continue
@@ -360,6 +375,17 @@ def test_misaligned_letters_are_the_pivots_whose_counts_differ():
         bad = checker._misaligned(u, v, pu, pv, p, len(u) - s)
         assert bad == _differing_pivots(u, v, pu, pv), str(idn)
         seen["misaligned"] += bool(bad)
+        if number < 500:
+            # the count differences of every pivot, from the definitions,
+            # which take O(k^2 |u|) per identity
+            for x in set(u):
+                if x not in bad:
+                    with pytest.raises(AssertionError):
+                        checker._differences(pu, pv, x)
+                    continue
+                assert checker._differences(pu, pv, x) == _defined_differences(
+                    idn, names, x), (str(idn), x)
+                seen["differences"] += 1
         views = [checker._View(w, size) for w in (u, v, u[::-1], v[::-1])]
         for i in range(len(names)):
             for j in range(i, len(names)):
@@ -371,6 +397,7 @@ def test_misaligned_letters_are_the_pivots_whose_counts_differ():
                         assert {i, j} & {x >> 1 for x in bad}, (str(idn), i, j)
                         seen["differing subsets"] += 1
     assert seen["misaligned"] >= 2500 and seen["differing subsets"] >= 20000, seen
+    assert seen["differences"] >= 1000, seen
 
 
 @pytest.mark.parametrize("shape", [swapped_first, false_core])
@@ -543,7 +570,7 @@ def test_pivot_sweep_matches_the_full_sweep():
     failing = Counter()
     for idn in [idn for idn, _ in window_pairs(random.Random(19), 2000)] + rank3:
         for fast, full in _pivot_sweeps(idn):
-            assert fast == full, str(idn)
+            assert fast == tuple(map(set, full)), str(idn)
             failing["IV"] += len(fast[0])
             failing["V"] += len(fast[1])
     assert failing["IV"] >= 400 and failing["V"] >= 400, failing
@@ -551,8 +578,17 @@ def test_pivot_sweep_matches_the_full_sweep():
         sweeps = list(_pivot_sweeps(iv_family(k)))
         assert len(sweeps) == 2, k
         for fast, full in sweeps:
-            assert fast == full and len(fast[0]) == len(fast[1]) == k - 1, k
+            assert fast == tuple(map(set, full)) and len(fast[0]) == len(fast[1]) == k - 1, k
         assert check(iv_family(k), 3).violated == "IV"
+    # the witness of the least failing pivot, named from its count
+    # differences, against the reference's witnesses of every failing pivot
+    # ((V) witnesses are pinned by the window pairs' own test)
+    witnesses = Counter()
+    for idn in [iv_family(k) for k in (2, 3, 7, 20, 50)] + rank3:
+        report = check(idn, 3)
+        assert report.to_json() == ref.full_sweep_check(idn, 3).to_json(), str(idn)
+        witnesses[report.violated] += 1
+    assert witnesses["IV"] >= 50, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +619,32 @@ def _far_apart(mode):
     return lambda k: far_apart(random.Random(26), k, mode == "involution")
 
 
+def _changed_side(change, stars):
+    """A random side of 10 k letters against a copy of it that change
+    rearranges in place."""
+    def family(k):
+        rng = random.Random(26)
+        u = rng.choices(_letter_pool(k, stars), k=10 * k)
+        w = u.copy()
+        change(rng, w)
+        return Identity(tuple(u), tuple(w))
+    return family
+
+
+def _swap_tail(rng, w):
+    w[-3], w[-2] = w[-2], w[-3]
+
+
+def basis4_instance(k):
+    """The basis row x h y k x y s x t y ~= x h y k y x s x t y with a
+    random image of 2 k letters over k variables for each of its
+    variables: a YES at every rank, with a window of at most 4 k letters."""
+    rng, row = random.Random(26), basis4()[0]
+    images = {b: rng.choices(_letter_pool(k, True), k=2 * k) for b in "hkstxy"}
+    return Identity(*(tuple(t for x in side for t in images[x.base])
+                      for side in (row.lhs, row.rhs)))
+
+
 # each row names the docstring whose bound it holds the checker to
 K_SCALING = [
     pytest.param(pk_qk, 2, "involution", True, id="pk_qk-n2-_open_segments"),
@@ -601,7 +663,21 @@ K_SCALING = [
                             (3, "involution", "_subset_violation"),
                             (4, "involution", "_occ_lr_witness"),
                             (5, "involution", "_occ_lr_witness"),
-                            (2, "plain", "_occ_lr_witness"))]
+                            (2, "plain", "_occ_lr_witness"))
+] + [
+    pytest.param(_changed_side(random.Random.shuffle, True), 2, "involution", True,
+                 id="shuffled-n2-_subset_violation"),
+    pytest.param(_changed_side(random.Random.shuffle, True), 4, "involution", True,
+                 id="shuffled-n4-_occ_lr_witness"),
+    pytest.param(_changed_side(_swap_tail, True), 3, "involution", True,
+                 id="tail_swap-n3-_subset_violation"),
+    pytest.param(_changed_side(_swap_tail, False), 2, "plain", True,
+                 id="tail_swap-n2-plain-_occ_lr_witness"),
+    pytest.param(basis4_instance, 3, "involution", True, id="basis4-n3-yes-_sweep_check"),
+    pytest.param(basis4_instance, 4, "involution", True, id="basis4-n4-yes-_sweep_check"),
+    pytest.param(iv_family, 3, "involution", False, id="iv_family-n3-no_witness-_pivot_sweep"),
+    pytest.param(iv_family, 3, "involution", True, id="iv_family-n3-_differences"),
+]
 
 
 @pytest.mark.parametrize("family, n, mode, witness", K_SCALING)
