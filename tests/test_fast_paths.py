@@ -578,7 +578,8 @@ def test_pivot_sweep_matches_the_full_sweep():
         sweeps = list(_pivot_sweeps(iv_family(k)))
         assert len(sweeps) == 2, k
         for fast, full in sweeps:
-            assert fast == tuple(map(set, full)) and len(fast[0]) == len(fast[1]) == k - 1, k
+            assert fast == tuple(map(set, full)), k
+            assert len(fast[0]) == len(fast[1]) == k - 1, k
         assert check(iv_family(k), 3).violated == "IV"
     # the witness of the least failing pivot, named from its count
     # differences, against the reference's witnesses of every failing pivot
@@ -675,7 +676,8 @@ K_SCALING = [
                  id="tail_swap-n2-plain-_occ_lr_witness"),
     pytest.param(basis4_instance, 3, "involution", True, id="basis4-n3-yes-_sweep_check"),
     pytest.param(basis4_instance, 4, "involution", True, id="basis4-n4-yes-_sweep_check"),
-    pytest.param(iv_family, 3, "involution", False, id="iv_family-n3-no_witness-_pivot_sweep"),
+    pytest.param(iv_family, 3, "involution", False,
+                 id="iv_family-n3-no_witness-_pivot_sweep"),
     pytest.param(iv_family, 3, "involution", True, id="iv_family-n3-_differences"),
 ]
 
