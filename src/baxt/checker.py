@@ -16,14 +16,16 @@ open letters at ranks 2 and 3), then at rank 3 the pivot sweep over the
 same pieces.  It compares and sweeps only the pieces that meet the window
 between the sides' common prefix and common suffix, and decides equal
 sides before it builds anything.  For sides of |u| letters over k variables
-that takes O(|u|) C-level passes and a sort of the k cuts, plus
-O(L log L) Python work over the L letters of the window's pieces (sorts of
-pieces, of open letters and, once each, of rank-2 groups), plus at rank 3
-O(1) per pivot in the window, and O(|u| + k) memory.  Only a NO names its
-witness: a subset witness (ranks 2 and 3) from the subsets with a base that
-holds a misaligned letter (`_misaligned`), in O(|u| + k |M|) bisections
-for the M such bases; a pivot witness ((IV), (V) and OccLR) from the count
-differences of one pivot (`_differences`), in O(|u| + k log |u|).
+that takes O(|u|) C-level passes, in which the cuts of each side come in
+order from one first-occurrence pass and one chained scan, O(|u|) C-level
+work plus O(k) steps, plus O(L log L) Python work over the L letters of
+the window's pieces (sorts of pieces, of open letters and, once each, of
+rank-2 groups), plus at rank 3 O(1) per pivot in the window, and
+O(|u| + k) memory.  Only a NO names its witness: a subset witness (ranks 2
+and 3) from the subsets with a base that holds a misaligned letter
+(`_misaligned`), in O(|u| + k |M|) bisections for the M such bases; a
+pivot witness ((IV), (V) and OccLR) from the count differences of one
+pivot (`_differences`), in O(|u| + k log |u|).
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on restrictions built
@@ -98,9 +100,16 @@ def _pieces(u: list):
     """The first position of every letter of u, and the (start, end) of the
     pieces of u cut just before each of them.  The last piece ends after
     its first letter: sides that are balanced and agree on every earlier
-    piece agree on the rest."""
-    first = dict(zip(reversed(u), range(len(u) - 1, -1, -1)))
-    cuts = sorted(first.values())
+    piece agree on the rest.
+
+    `dict.fromkeys` gives the letters in order of first occurrence, and
+    each cut is found by a search that starts at the one before it, so the
+    cuts come in order from one more pass over u in C: O(|u|) C-level work
+    plus O(k) steps for the k letters of u."""
+    first, t = dict.fromkeys(u), 0
+    for x in first:
+        first[x] = t = u.index(x, t)
+    cuts = list(first.values())
     return first, list(zip(cuts, cuts[1:] + [cuts[-1] + 1]))
 
 

@@ -515,13 +515,35 @@ def test_open_segments_match_the_reference_merge():
     for _ in range(3000):
         size = 2 * rng.randint(1, 8)
         u = rng.choices(range(size), k=rng.randint(1, 40))
-        first, pieces = checker._pieces(u)
+        cut = ref._full_pieces(u)
+        assert checker._pieces(u) == cut == checker._pieces(tuple(u)), u
         for strict in (False, True):
-            out = checker._open_segments(u, first, pieces, size, strict)
+            out = checker._open_segments(u, *cut, size, strict)
             assert [(tuple(g), o) for g, o in out] == ref._full_open_segments(
-                u, (first, pieces), size, strict), (u, strict)
+                u, cut, size, strict), (u, strict)
             groups[strict, min(max(len(g) for g, _ in out), 3)] += 1
     assert groups[False, 3] >= 200 and groups[True, 1] == 3000, groups
+
+
+def test_long_sides_are_cut_as_the_reference_cuts():
+    # sides of 2,000-10,000 letters over 25-5,000 bases: random ones, ones
+    # whose letters are almost all distinct, and ones whose letters first
+    # occur after a long run of one letter, where each cut's search starts
+    # far from position 0
+    rng = random.Random(29)
+    for i in range(200):
+        bases, length = rng.randint(25, 5000), rng.randint(2000, 10000)
+        pool = range(2 * bases)
+        if i % 3 == 0:
+            u = rng.choices(pool, k=length)
+        elif i % 3 == 1:
+            u = rng.sample(range(2 * max(bases, length)), length)
+            for j in rng.sample(range(length), 20):
+                u[j] = rng.choice(u)
+        else:
+            head = rng.randint(length // 2, length - 1)
+            u = [rng.choice(pool)] * head + rng.choices(pool, k=length - head)
+        assert checker._pieces(u) == ref._full_pieces(u) == checker._pieces(tuple(u)), i
 
 
 def iv_family(k):
@@ -646,6 +668,14 @@ def basis4_instance(k):
                       for side in (row.lhs, row.rhs)))
 
 
+def late_letters(k):
+    """z^{2k} v1 ... vk z ~= z^{2k} vk ... v1 z: a NO whose k fresh letters
+    first occur after a head of 2 k copies of z, so a search for each cut
+    from position 0 would take time quadratic in k."""
+    head, vs = (IVar("z"),) * (2 * k), [IVar(f"v{i:06}") for i in range(k)]
+    return Identity(head + tuple(vs) + head[:1], head + tuple(vs[::-1]) + head[:1])
+
+
 # each row names the docstring whose bound it holds the checker to
 K_SCALING = [
     pytest.param(pk_qk, 2, "involution", True, id="pk_qk-n2-_open_segments"),
@@ -679,6 +709,9 @@ K_SCALING = [
     pytest.param(iv_family, 3, "involution", False,
                  id="iv_family-n3-no_witness-_pivot_sweep"),
     pytest.param(iv_family, 3, "involution", True, id="iv_family-n3-_differences"),
+] + [
+    pytest.param(late_letters, n, "involution", True, id=f"late_letters-n{n}-_pieces")
+    for n in (2, 4)
 ]
 
 
