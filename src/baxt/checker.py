@@ -24,8 +24,9 @@ rank-2 groups), plus at rank 3 O(1) per pivot in the window, and
 O(|u| + k) memory.  Only a NO names its witness: a subset witness (ranks 2
 and 3) from the subsets with a base that holds a misaligned letter
 (`_misaligned`), in O(|u| + k |M|) bisections for the M such bases; a
-pivot witness ((IV), (V) and OccLR) from the count differences of one
-pivot (`_differences`), in O(|u| + k log |u|).
+pivot witness ((IV), (V) and OccLR) from one tail, which reads the count
+differences of one pivot (`_differences`) and names the least (letter or
+base, side) that differs, the left side on a tie, in O(|u| + k log |u|).
 
 A second, independent route (`conditions_baxt2` / `conditions_baxt3`)
 evaluates the rank-2/3 pattern conditions literally on restrictions built
@@ -82,10 +83,6 @@ class CheckReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-
-def _yes(n, mode="involution"):
-    return CheckReport(True, n, mode)
 
 
 def _no(n, violated, witness, mode="involution"):
@@ -177,7 +174,7 @@ def check_baxt1(ident: Identity, witness: bool = True) -> CheckReport:
     names, u, v = letter_ids(ident)
     cu, cv = (Counter([a >> 1 for a in w]) for w in (u, v))
     if cu == cv:
-        return _yes(1)
+        return CheckReport(True, 1, "involution")
     if not witness:
         return CheckReport(False, 1, "involution")
     return _no(1, "Balanced", _balance_witness(cu, cv, names.__getitem__))
@@ -287,14 +284,6 @@ def _pivot_sweep(u: list, v: list, pu: list, pv: list, size: int):
     return bad_iv, bad_v
 
 
-def _first_witness(left, right):
-    """Loops that test, per coordinate, the left side before the right
-    one meet the earlier difference first, the left one on a tie."""
-    if right is None or (left is not None and left <= right):
-        return "left", left
-    return "right", right
-
-
 _CHECKS = (("left", "pre", "pren"), ("right", "suf", "sufn"))
 
 
@@ -342,7 +331,9 @@ def _subset_violation(names, u, v, ru, rv, strict: bool, p: int, e: int):
 def _differences(pu: list, pv: list, x: int):
     """Per letter whose counts differ on balanced sides with positions pu,
     pv: its count in u less that in v before the first x, and after the
-    last x.  Two dicts, in O(k log |u|) time, not both empty."""
+    last x.  Two dicts, in O(k log |u|) time, not both empty: with the
+    positions built once, the tail of `_sweep_check` that names a pivot
+    witness from them takes O(|u| + k log |u|)."""
     fu, fv, lu, lv = pu[x][0], pv[x][0], pu[x][-1], pv[x][-1]
     before, after = {}, {}
     for y, (ou, ov) in enumerate(zip(pu, pv)):
@@ -353,19 +344,6 @@ def _differences(pu: list, pv: list, x: int):
     if not (before or after):
         raise AssertionError("segment sweep and pivot counts disagree")
     return before, after
-
-
-def _occ_lr_witness(names, u, v, p: int, e: int) -> dict:
-    """The first (pivot, letter, side) in sorted order whose directional
-    counts differ, for sides with the window (p, e) (`words.common_ends`):
-    the pivots whose counts differ are the misaligned letters
-    (`_misaligned`), so the pivot is the least of them."""
-    pu, pv = _positions(u, 2 * len(names)), _positions(v, 2 * len(names))
-    x = min(_misaligned(u, v, pu, pv, p, e))
-    before, after = _differences(pu, pv, x)
-    y = min(before.keys() | after.keys())
-    return {"pivot": str(id_letter(names, x)), "letter": str(id_letter(names, y)),
-            "side": "left" if y in before else "right"}
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +363,8 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     the first letter of every base whose second letter has not occurred.
     With the order fixed, these counts agree exactly when the pieces agree
     on their first letter and on the letters whose partner has not
-    occurred.  Mirrored for last occurrences.  Only on a NO does the
-    witness search of the rank run.
+    occurred.  Mirrored for last occurrences.  Only on a NO does a
+    witness search run.
 
     Only the pieces that meet the window are read.  With u[:p] and u[e:]
     the sides' common prefix and suffix (`words.common_ends`), the sides are
@@ -437,15 +415,27 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     sees equal counts before it on both sides: in the prefix, the prefix
     fixes them; at a >= e, the count of a letter before a is its total,
     the same by balance, less its count in u[a:], which the suffix fixes.
-    So no pivot outside the span fails, the failing-pivot sets are those
-    of a sweep over every piece, at O(1) per pivot, and a NO names the
-    witness of the least failing pivot from its `_differences`."""
+    So no pivot outside the span fails, and the failing-pivot sets are
+    those of a sweep over every piece, at O(1) per pivot.
+
+    Ranks 2 and 3 name a subset witness when the segments differ
+    (`_subset_violation`).  Every other NO goes through one tail: one pivot
+    y, the least misaligned letter at rank >= 4 and in plain mode, or the
+    least failing pivot at rank 3; its count differences
+    (`_differences`); and the least (letter or base, side) over the left
+    side (before y) and the right one (after y), so the left side wins a
+    tie.  (IV) reads the bases whose star-blind sums differ; (V) reads only
+    the side of the reading that fails."""
     names, u, v = letter_ids(ident)
     if u == v:
         return CheckReport(True, n, mode)
     p, s = common_ends(u, v)
     e = len(u) - s
-    balanced = len(u) == len(v) and sorted(u[p:e]) == sorted(v[p:e])
+    if len(u) != len(v) or sorted(u[p:e]) != sorted(v[p:e]):
+        if not witness:
+            return CheckReport(False, n, mode)
+        return _no(n, "Balanced", _balance_witness(
+            Counter(u), Counter(v), lambda a: str(id_letter(names, a))), mode)
     size, ru, rv = 2 * len(names), u[::-1], v[::-1]
     occ_lr = n >= 4 or mode == "plain"
     strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
@@ -456,9 +446,8 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
 
     # each side is cut once, and only its pieces that meet the window are
     # compared; the reversed sides only if the forward pieces agree
-    readings = ((u, v, p, e), (ru, rv, len(u) - e, len(u) - p)) if balanced else ()
     agreed = []  # per reading that agrees: both sides and their span
-    for a, b, lo, hi in readings:
+    for a, b, lo, hi in ((u, v, p, e), (ru, rv, len(u) - e, len(u) - p)):
         (fa, pa), (fb, pb) = _pieces(a), _pieces(b)
         # the span: from the piece that holds lo - 1 (the first piece when
         # lo == 0) through the last piece that starts before hi, at the same
@@ -478,26 +467,30 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
         return CheckReport(True, n, mode)
     if not witness:
         return CheckReport(False, n, mode)
-    if not balanced:
-        return _no(n, "Balanced", _balance_witness(
-            Counter(u), Counter(v), lambda a: str(id_letter(names, a))), mode)
-    if occ_lr:
-        return _no(n, "OccLR", _occ_lr_witness(names, u, v, p, e), mode)
-    if not same:
+    if not (same or occ_lr):
         return _no(n, *_subset_violation(names, u, v, ru, rv, strict, p, e))
-    # the first pivot in sorted order, every (IV) one before every (V) one;
-    # the reversed reading's counts before it are the counts after it
-    y = min(left_iv | right_iv or left_v | right_v)
-    before, after = _differences(_positions(u, size), _positions(v, size), y)
+    # the pivot: the least misaligned letter (OccLR), or the least failing
+    # one, every (IV) one before every (V) one; the reversed reading's
+    # counts before it are the counts after it
+    pu, pv, iv = _positions(u, size), _positions(v, size), left_iv | right_iv
+    y = (min(_misaligned(u, v, pu, pv, p, e)) if occ_lr
+         else min(iv or left_v | right_v))
+    before, after = _differences(pu, pv, y)
+    sides = (("left", before), ("right", after))
+    if iv:
+        # per side, the bases whose star-blind sums differ
+        sides = [(side, {x >> 1 for x in c if c.get(x & ~1, 0) + c.get(x | 1, 0)})
+                 for side, c in sides]
+    elif not occ_lr:
+        # (V): the side of the reading that fails
+        sides = sides[:1] if y in left_v else sides[1:]
+    # the least (letter or base, side) that differs, the left side on a tie
+    d, side = min((d, side) for side, ds in sides for d in ds)
     pivot = str(id_letter(names, y))
-    if left_iv or right_iv:
-        # per reading, the least base whose star-blind sum differs
-        side, d = _first_witness(*(min(
-            (x >> 1 for x in c if c.get(x & ~1, 0) + c.get(x | 1, 0)), default=None)
-            for c in (before, after)))
+    if iv:
         return _no(3, "IV", {"pivot": pivot, "base": names[d], "side": side})
-    side, d = ("left", min(before)) if y in left_v else ("right", min(after))
-    return _no(3, "V", {"pivot": pivot, "letter": str(id_letter(names, d)), "side": side})
+    return _no(n, "OccLR" if occ_lr else "V", {
+        "pivot": pivot, "letter": str(id_letter(names, d)), "side": side}, mode)
 
 
 def check_baxt2(ident: Identity, witness: bool = True) -> CheckReport:

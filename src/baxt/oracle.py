@@ -295,10 +295,6 @@ class OracleResult:
         return self.witness is not None
 
 
-def default_max_len(num_bases: int) -> int:
-    return 3 if num_bases <= 2 else 2
-
-
 def _scan(u, v, ends, words, cover, nbases, n, first_range):
     """The first assignment (class indices in the order of the nbases
     bases) that refutes the identity, among those whose first-base class
@@ -337,7 +333,7 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     bases, u, v = letter_ids(ident)
     if max_len is None:
-        max_len = default_max_len(len(bases))
+        max_len = 3 if len(bases) <= 2 else 2
     if not bases:
         # no variables at all: both sides are the empty word
         return OracleResult(None, 1, n, max_len, True)

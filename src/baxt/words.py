@@ -8,10 +8,10 @@ their starred partners x*, y*, ...; identities are pairs of these.  Terms add
 a formal star and concatenation on top, and ``flatten`` pushes every star down
 to the letters using (t*)* = t and (st)* = t* s*.
 
-``parse_side`` reads one side of an identity.  A side that is a plain letter
-sequence (``x y* z``, the form every printer here emits) is split on
-whitespace and read letter by letter; any other side is parsed as a term
-and flattened.  Both readings give the same word and the same errors.
+``parse_side`` reads one side of an identity as a term and flattens it.
+The only shortcut for sides that are plain letter sequences (``x y* z``, the
+form every printer here emits) is ``parse_identity``'s, below, which splits
+them on whitespace; both readings give the same words and the same errors.
 
 An ``Identity`` carries the encoding that the checker and the oracle read
 (``letter_ids``): the sorted base names, and each side as letter ids
@@ -468,23 +468,9 @@ def _token_letter(tok: str) -> tuple:
 
 
 def parse_side(text: str, pos: int = 0, endpos: int | None = None) -> IWord:
-    """The word of the term in text[pos:endpos]; error positions index all
-    of text.
-
-    A side whose whitespace-separated tokens are all single letters (an
-    identifier with its stars attached, as `format_iword` prints them) is
-    read with one split and one `IVar` per distinct token.  Anything else
-    (parentheses, a star after a space, an empty side, a bad character) is
-    parsed as a term and flattened, which also raises every `ParseError`.
-    """
-    if endpos is None:
-        endpos = len(text)
-    tokens = text[pos:endpos].split()
-    distinct = set(tokens)
-    if not (tokens and _plain(distinct)):
-        return flatten(_parse_term(text, pos, endpos))
-    table = {tok: IVar(*_token_letter(tok)) for tok in distinct}
-    return tuple(map(table.__getitem__, tokens))
+    """The word of the term in text[pos:endpos], parsed and flattened;
+    error positions index all of text."""
+    return flatten(_parse_term(text, pos, len(text) if endpos is None else endpos))
 
 
 def letter_ids(ident: Identity):

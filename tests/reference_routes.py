@@ -30,9 +30,8 @@ from itertools import product
 from operator import add
 from typing import Optional
 
-from baxt.checker import (CheckReport, _balance_witness, _first_witness, _no,
-                          _occ_lr_witness, _subset_violation, _yes, check,
-                          is_balanced)
+from baxt.checker import (CheckReport, _balance_witness, _no, _subset_violation,
+                          check, is_balanced)
 from baxt.monoid import key_of as fast_key_of, sharp_word
 from baxt.oracle import enumerate_classes
 from baxt.represent import generator_images
@@ -180,7 +179,7 @@ def _procedure_check(ident: Identity, n: int) -> CheckReport:
             return _no(n, "III", {"pair": pair, "side": "right", "check": "sufn"})
 
     if n == 2:
-        return _yes(2)
+        return CheckReport(True, n, "involution")
 
     # rank 3: directional occurrence sums per (base, pivot letter) ...
     pivots = sorted(iu.positions)
@@ -219,7 +218,7 @@ def _procedure_check(ident: Identity, n: int) -> CheckReport:
                 if iu.count_after(x, lu) != iv.count_after(x, lv):
                     return _no(3, "V", {"pivot": str(y), "letter": str(x),
                                         "side": "right"})
-    return _yes(3)
+    return CheckReport(True, n, "involution")
 
 
 def rank2_class_key(u: IWord) -> tuple:
@@ -354,8 +353,10 @@ def common_ends_loops(u, v):
 def full_sweep_check(ident: Identity, n: int, mode: str = "involution",
                      witness: bool = True) -> CheckReport:
     """Every rank >= 2 and the plain variant, by cutting, comparing and
-    sweeping every piece of both whole sides, forward and reversed; a NO
-    names its witness by the library's searches."""
+    sweeping every piece of both whole sides, forward and reversed.  A NO
+    names an OccLR witness by the definition route `_occ_lr_check`, a
+    subset witness by the library's `_subset_violation`, and a pivot
+    witness from the first differences that the full sweep records."""
     names, u, v = letter_ids(ident)
     size, ru, rv = 2 * len(names), u[::-1], v[::-1]
     occ_lr = n >= 4 or mode == "plain"
@@ -383,14 +384,16 @@ def full_sweep_check(ident: Identity, n: int, mode: str = "involution",
     if not balanced:
         return _no(n, "Balanced", _balance_witness(Counter(ident.lhs),
                                                    Counter(ident.rhs)), mode)
-    p, e = _full_window(u, v)
     if occ_lr:
-        return _no(n, "OccLR", _occ_lr_witness(names, u, v, p, e), mode)
+        return _occ_lr_check(ident, n, mode)
     if not same:
-        return _no(n, *_subset_violation(names, u, v, ru, rv, strict, p, e))
+        return _no(n, *_subset_violation(names, u, v, ru, rv, strict,
+                                         *_full_window(u, v)))
     if left_iv or right_iv:
         y = min(left_iv.keys() | right_iv.keys())
-        side, d = _first_witness(left_iv.get(y), right_iv.get(y))
+        # the lesser base, the left side on a tie
+        d, side = min((c[y], side) for side, c in (("left", left_iv),
+                                                   ("right", right_iv)) if y in c)
         return _no(3, "IV", {"pivot": str(id_letter(names, y)),
                              "base": names[d], "side": side})
     y = min(left_v.keys() | right_v.keys())

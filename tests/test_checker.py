@@ -146,6 +146,35 @@ def test_rank_separation_witnesses():
     assert check(W34, 2).verdict
 
 
+_LEFT_OR_RIGHT = [
+    pytest.param(3, "IV", "y y* y x y x ~= y y* x y y x",
+                 {"pivot": "x", "base": "y", "side": "left"}, id="IV-left"),
+    pytest.param(3, "IV", "x* x x* y y* y ~= x* x y x* y* y",
+                 {"pivot": "x*", "base": "y", "side": "right"}, id="IV-right"),
+    pytest.param(3, "IV", "y y* y x y* y ~= y y* x y y* y",
+                 {"pivot": "x", "base": "y", "side": "left"}, id="IV-tie"),
+] + [
+    pytest.param(n, "OccLR", text, {"pivot": "x", "letter": "y", "side": side},
+                 id=f"OccLR-{n}-{kind}")
+    for n in (4, "plain")
+    for text, side, kind in (("y x x ~= x y x", "left", "left"),
+                             ("x y x ~= x x y", "right", "right"),
+                             ("x y y ~= y x y", "left", "tie"))
+]
+
+
+@pytest.mark.parametrize("n, violated, text, witness", _LEFT_OR_RIGHT)
+def test_pivot_witness_takes_the_least_difference_left_first(n, violated, text,
+                                                             witness):
+    # one tail names every pivot witness: the least letter or base whose
+    # counts differ before the pivot (left) or after it (right), and the
+    # left side when both differ in the same one
+    idn = parse_identity(text)
+    report = check(idn, 2, "plain") if n == "plain" else check(idn, n)
+    assert report.to_json_obj()["violated"] == violated
+    assert report.to_json_obj()["witness"] == witness
+
+
 @given(some_identities, st.sampled_from([1, 2, 3, 4, 6]))
 def test_reverse_and_star_closure(idn, n):
     v0 = check(idn, n).verdict

@@ -692,18 +692,18 @@ K_SCALING = [
     pytest.param(_far_apart(mode), n, mode, True, id=f"far_apart-n{n}-{mode}-{search}")
     for n, mode, search in ((2, "involution", "_subset_violation"),
                             (3, "involution", "_subset_violation"),
-                            (4, "involution", "_occ_lr_witness"),
-                            (5, "involution", "_occ_lr_witness"),
-                            (2, "plain", "_occ_lr_witness"))
+                            (4, "involution", "_differences"),
+                            (5, "involution", "_differences"),
+                            (2, "plain", "_differences"))
 ] + [
     pytest.param(_changed_side(random.Random.shuffle, True), 2, "involution", True,
                  id="shuffled-n2-_subset_violation"),
     pytest.param(_changed_side(random.Random.shuffle, True), 4, "involution", True,
-                 id="shuffled-n4-_occ_lr_witness"),
+                 id="shuffled-n4-_differences"),
     pytest.param(_changed_side(_swap_tail, True), 3, "involution", True,
                  id="tail_swap-n3-_subset_violation"),
     pytest.param(_changed_side(_swap_tail, False), 2, "plain", True,
-                 id="tail_swap-n2-plain-_occ_lr_witness"),
+                 id="tail_swap-n2-plain-_differences"),
     pytest.param(basis4_instance, 3, "involution", True, id="basis4-n3-yes-_sweep_check"),
     pytest.param(basis4_instance, 4, "involution", True, id="basis4-n4-yes-_sweep_check"),
     pytest.param(iv_family, 3, "involution", False,
