@@ -4,9 +4,10 @@ The brute-force engine substitutes every tuple of monoid classes (built from
 words up to a length bound) for the variables of an identity and looks for a
 falsifying assignment.  It is a bounded refuter, never a decision procedure:
 its positive outcome only means no counterexample within the bound.  A
-search yields only the assignments that the content cover rule leaves
-undecided, stops at the first of them that refutes the identity, and
-derives its evaluation count from that witness's place in the enumeration.
+search yields only the assignments that the content cover rule and the
+equal-middles rule leave undecided, stops at the first of them that
+refutes the identity, and derives its evaluation count from that
+witness's place in the enumeration.
 Write the sides as P X S and P Y S, P and S their common prefix and suffix
 of letters; when X and Y hold the same letters, an assignment sends them to
 p x s and p y s with x and y holding the same letters of 1..n, and when
@@ -15,7 +16,12 @@ gives the proof).  The full scan assigns the sorted bases one at a time,
 row-major, keeping the ORs of per-class content bitmasks of p, s and x so
 far, and passes over a whole block of assignments when no completion can
 uncover x; when every letter of X occurs in both P and S, the block is the
-whole grid and nothing is visited.  Each undecided assignment builds the
+whole grid and nothing is visited.  The equal-middles rule passes over
+whole blocks too: X and Y then have one length, and once the largest base
+with a letter at a position where X and Y differ is assigned, if at each
+such position the two letters' images are equal, then x and y are the
+same concatenation and p x s == p y s for every completion
+(`_middle_pairs`).  Each assignment that both rules leave builds the
 middles' images, and full words and keys only where they differ: equal
 middles give equal words, one class.  So a scan costs time in the blocks
 it tries and the assignments left undecided, not in the grid.  The class
@@ -203,19 +209,55 @@ def _settles(cover, idxs):
     return not mx & ~(mp & ms)
 
 
-def _blocks(cover, m, first_range):
+def _middle_pairs(u, v, ends, words):
+    """The equal-middles rule on sides u = P X S and v = P Y S, letter ids
+    whose middles X and Y hold the same letters (so `_cover` applies), made
+    once per search over the class words of `_table_images`: (top, pairs),
+    where pairs holds each distinct pair of letter ids at a position where
+    X and Y differ, as (base, class words, base, class words) with the
+    class words picked by starred flag, and top is the largest base among
+    them.
+
+    The rule: X and Y have one length, so once bases 0..top are assigned,
+    if the two class words of every pair are equal then the images x and y
+    are the same concatenation, and p x s == p y s whatever classes the
+    later bases take.  No completion refutes."""
+    p, s = ends
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in
+                    zip(u[p:len(u) - s], v[p:len(v) - s]) if a != b})
+    top = max(b for _, b in pairs) >> 1
+    return top, tuple((a >> 1, words[a & 1], b >> 1, words[b & 1])
+                      for a, b in pairs)
+
+
+def _blocks(cover, m, first_range, same=None):
     """The assignments whose first-base class index lies in first_range,
     row-major over m classes for each remaining base, that the content
-    cover rule of `_cover` leaves undecided.  Bases 0..d are assigned one
-    at a time, each depth keeps the ORs of the masks so far, and a block
-    whose masks settle it is passed over whole.  The loop is iterative, so
+    cover rule of `_cover` leaves undecided, and with same, which is
+    `_middle_pairs`'s (top, pairs), that the equal-middles rule leaves
+    too.  Bases 0..d are assigned one at a time, each depth keeps the ORs
+    of the masks so far, and a block whose masks settle it is passed over
+    whole.  The classes tried at depth top are filtered, lazily, to those
+    under which some pair's two class words differ, so a block whose
+    middles have equal images is passed over whole too.  When top is the
+    last base that block is one assignment, whose middles `_refutes`
+    compares anyway, so the filter is left out.  The loop is iterative, so
     any number of bases is safe."""
     p, s, x, last_x, full = cover
     last = len(p) - 1
     idxs = [0] * (last + 1)
+    top, pairs = same if same is not None and same[0] < last else (-1, ())
+
+    def differs(c):  # at depth top, with bases 0..top - 1 in idxs
+        idxs[top] = c
+        for ea, wa, eb, wb in pairs:
+            if wa[idxs[ea]] != wb[idxs[eb]]:
+                return True
+        return False
     # the masks of bases 0..d - 1, and the classes left to try, at depth d
     mp, ms, mx = [0] * (last + 1), [0] * (last + 1), [0] * (last + 1)
-    todo = [iter(first_range)] + [None] * last
+    todo = [filter(differs, first_range) if top == 0 else iter(first_range)]
+    todo += [None] * last
     d = 0
     while d >= 0:
         c = next(todo[d], None)
@@ -232,7 +274,7 @@ def _blocks(cover, m, first_range):
             continue
         d += 1
         mp[d], ms[d], mx[d] = gp, gs, gx
-        todo[d] = iter(range(m))
+        todo[d] = filter(differs, range(m)) if d == top else iter(range(m))
 
 
 def _refutes(u, v, ends, words, n):
@@ -300,13 +342,18 @@ def _scan(u, v, ends, words, cover, nbases, n, first_range):
     bases) that refutes the identity, among those whose first-base class
     index lies in first_range, row-major over the remaining bases; None if
     there is none.  cover is `_cover`'s, and leaves some assignment
-    undecided.  The cost is a few ORs per block tried, and `_refutes`'s per
-    assignment that no block settles."""
+    undecided; where it applies, the blocks that the content cover rule or
+    the equal-middles rule of `_middle_pairs` settles are passed over
+    whole, since under both every assignment has congruent sides.  The
+    cost is a few ORs per block tried, one comparison of class words per
+    pair for each class tried at the equal-middles depth, and `_refutes`'s
+    per assignment that no block settles."""
     m = len(words[0])
     if cover is None:
         undecided = product(first_range, *[range(m)] * (nbases - 1))
     else:
-        undecided = _blocks(cover, m, first_range)
+        undecided = _blocks(cover, m, first_range,
+                            _middle_pairs(u, v, ends, words))
     return next(filter(_refutes(u, v, ends, words, n), undecided), None)
 
 
@@ -316,16 +363,16 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
 
     Bases are tried in sorted order and classes in length-then-lex order, so
     the reported witness is the first in that fixed enumeration.  The scan
-    yields only the assignments that the content cover rule leaves, and
-    stops at the first that refutes; evaluations is the witness's place in
-    the enumeration, its row-major rank plus one, or the whole grid when
-    there is none.  A grid larger than DEFAULT_BUDGET raises instead of
-    silently truncating, and before the classes are enumerated when a lower
-    bound on its size, or the class table itself, is already larger.  The
-    grid is cut into one chunk per job, and jobs is first capped at the
-    number of CPUs and of first-base classes.  The chunks come back in
-    enumeration order, so the witness, and with it the count, does not
-    depend on jobs.
+    yields only the assignments that the content cover rule and the
+    equal-middles rule leave, and stops at the first that refutes;
+    evaluations is the witness's place in the enumeration, its row-major
+    rank plus one, or the whole grid when there is none.  A grid larger
+    than DEFAULT_BUDGET raises instead of silently truncating, and before
+    the classes are enumerated when a lower bound on its size, or the class
+    table itself, is already larger.  The grid is cut into one chunk per
+    job, and jobs is first capped at the number of CPUs and of first-base
+    classes.  The chunks come back in enumeration order, so the witness,
+    and with it the count, does not depend on jobs.
     """
     if max_len is not None and max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")

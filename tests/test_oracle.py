@@ -289,8 +289,9 @@ def _near_miss(idn, i):
 def _differential_cases():
     """Every basis2, basis4 and pk_qk(2) row and one near miss of each, with
     ranks 2-4 and max_len 1-2 in turn; x y ~= y x and x x* ~= x* x at every
-    rank and max_len; the _OVERLAPS at rank 3, max_len 2; and the _COVERS
-    and _NO_COVER at rank 2, max_len 3 and at rank 3, max_len 2.  The full
+    rank and max_len; the _OVERLAPS at rank 3, max_len 2; the _MIDDLES at
+    rank 2, max_len 2 and at ranks 3 and 4, max_len 1; and the _COVERS and
+    _NO_COVER at rank 2, max_len 3 and at rank 3, max_len 2.  The full
     scan runs where the grid has at most 16,000 assignments, the sampler
     everywhere."""
     bounds = [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2), (4, 2)]
@@ -302,6 +303,8 @@ def _differential_cases():
     for text in ("x y ~= y x", "x x* ~= x* x"):
         cases += [(parse_identity(text), n, m) for n, m in bounds]
     cases += [(parse_identity(text), 3, 2) for text in _OVERLAPS]
+    cases += [(parse_identity(text), n, m) for text in _MIDDLES
+              for n, m in ((2, 2), (3, 1), (4, 1))]
     return cases + [(parse_identity(text), n, m) for text in _COVERS + _NO_COVER
                     for n, m in ((2, 3), (3, 2))]
 
@@ -315,6 +318,11 @@ _OVERLAPS = ("x y x ~= x", "x x ~= x", "x y ~= x y y", "y* x y* ~= y*",
 _COVERS = ("x x* x y x* y* ~= x x* y x x* y*", "y* x* x y y* y ~= y* x* y x y* y",
            "x x* x y y* y y ~= x x* y x y* y y", "y x h x y x* x ~= y x h y x x* x",
            "x h x y h* y ~= x h y x h* y", "h x y h* ~= h y x h*")
+
+#: middles that differ in one to three pairs of letters, all of bases
+#: that sort before the last base
+_MIDDLES = ("z a a* z ~= z a* a z", "z x y x* z ~= z y x* x z",
+            "y a z b a* y ~= y b z a* a y", "z a b c a z ~= z b a a c z")
 
 #: sides with no common prefix, and unbalanced sides with a common prefix
 #: and suffix: the content cover rule never runs on them
@@ -364,6 +372,78 @@ def test_the_cover_rule_settles_only_congruent_assignments():
     for text in _NO_COVER:
         _, u, v = letter_ids(parse_identity(text))
         assert _cover(u, v, 3, 2) is None
+
+
+def _equal_middles(x, y, words, nbases, idxs):
+    """Does the equal-middles rule, read one assignment at a time, pass
+    over idxs?  x and y are the middles, letter ids of one length: the
+    letters at the positions where they differ have bases below the last,
+    and each has the same class word there as its partner."""
+    differ = [(a, b) for a, b in zip(x, y) if a != b]
+    return max(max(a, b) >> 1 for a, b in differ) < nbases - 1 and all(
+        words[a & 1][idxs[a >> 1]] == words[b & 1][idxs[b >> 1]]
+        for a, b in differ)
+
+
+def test_the_equal_middles_rule_passes_over_only_equal_middles():
+    # of the assignments the content cover rule leaves, the scan passes
+    # over whole blocks whose middles have equal images letter by letter:
+    # each such assignment has equal middle images, and the blocks leave
+    # exactly what both rules leave one assignment at a time, whole and in
+    # the two chunks of a parallel scan
+    passed = kept = grids = 0
+    for idn, n, max_len in _differential_cases() + _spliced_corpus():
+        m = len(enumerate_classes(n, max_len))
+        bases, u, v = letter_ids(idn)
+        cover = _cover(u, v, n, max_len)
+        if m ** len(bases) > 16000 or cover is None:
+            continue
+        words = oracle._table_images(n, max_len)[0]
+        p, s = ends = common_ends(u, v)
+        x, y = u[p:len(u) - s], v[p:len(v) - s]
+        middles = oracle._side_images(x, y, words)
+        left = [a for a in product(range(m), repeat=len(bases))
+                if not oracle._settles(cover, a)]
+        rule = [_equal_middles(x, y, words, len(bases), a) for a in left]
+        for a, over in zip(left, rule):
+            if over:
+                images = middles(a)
+                assert images[0] == images[1], (idn, n, max_len, a)
+        same = oracle._middle_pairs(u, v, ends, words)
+        scan = list(oracle._blocks(cover, m, range(m), same))
+        assert scan == [a for a, over in zip(left, rule) if not over], idn
+        halves = [a for r in (range(m // 2), range(m // 2, m))
+                  for a in oracle._blocks(cover, m, r, same)]
+        assert halves == scan, idn
+        passed += sum(rule)
+        kept += len(scan)
+        grids += 0 < sum(rule) < len(left)
+    # the rule passes over some assignments and leaves others, some of
+    # them in one grid
+    assert passed and kept and grids
+
+
+@pytest.mark.parametrize("k, n, max_len", [
+    # the content cover rule leaves 260, 2,660 and 25,220 assignments, and
+    # 13,920, 160 and 1,456: each built its middles' images before the
+    # equal-middles rule passed over them in blocks
+    (2, 3, 1), (3, 3, 1), (4, 3, 1), (2, 3, 2), (2, 2, 2), (3, 2, 2),
+])
+def test_pk_qk_scans_build_no_image(monkeypatch, k, n, max_len):
+    # the middles of p_k and q_k differ only where x and x* swap: every
+    # class whose word is its own involution is passed over at the first
+    # base, and the content cover rule settles the rest
+    m = len(enumerate_classes(n, max_len))
+    built = []
+    side_images = oracle._side_images
+
+    def counting_images(u, v, words):
+        images = side_images(u, v, words)
+        return lambda idxs: built.append(idxs) or images(idxs)
+    monkeypatch.setattr(oracle, "_side_images", counting_images)
+    res = brute_force_check(pk_qk(k), n, max_len)
+    assert built == []
+    assert (res.witness, res.evaluations) == (None, m ** (2 * k + 1))
 
 
 def test_a_deep_block_scan_needs_no_recursion():
@@ -579,7 +659,9 @@ def test_middle_first_refutation_matches_the_full_words():
 
 
 @pytest.mark.parametrize("idn, n, max_len", [
-    # holds; no undecided assignment has different middles
+    # holds; the content cover rule leaves 260 assignments, all with equal
+    # middles, and the equal-middles rule passes over them in blocks, so
+    # no key is computed
     (pk_qk(2), 3, 1),
     # refuted at the 19th undecided assignment, the 7th with different
     # middles
