@@ -116,6 +116,8 @@ def isoterm_search(u: IWord, n: int) -> list[IWord]:
       step that leaves its class.  Each step is undone by a swap the walk
       tries, so the walk reaches v.
     """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     if len(u) > 10:
         raise ValueError(f"word of length {len(u)} exceeds the bound 10")
     walk_rank = min(n, 2)

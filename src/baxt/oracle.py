@@ -74,6 +74,8 @@ def check_budget(size: int, what: str) -> None:
 def enumerate_classes(n: int, max_len: int) -> tuple[BaxtElement, ...]:
     """Distinct classes of all words over 1..n of length <= max_len, each
     carrying its first representative in length-then-lex order."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     classes = []
     seen = set()
     for length in range(max_len + 1):

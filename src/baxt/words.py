@@ -405,20 +405,12 @@ class Identity:
         return f"{format_iword(self.lhs)} ≈ {format_iword(self.rhs)}"
 
     def reversed(self) -> "Identity":
-        if self._code is None:
-            lhs, rhs = self._sides
-            return Identity(reverse(lhs), reverse(rhs))
-        names, u, v = self._code
-        return Identity._encoded(names, u[::-1], v[::-1])
+        lhs, rhs = self._view()
+        return Identity(reverse(lhs), reverse(rhs))
 
     def starred(self) -> "Identity":
-        if self._code is None:
-            lhs, rhs = self._sides
-            return Identity(star_word(lhs), star_word(rhs))
-        # x* has the id of x with its last bit flipped
-        names, u, v = self._code
-        return Identity._encoded(names, tuple([a ^ 1 for a in reversed(u)]),
-                                 tuple([a ^ 1 for a in reversed(v)]))
+        lhs, rhs = self._view()
+        return Identity(star_word(lhs), star_word(rhs))
 
 
 def _encode(lhs, rhs, letters: dict) -> tuple:

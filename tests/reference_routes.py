@@ -6,6 +6,7 @@ occurrence check built on per-letter position lists and bisection (O(k^2)
 pair loops), the sweeps over every piece of both whole sides rather than
 over the pieces that meet the window between their common prefix and
 suffix, the recursive term parser with its character-by-character lexer,
+an identity's reverse and star done in arithmetic on its letter ids,
 the rank >= 4 component letter maps written out as four families,
 the monoid invariant key with quadratic lpi/rpi scans, and the isoterm
 search that checks every rearrangement of a word, enumerated recursively,
@@ -14,9 +15,9 @@ with their DOT writer, the oracle's evaluation loop that compares the
 keys of both sides on every assignment, equal image words included, its
 common prefix and suffix found by index loops, and the generator fold as
 a product of dense rows.  The tests assert that the library returns the
-same reports, words, errors, letter maps, keys, isoterm partners, trees,
-witnesses, common ends, evaluation counts and matrices.  The
-rank-2 class key reads the procedure's statistics off one word, so a test
+same reports, words, errors, letter ids, letter maps, keys, isoterm
+partners, trees, witnesses, common ends, evaluation counts and matrices.
+The rank-2 class key reads the procedure's statistics off one word, so a test
 can group words into classes without checking every pair.
 """
 
@@ -505,6 +506,22 @@ def parse_identity(text: str) -> Identity:
             blank = " " * (len(left) + len(sep))
             return Identity(flatten(parse_term(left)), flatten(parse_term(blank + right)))
     raise ParseError("identity needs a '≈' or '~=' separator")
+
+
+def reversed_ids(ids: tuple) -> tuple:
+    """The letter ids of an identity's reverse, from its `letter_ids`
+    triple: each side read backwards."""
+    names, u, v = ids
+    return names, u[::-1], v[::-1]
+
+
+def starred_ids(ids: tuple) -> tuple:
+    """The letter ids of an identity's star, from its `letter_ids` triple:
+    each side read backwards, x* having the id of x with its last bit
+    flipped."""
+    names, u, v = ids
+    return (names, tuple([a ^ 1 for a in reversed(u)]),
+            tuple([a ^ 1 for a in reversed(v)]))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,14 @@ def test_isoterm_search():
         isoterm_search(iword("x y z x* y* z* x y z x*") + iword("z"), 2)
 
 
+def test_isoterm_search_refuses_a_rank_below_one():
+    # an empty result would certify an isoterm, so a word whose walk never
+    # calls the checker (one letter, repeated) is refused too
+    for word in ("x x", "x y"):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            isoterm_search(iword(word), 0)
+
+
 def test_rank3_class_is_not_connected_by_swaps():
     a, b = iword("x x* y x y x* x x* y*"), iword("x x* y x* y x x x* y*")
     idn = Identity(a, b)

@@ -833,13 +833,20 @@ def test_encoded_identities_agree_with_ones_built_from_letters(u, w, doubled):
         return (parse_identity(f"{left} ~= {right}"),
                 Identity(parse_side(left), parse_side(right)), both)
 
-    # the oracle's process pool may carry identities
-    for op in (lambda i: i, Identity.reversed, Identity.starred,
-               lambda i: i.starred().reversed(),
-               lambda i: pickle.loads(pickle.dumps(i))):
+    # each map beside the letter-id arithmetic it applies; the oracle's
+    # process pool may carry identities
+    same = lambda ids: ids
+    for op, on_ids in ((lambda i: i, same),
+                       (Identity.reversed, ref.reversed_ids),
+                       (Identity.starred, ref.starred_ids),
+                       (lambda i: i.starred().reversed(),
+                        lambda ids: ref.reversed_ids(ref.starred_ids(ids))),
+                       (lambda i: pickle.loads(pickle.dumps(i)), same)):
+        want = on_ids(letter_ids(Identity(u, w)))
         encoded, built, both = map(op, forms())
         _agree(encoded, built)
         _agree(encoded, both)
+        assert [letter_ids(i) for i in (encoded, built, both)] == [want] * 3
     encoded = forms()[0]
     assert encoded != Identity(w, u) or u == w
     assert encoded != Identity(u + u, w)

@@ -40,6 +40,13 @@ def test_enumerate_classes_order():
     assert len(enumerate_classes(2, 3)) == 15
 
 
+def test_enumerate_classes_refuses_a_negative_bound():
+    # no words at all is not a table of classes
+    with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
+        enumerate_classes(2, -1)
+    assert len(enumerate_classes(2, 0)) == 1
+
+
 def test_eval_substitution():
     assert not eval_substitution(ident("x y", "y x"),
                                  {"x": cls("1", 2), "y": cls("2", 2)})
