@@ -231,19 +231,17 @@ class _View:
                 s if strict else None)
 
 
-def _open_segments(u: list, first: dict, pieces: list, size: int,
-                   strict: bool) -> list:
+def _open_segments(u: list, first: dict, pieces: list, strict: bool) -> list:
     """Per piece (start, end) of u, whose letters first occur at first: its
     first letter, and its sorted letters whose star partner has not
     occurred yet.  Unless strict, first occurrences of second letters (x
     after x*, or x* after x) with no such letter between them form one
     group, as rank 2 does not fix their order; a group is a list that
     each joining piece appends to, sorted once at the end."""
-    late = [first.get(x ^ 1, len(u)) for x in range(size)]
-    out = []
+    end, out = len(u), []
     for a, b in pieces:
-        x, open_letters = u[a], sorted([y for y in u[a:b] if late[y] > a])
-        if not strict and late[x] < a and out and not out[-1][1]:
+        x, open_letters = u[a], sorted([y for y in u[a:b] if first.get(y ^ 1, end) > a])
+        if not strict and first.get(x ^ 1, end) < a and out and not out[-1][1]:
             out[-1][0].append(x)
             out[-1][1] = open_letters
         else:
@@ -253,24 +251,24 @@ def _open_segments(u: list, first: dict, pieces: list, size: int,
     return out
 
 
-def _pivot_sweep(u: list, v: list, pu: list, pv: list, size: int):
+def _pivot_sweep(u: list, v: list, pu: list, pv: list, first: dict, size: int):
     """Both sides, with the same order of first occurrences, read by their
     pieces pu, pv that meet the window; the sides agree before them.  The
     pivots y that fail (IV), where a base's star-blind counts before y
     differ, and those that fail (V), where y's star partner has not occurred
-    in u and a letter's counts differ: two sets.  It keeps each letter's
-    count in u less its count in v, and the letters and bases whose
-    differences are nonzero, so a pivot costs O(1).  As the segments agree,
-    no letter of y's own base differs before y: y first occurs in the same
-    piece on both sides, and every y* before it is open in an earlier one."""
-    seen = set(u[:pu[0][0]])
-    diff = [0] * size
+    in u (its first position in first is after y's) and a letter's counts
+    differ: two sets.  It keeps each letter's count in u less its count in
+    v, and the letters and bases whose differences are nonzero, so a pivot
+    costs O(1).  As the segments agree, no letter of y's own base differs
+    before y: y first occurs in the same piece on both sides, and every y*
+    before it is open in an earlier one."""
+    end, diff = len(u), [0] * size
     letters, bases, bad_iv, bad_v = set(), set(), set(), set()
     for (a, b), (c, d) in zip(pu, pv):
         y = u[a]
         if bases:
             bad_iv.add(y)
-        if letters and y ^ 1 not in seen:
+        if letters and first.get(y ^ 1, end) > a:
             bad_v.add(y)
         piece, other = u[a:b], v[c:d]
         for x in piece:
@@ -280,7 +278,6 @@ def _pivot_sweep(u: list, v: list, pu: list, pv: list, size: int):
         for x in {*piece, *other}:
             (letters.add if diff[x] else letters.discard)(x)
             (bases.add if diff[x] + diff[x ^ 1] else bases.discard)(x >> 1)
-        seen.update(piece)
     return bad_iv, bad_v
 
 
@@ -409,12 +406,13 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
     of Q's first group together with at least one more letter where the
     other side holds them alone.
 
-    At rank 3 the pivot sweep starts from the letters of the prefix before
-    the span, with zero differences, as the prefix is the same on both
-    sides, and visits only the span's pivots.  A pivot outside the span
-    sees equal counts before it on both sides: in the prefix, the prefix
-    fixes them; at a >= e, the count of a letter before a is its total,
-    the same by balance, less its count in u[a:], which the suffix fixes.
+    At rank 3 the pivot sweep reads whether a pivot's partner has occurred
+    from the side's first occurrences, starts with zero differences, as the
+    prefix is the same on both sides, and visits only the span's pivots.  A
+    pivot outside the span sees equal counts before it on both sides: in
+    the prefix, the prefix fixes them; at a >= e, the count of a letter
+    before a is its total, the same by balance, less its count in u[a:],
+    which the suffix fixes.
     So no pivot outside the span fails, and the failing-pivot sets are
     those of a sweep over every piece, at O(1) per pivot.
 
@@ -442,11 +440,11 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
 
     def segments(w, first, pieces):
         return ([sorted(w[a:b]) for a, b in pieces] if occ_lr
-                else _open_segments(w, first, pieces, size, strict))
+                else _open_segments(w, first, pieces, strict))
 
     # each side is cut once, and only its pieces that meet the window are
     # compared; the reversed sides only if the forward pieces agree
-    agreed = []  # per reading that agrees: both sides and their span
+    agreed = []  # per reading that agrees: both sides, their span, first of a
     for a, b, lo, hi in ((u, v, p, e), (ru, rv, len(u) - e, len(u) - p)):
         (fa, pa), (fb, pb) = _pieces(a), _pieces(b)
         # the span: from the piece that holds lo - 1 (the first piece when
@@ -456,7 +454,7 @@ def _sweep_check(ident: Identity, n: int, mode: str, witness: bool) -> CheckRepo
         pa, pb = pa[i:j], pb[i:j]
         if segments(a, fa, pa) != segments(b, fb, pb):
             break
-        agreed.append((a, b, pa, pb))
+        agreed.append((a, b, pa, pb, fa))
     same = len(agreed) == 2
     # rank 3: the pivots that fail the directional sums per base (IV), and
     # the exact counts where the star partner has not occurred (V)

@@ -41,9 +41,10 @@ class UTMatrix:
     """Square upper triangular matrix stored as its diagonal blocks.
 
     ``blocks`` is a tuple of square upper triangular blocks, each a tuple of
-    row tuples; every entry outside the blocks is -inf.  A dense matrix is a
-    single block.  Equality and hashing compare the matrices themselves,
-    whatever the block split.  Matrices are immutable.
+    row tuples of ints (bool excluded) or -inf; every entry outside the
+    blocks is -inf.  A dense matrix is a single block.  Equality and hashing
+    compare the matrices themselves, whatever the block split.  Matrices are
+    immutable.
     """
 
     blocks: tuple
@@ -54,6 +55,9 @@ class UTMatrix:
             for i, row in enumerate(b):
                 if len(row) != len(b):
                     raise ValueError("blocks must be square")
+                for x in row:
+                    if isinstance(x, bool) or not (isinstance(x, int) or x == NEG_INF):
+                        raise ValueError(f"entry {x!r} is not an int or -inf")
                 if any(x != NEG_INF for x in row[:i]):
                     raise ValueError(f"block entry in row {i} below the diagonal "
                                      "is not -inf")
@@ -136,6 +140,8 @@ def from_rows(rows) -> UTMatrix:
 
 
 def identity_matrix(n: int) -> UTMatrix:
+    if n < 0:
+        raise ValueError(f"size must be >= 0, got {n}")
     return UTMatrix._of((((0,),),) * n)
 
 

@@ -518,7 +518,7 @@ def test_open_segments_match_the_reference_merge():
         cut = ref._full_pieces(u)
         assert checker._pieces(u) == cut == checker._pieces(tuple(u)), u
         for strict in (False, True):
-            out = checker._open_segments(u, *cut, size, strict)
+            out = checker._open_segments(u, *cut, strict)
             assert [(tuple(g), o) for g, o in out] == ref._full_open_segments(
                 u, cut, size, strict), (u, strict)
             groups[strict, min(max(len(g) for g, _ in out), 3)] += 1
@@ -574,7 +574,7 @@ def _pivot_sweeps(idn):
             continue
         pa, pb = ca[1], cb[1]
         i, j = max(bisect_left(pa, (lo,)) - 1, 0), bisect_left(pa, (hi,))
-        yield (checker._pivot_sweep(a, b, pa[i:j], pb[i:j], size),
+        yield (checker._pivot_sweep(a, b, pa[i:j], pb[i:j], ca[0], size),
                ref._full_pivot_sweep(a, b, pa, pb, size))
 
 

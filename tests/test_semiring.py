@@ -136,6 +136,21 @@ def test_below_diagonal_entry_rejected():
         UTMatrix([[[0]], [[1, NEG_INF], [3, 0]]])
 
 
+def test_entries_are_ints_or_neg_inf():
+    for bad in (1.5, float("nan"), float("inf"), True, "a"):
+        with pytest.raises(ValueError):
+            from_rows([[bad]])
+    big = from_rows([[10**400]])
+    assert mat_mul(big, big)[0, 0] == 2 * 10**400
+    assert from_rows([[NEG_INF]])[0, 0] == NEG_INF
+
+
+def test_negative_identity_size_rejected():
+    with pytest.raises(ValueError, match="size must be >= 0, got -1"):
+        identity_matrix(-1)
+    assert identity_matrix(0).dim == 0
+
+
 def test_matrices_are_immutable():
     m = block_diag([gen_P(), identity_matrix(2)])
     key = {m: "m"}
