@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 from .monoid import (BaxtElement, RankMismatchError, canonical,
                      element_to_json_obj, invariant_key, sharp)
-from .semiring import (NEG_INF, UTMatrix, block_diag, from_rows, gen_J, gen_K,
-                       gen_P, gen_Q, mat_mul, scalar, word_product)
+from .semiring import (NEG_INF, UTMatrix, _product, block_diag, from_rows, gen_J,
+                       gen_K, gen_P, gen_Q, mat_mul, scalar)
 from .words import AWord
 
 
@@ -57,14 +57,20 @@ def _generator_table() -> dict[int, dict[int, UTMatrix]]:
 
 _IMAGES = _generator_table()
 
+# {rank: one (block size, {letter: block}) per block column of the images}
+_COLUMNS = {n: tuple((len(b), {a: M.blocks[c] for a, M in images.items()})
+                     for c, b in enumerate(images[1].blocks))
+            for n, images in _IMAGES.items()}
+
 
 def _fold(w: AWord, n: int) -> UTMatrix:
     """phi_n for n <= 3: the product of the letters' generator images, one
     letter at a time.  All images of one rank share a block split, so the
-    product runs block column by block column and keeps that split; the
-    empty word gives the identity in it."""
+    product runs block column by block column, with no intermediate matrix,
+    and keeps that split; the empty word gives the identity in it."""
     _check_rank(w, n)
-    return word_product(_IMAGES[n], w.symbols)
+    return UTMatrix._of(tuple(_product(map(column.__getitem__, w.symbols), k)
+                              for k, column in _COLUMNS[n]))
 
 
 def phi1(w: AWord) -> UTMatrix:

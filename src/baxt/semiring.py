@@ -6,11 +6,9 @@ package builds is block diagonal with small upper triangular blocks, so a
 UTMatrix stores only its diagonal blocks; every entry outside them is -inf.
 Products go block by block, and every image the package builds has 1x1 and
 2x2 blocks only, so those two sizes have unrolled products; a generic loop
-takes larger dense blocks.  A product of many matrices that share one block
-split runs block column by block column, with no intermediate matrix.  The
-skew transposition (reflection across the secondary diagonal), an involution
-antihomomorphism on upper triangular matrices, reverses the block order and
-skews each block.
+takes larger dense blocks.  The skew transposition (reflection across the
+secondary diagonal), an involution antihomomorphism on upper triangular
+matrices, reverses the block order and skews each block.
 """
 
 from __future__ import annotations
@@ -197,17 +195,14 @@ def _dense_mul(a: tuple, b: tuple) -> tuple:
 
 
 def _product(blocks, k: int) -> tuple:
-    """Product of a sequence of k x k upper triangular blocks, in order; the
-    empty product is the k x k identity."""
+    """Product of a sequence of k x k upper triangular blocks, in order.  For
+    k = 1 and 2 the empty product is the identity; larger blocks come only
+    in pairs, from mat_mul."""
     if k == 1:
         return _product1(blocks)
     if k == 2:
         return _product2(blocks)
-    blocks = iter(blocks)
-    first = next(blocks, None)
-    if first is None:
-        return identity_matrix(k).rows
-    return reduce(_dense_mul, blocks, first)
+    return reduce(_dense_mul, blocks)
 
 
 def _regroup(A: UTMatrix, cuts: set) -> tuple:
@@ -233,25 +228,6 @@ def mat_mul(A: UTMatrix, B: UTMatrix) -> UTMatrix:
         cuts = set(accumulate(sa)) & set(accumulate(sb))
         a, b = _regroup(A, cuts), _regroup(B, cuts)
     return UTMatrix._of(tuple(_product(pair, len(pair[0])) for pair in zip(a, b)))
-
-
-def word_product(images: dict, word) -> UTMatrix:
-    """The product images[a1] images[a2] ... images[aL] for the word
-    a1 a2 ... aL; the empty word gives the identity.  The images must share
-    one block split, and the product keeps it.  It runs block column by
-    block column: block c of the product folds block c of each letter's
-    image, reading the word once per block and building no intermediate
-    matrix."""
-    splits = {M.sizes for M in images.values()}
-    if len(splits) != 1:
-        raise ValueError("the images must share one block split, got "
-                         f"{sorted(splits)}")
-    word = tuple(word)
-    blocks = []
-    for c, k in enumerate(splits.pop()):
-        column = {a: M.blocks[c] for a, M in images.items()}
-        blocks.append(_product(map(column.__getitem__, word), k))
-    return UTMatrix._of(tuple(blocks))
 
 
 def skew_transpose(A: UTMatrix) -> UTMatrix:

@@ -36,11 +36,17 @@ class ParseError(ValueError):
 
 
 class RangeError(ValueError):
-    """A letter falls outside the alphabet 1..n."""
+    """A letter is not an int in the alphabet 1..n, or a rank is not an int
+    >= 1."""
 
 
 class PivotAbsentError(ValueError):
     """occ_before / occ_after queried with a pivot that does not occur."""
+
+
+def _is_int(x) -> bool:
+    """An int, and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +61,13 @@ class AWord:
     rank: int
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise RangeError(f"rank must be >= 1, got {self.rank}")
+        n = self.rank
+        if not _is_int(n) or n < 1:
+            raise RangeError(f"rank must be an int >= 1, got {n!r}")
         for a in self.symbols:
-            if not 1 <= a <= self.rank:
-                raise RangeError(f"letter {a} outside 1..{self.rank}")
+            # an exact int passes the type test without a call
+            if (type(a) is not int and not _is_int(a)) or not 1 <= a <= n:
+                raise RangeError(f"letter {a!r} is not an int in 1..{n}")
 
     def __len__(self) -> int:
         return len(self.symbols)

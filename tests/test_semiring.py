@@ -10,7 +10,7 @@ from baxt.represent import generator_images
 from baxt.semiring import (NEG_INF, UTMatrix, _product1, _product2, add,
                            block_diag, from_rows, gen_J, gen_K, gen_P, gen_Q,
                            identity_matrix, mat_mul, matrix_to_json, mul,
-                           scalar, skew_transpose, word_product)
+                           scalar, skew_transpose)
 
 tvals = st.one_of(st.just(NEG_INF), st.integers(-50, 50))
 
@@ -112,23 +112,6 @@ def test_unrolled_kernels_match_the_dense_reference():
         for length in list(range(6)) * 40:
             seq = [seeded_block(rng, k) for _ in range(length)]
             assert kernel(seq) == reduce(dense_mul, seq, unit), seq
-
-
-def test_word_product_matches_the_dense_fold():
-    rng = random.Random(13)
-    for sizes in ((1,), (2,), (1, 2, 2, 1), (3, 1), (2, 4)):
-        images = {a: UTMatrix([seeded_block(rng, k) for k in sizes])
-                  for a in "xyz"}
-        unit = identity_matrix(sum(sizes)).rows
-        for length in (0, 1, 2, 5, 40):
-            word = rng.choices("xyz", k=length)
-            got = word_product(images, word)
-            assert got.sizes == sizes
-            assert got.rows == reduce(dense_mul, (images[a].rows for a in word), unit)
-    with pytest.raises(ValueError):
-        word_product({1: gen_P(), 2: identity_matrix(2)}, (1, 2))
-    with pytest.raises(KeyError):
-        word_product({1: gen_P()}, (1, 2))
 
 
 def test_below_diagonal_entry_rejected():

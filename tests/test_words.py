@@ -161,6 +161,22 @@ def test_parse_aword_errors():
     assert parse_aword("10 2", 12).symbols == (10, 2)
 
 
+def test_awords_take_int_letters_and_ranks_only():
+    # each of these was once accepted, or refused with a bare TypeError;
+    # the message names the first bad letter in word order
+    for symbols, rank, msg in [((1.5,), 2, "letter 1.5 "), ((2.0,), 2, "letter 2.0 "),
+                               ((True,), 2, "letter True "), (("1",), 2, "letter '1' "),
+                               ((1,), 2.5, "rank must be an int"),
+                               ((1,), True, "rank must be an int")]:
+        with pytest.raises(RangeError, match=re.escape(msg)):
+            AWord(symbols, rank)
+    # a bad letter is found whatever other letters equal it or follow it
+    for symbols, bad in [((1, True), "True"), ((2, 2.0, 1), "2.0"),
+                         ((1, 4, "x", 0), "4"), ((2, [1]), "[1]")]:
+        with pytest.raises(RangeError, match=re.escape(f"letter {bad} is not an int in 1..3")):
+            AWord(symbols, 3)
+
+
 def test_aword_str():
     assert str(parse_aword("2121", 2)) == "2121"
     assert str(AWord((10, 2), 12)) == "10,2"
