@@ -49,8 +49,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .words import (IVar, IWord, Identity, common_ends, id_letter, letter_ids,
-                    occ_after, occ_before, restrict)
+from .words import (IVar, IWord, Identity, _int_at_least, common_ends, id_letter,
+                    letter_ids, occ_after, occ_before, restrict)
 
 
 class PlainModeError(ValueError):
@@ -160,7 +160,7 @@ def is_balanced(ident: Identity) -> bool:
     return Counter(u) == Counter(v)
 
 
-def _balance_witness(cu: Counter, cv: Counter, name=str) -> dict:
+def _balance_witness(cu: Counter, cv: Counter, name) -> dict:
     """The first key, in sorted order, whose counts in the two sides'
     Counters differ: its name (a letter or a base name) and both counts."""
     x = min(x for x in cu.keys() | cv.keys() if cu[x] != cv[x])
@@ -502,16 +502,13 @@ def check_baxt3(ident: Identity, witness: bool = True) -> CheckReport:
 def check_baxt4plus(ident: Identity, n: int = 4, witness: bool = True) -> CheckReport:
     """Rank >= 4: balanced plus equal directional counts for every ordered
     letter pair; the verdict does not depend on n beyond 4."""
-    if n < 4:
-        raise ValueError("check_baxt4plus is for rank >= 4")
-    return _sweep_check(ident, n, "involution", witness)
+    return _sweep_check(ident, _int_at_least(n, 4, "rank"), "involution", witness)
 
 
 def check_plain(ident: Identity, n: int = 2, witness: bool = True) -> CheckReport:
     """Plain monoids of rank >= 2 all satisfy the same identities: balanced
     plus equal directional counts."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    _int_at_least(n, 1, "rank")
     _, u, v = letter_ids(ident)
     if any(a & 1 for a in {*u, *v}):
         raise PlainModeError("starred letter present; use the involution checker")
@@ -530,8 +527,7 @@ def check(ident: Identity, n: int, mode: str = "involution",
         return check_plain(ident, n, witness)
     if mode != "involution":
         raise ValueError(f"unknown mode {mode!r}")
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    _int_at_least(n, 1, "rank")
     if n == 1:
         return check_baxt1(ident, witness)
     if n == 2:

@@ -12,7 +12,7 @@ members the rank-n checker pairs with the word.
 from __future__ import annotations
 
 from .checker import check
-from .words import IVar, IWord, Identity, v
+from .words import IVar, IWord, Identity, _int_at_least, v
 
 # Display rows of the rank-2 basis, grouped as printed: (tag, p1, p2, p3, p4).
 _BASIS2_SLOTS = [
@@ -72,8 +72,7 @@ def basis4() -> list[Identity]:
 def pk_qk(k: int) -> Identity:
     """The pair p_k ~ q_k (k >= 2); each side has 6k + 6 letters, and the two
     differ only at the ends of the middle run x1 ... x2k."""
-    if k < 2:
-        raise ValueError("pk_qk needs k >= 2")
+    _int_at_least(k, 2, "k")
     x = IVar("x")
     xs = x.star()
     head = tuple(IVar(f"x{i}", True) for i in range(1, 2 * k + 1))
@@ -116,8 +115,7 @@ def isoterm_search(u: IWord, n: int) -> list[IWord]:
       step that leaves its class.  Each step is undone by a swap the walk
       tries, so the walk reaches v.
     """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    _int_at_least(n, 1, "rank")
     if len(u) > 10:
         raise ValueError(f"word of length {len(u)} exceeds the bound 10")
     walk_rank = min(n, 2)

@@ -49,7 +49,7 @@ from typing import Optional
 
 from .monoid import (BaxtElement, RankMismatchError, key_of, key_to_json_obj,
                      sharp_word)
-from .words import AWord, Identity, IWord, common_ends, letter_ids
+from .words import AWord, Identity, IWord, _int_at_least, common_ends, letter_ids
 
 
 class BudgetExceededError(ValueError):
@@ -70,12 +70,12 @@ def check_budget(size: int, what: str) -> None:
         raise BudgetExceededError(f"{what} exceed the budget of {DEFAULT_BUDGET}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_classes(n: int, max_len: int) -> tuple[BaxtElement, ...]:
     """Distinct classes of all words over 1..n of length <= max_len, each
-    carrying its first representative in length-then-lex order."""
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    carrying its first representative in length-then-lex order.  The cache
+    is typed, so that True or 1.0 is refused, not read as a cached 1."""
+    _int_at_least(max_len, 0, "max_len")
     classes = []
     seen = set()
     for length in range(max_len + 1):
@@ -232,15 +232,15 @@ def _middle_pairs(u, v, ends, words):
                       for a, b in pairs)
 
 
-def _blocks(cover, m, first_range, same=None):
+def _blocks(cover, m, first_range, same):
     """The assignments whose first-base class index lies in first_range,
-    row-major over m classes for each remaining base, that the content
-    cover rule of `_cover` leaves undecided, and with same, which is
-    `_middle_pairs`'s (top, pairs), that the equal-middles rule leaves
-    too.  Bases 0..d are assigned one at a time, each depth keeps the ORs
-    of the masks so far, and a block whose masks settle it is passed over
-    whole.  The classes tried at depth top are filtered, lazily, to those
-    under which some pair's two class words differ, so a block whose
+    row-major over m classes for each remaining base, that the content cover
+    rule of `_cover` leaves undecided, and that the equal-middles rule of
+    same, `_middle_pairs`'s (top, pairs), leaves too (a top of -1 applies no
+    such rule).  Bases 0..d are assigned one at a time, each depth keeps the
+    ORs of the masks so far, and a block whose masks settle it is passed
+    over whole.  The classes tried at depth top are filtered, lazily, to
+    those under which some pair's two class words differ, so a block whose
     middles have equal images is passed over whole too.  When top is the
     last base that block is one assignment, whose middles `_refutes`
     compares anyway, so the filter is left out.  The loop is iterative, so
@@ -248,7 +248,7 @@ def _blocks(cover, m, first_range, same=None):
     p, s, x, last_x, full = cover
     last = len(p) - 1
     idxs = [0] * (last + 1)
-    top, pairs = same if same is not None and same[0] < last else (-1, ())
+    top, pairs = same if same[0] < last else (-1, ())
 
     def differs(c):  # at depth top, with bases 0..top - 1 in idxs
         idxs[top] = c
@@ -376,13 +376,12 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
     classes.  The chunks come back in enumeration order, so the witness,
     and with it the count, does not depend on jobs.
     """
-    if max_len is not None and max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _int_at_least(n, 1, "rank")
+    _int_at_least(jobs, 1, "jobs")
     bases, u, v = letter_ids(ident)
     if max_len is None:
         max_len = 3 if len(bases) <= 2 else 2
+    _int_at_least(max_len, 0, "max_len")
     if not bases:
         # no variables at all: both sides are the empty word
         return OracleResult(None, 1, n, max_len, True)
@@ -444,10 +443,9 @@ def sample_check(ident: Identity, n: int, max_len: int, samples: int,
     evaluations is the witness's draw number, or samples when no draw
     refutes.  More samples than the budget, or a class table over it, are refused
     before anything is enumerated or drawn."""
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _int_at_least(n, 1, "rank")
+    _int_at_least(max_len, 0, "max_len")
+    _int_at_least(samples, 1, "samples")
     check_budget(samples, f"{samples} samples")
     bases, u, v = letter_ids(ident)
     classes = _class_table(n, max_len)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 
+from .words import _int_at_least
+
 NEG_INF = float("-inf")
 
 
@@ -138,9 +140,7 @@ def from_rows(rows) -> UTMatrix:
 
 
 def identity_matrix(n: int) -> UTMatrix:
-    if n < 0:
-        raise ValueError(f"size must be >= 0, got {n}")
-    return UTMatrix._of((((0,),),) * n)
+    return UTMatrix._of((((0,),),) * _int_at_least(n, 0, "size"))
 
 
 def scalar(value) -> UTMatrix:

@@ -36,8 +36,8 @@ class ParseError(ValueError):
 
 
 class RangeError(ValueError):
-    """A letter is not an int in the alphabet 1..n, or a rank is not an int
-    >= 1."""
+    """A letter is not an int in the alphabet 1..n, or a rank, bound, count
+    or size is not an int at least its least value."""
 
 
 class PivotAbsentError(ValueError):
@@ -47,6 +47,16 @@ class PivotAbsentError(ValueError):
 def _is_int(x) -> bool:
     """An int, and not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_at_least(value, lo: int, name: str):
+    """value, if it is an int (not a bool) >= lo: the one rule for every
+    rank, length bound, count and size the library takes."""
+    if type(value) is not int and not _is_int(value):
+        raise RangeError(f"{name} must be an int, got {value!r}")
+    if value < lo:
+        raise RangeError(f"{name} must be >= {lo}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +71,7 @@ class AWord:
     rank: int
 
     def __post_init__(self):
-        n = self.rank
-        if not _is_int(n) or n < 1:
-            raise RangeError(f"rank must be an int >= 1, got {n!r}")
+        n = _int_at_least(self.rank, 1, "rank")
         for a in self.symbols:
             # an exact int passes the type test without a call
             if (type(a) is not int and not _is_int(a)) or not 1 <= a <= n:

@@ -3,14 +3,15 @@
 Each is written out as stated, with no speed-up: the segment views pre, suf,
 pren and sufn of the identity characterization, the in-order walk, labels
 and strictness invariants of the twin binary search trees, writing a tree as
-nested JSON objects and reading it back, the support of a word, and the
-congruence class of a word as the closure under one-step rewriting.  The tests check the library's
-fast routes against them.
+nested JSON objects and reading it back, every word up to a length, the
+support of a word, and the congruence class of a word as the closure under
+one-step rewriting.  The tests check the library's fast routes against them.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import product
 
 from baxt.monoid import rewrite_neighbors
 from baxt.trees import BST
@@ -148,6 +149,12 @@ def to_json(t: BST) -> str:
 # ---------------------------------------------------------------------------
 # Supports and congruence classes
 # ---------------------------------------------------------------------------
+
+def words_upto(n: int, max_len: int) -> list[AWord]:
+    """Every word over 1..n of length <= max_len, in length-then-lex order."""
+    return [AWord(t, n) for L in range(max_len + 1)
+            for t in product(range(1, n + 1), repeat=L)]
+
 
 def support(w: AWord) -> frozenset[int]:
     return frozenset(w.symbols)

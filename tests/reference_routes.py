@@ -147,7 +147,7 @@ def _base_subsets(iu: _WordIndex):
 def _procedure_check(ident: Identity, n: int) -> CheckReport:
     if not is_balanced(ident):
         return _no(n, "Balanced",
-                   _balance_witness(Counter(ident.lhs), Counter(ident.rhs)))
+                   _balance_witness(Counter(ident.lhs), Counter(ident.rhs), str))
     iu, iv = _WordIndex(ident.lhs), _WordIndex(ident.rhs)
     strict = n >= 3  # rank 3 also pins the variable adjacent to pren/sufn
 
@@ -242,7 +242,7 @@ def rank2_class_key(u: IWord) -> tuple:
 def _occ_lr_check(ident: Identity, n: int, mode: str) -> CheckReport:
     if not is_balanced(ident):
         return _no(n, "Balanced",
-                   _balance_witness(Counter(ident.lhs), Counter(ident.rhs)), mode)
+                   _balance_witness(Counter(ident.lhs), Counter(ident.rhs), str), mode)
     iu, iv = _WordIndex(ident.lhs), _WordIndex(ident.rhs)
     pivots = sorted(iu.positions)
     for x in pivots:
@@ -384,7 +384,7 @@ def full_sweep_check(ident: Identity, n: int, mode: str = "involution",
         return CheckReport(False, n, mode)
     if not balanced:
         return _no(n, "Balanced", _balance_witness(Counter(ident.lhs),
-                                                   Counter(ident.rhs)), mode)
+                                                   Counter(ident.rhs), str), mode)
     if occ_lr:
         return _occ_lr_check(ident, n, mode)
     if not same:

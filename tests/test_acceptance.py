@@ -26,11 +26,7 @@ from baxt.trees import p_baxt, p_sylv, p_sylv_sharp
 from baxt.words import (AWord, Identity, IVar, flatten, ident, iword, occ,
                         occ_after, occ_before, parse_aword, parse_term,
                         restrict, v)
-
-
-def words_upto(n, max_len):
-    return [AWord(t, n) for L in range(max_len + 1)
-            for t in product(range(1, n + 1), repeat=L)]
+from definitions import words_upto
 
 
 class _Timer:

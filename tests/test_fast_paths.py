@@ -28,15 +28,12 @@ from baxt.checker import CheckReport, check
 from baxt.families import basis2, basis4, pk_qk
 from baxt.words import (Identity, IVar, ParseError, common_ends, format_iword,
                         id_letter, ident, iword, letter_ids, occ_after, occ_before,
-                        parse_identity, parse_side, parse_term, restrict, v)
+                        parse_identity, parse_side, parse_term, restrict,
+                        star_word, v)
 from definitions import pre, pren, suf, sufn
 
 TEMPLATES = basis2() + basis4() + [pk_qk(2), pk_qk(3)]
 PLAIN_TEMPLATES = basis4()
-
-
-def _star_word(u):
-    return tuple(x.star() for x in reversed(u))
 
 
 def _instance(rng, template, k, max_len, stars):
@@ -52,7 +49,7 @@ def _instance(rng, template, k, max_len, stars):
         out = []
         for x in side:
             img = images[x.base]
-            out.extend(_star_word(img) if x.starred else img)
+            out.extend(star_word(img) if x.starred else img)
         return tuple(out)
 
     return Identity(subst(template.lhs), subst(template.rhs))

@@ -363,7 +363,7 @@ def test_the_cover_rule_settles_only_congruent_assignments():
         assert is_balanced(idn) and idn.lhs[0] == idn.rhs[0] \
             and idn.lhs[-1] == idn.rhs[-1], idn
         static += cover[3] < 0
-        undecided = list(oracle._blocks(cover, m, range(m)))
+        undecided = list(oracle._blocks(cover, m, range(m), (-1, ())))
         grid = list(product(range(m), repeat=len(bases)))
         assert undecided == [a for a in grid if not oracle._settles(cover, a)], idn
         for sub in set(grid) - set(undecided):
@@ -373,7 +373,7 @@ def test_the_cover_rule_settles_only_congruent_assignments():
         declined += len(undecided)
         # the chunks of a parallel scan, in order, leave the same assignments
         halves = [a for r in (range(m // 2), range(m // 2, m))
-                  for a in oracle._blocks(cover, m, r)]
+                  for a in oracle._blocks(cover, m, r, (-1, ()))]
         assert halves == undecided, idn
     assert settled and declined and static
     for text in _NO_COVER:
@@ -430,6 +430,19 @@ def test_the_equal_middles_rule_passes_over_only_equal_middles():
     assert passed and kept and grids
 
 
+def _record_images(monkeypatch):
+    """Patch `oracle._side_images` so that its image functions record the
+    assignment of every image they build; the list of those records."""
+    built = []
+    side_images = oracle._side_images
+
+    def counting_images(u, v, words):
+        images = side_images(u, v, words)
+        return lambda idxs: built.append(idxs) or images(idxs)
+    monkeypatch.setattr(oracle, "_side_images", counting_images)
+    return built
+
+
 @pytest.mark.parametrize("k, n, max_len", [
     # the content cover rule leaves 260, 2,660 and 25,220 assignments, and
     # 13,920, 160 and 1,456: each built its middles' images before the
@@ -441,13 +454,7 @@ def test_pk_qk_scans_build_no_image(monkeypatch, k, n, max_len):
     # class whose word is its own involution is passed over at the first
     # base, and the content cover rule settles the rest
     m = len(enumerate_classes(n, max_len))
-    built = []
-    side_images = oracle._side_images
-
-    def counting_images(u, v, words):
-        images = side_images(u, v, words)
-        return lambda idxs: built.append(idxs) or images(idxs)
-    monkeypatch.setattr(oracle, "_side_images", counting_images)
+    built = _record_images(monkeypatch)
     res = brute_force_check(pk_qk(k), n, max_len)
     assert built == []
     assert (res.witness, res.evaluations) == (None, m ** (2 * k + 1))
@@ -575,13 +582,7 @@ def test_equal_image_words_are_decided_without_keys(monkeypatch):
     assert not res.refuted and res.evaluations == len(enumerate_classes(3, 2)) ** 2
     # the content cover rule settles every assignment of a basis4 row, and
     # builds no image word
-    built = []
-    side_images = oracle._side_images
-
-    def counting_images(u, v, words):
-        images = side_images(u, v, words)
-        return lambda idxs: built.append(idxs) or images(idxs)
-    monkeypatch.setattr(oracle, "_side_images", counting_images)
+    built = _record_images(monkeypatch)
     # nor the predicate that would build them
     predicates = []
     refutes = oracle._refutes
@@ -683,7 +684,7 @@ def test_keys_only_where_the_middles_differ(monkeypatch, idn, n, max_len):
     p, s = common_ends(u, v)
     words = oracle._table_images(n, max_len)[0]
     middles = oracle._side_images(u[p:len(u) - s], v[p:len(v) - s], words)
-    undecided = list(oracle._blocks(_cover(u, v, n, max_len), m, range(m)))
+    undecided = list(oracle._blocks(_cover(u, v, n, max_len), m, range(m), (-1, ())))
     calls = []
     real = oracle.key_of
     monkeypatch.setattr(oracle, "key_of",

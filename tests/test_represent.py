@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +13,7 @@ from baxt.represent import (PairElement, _letter_pair_words, generator_images,
 from baxt.semiring import (NEG_INF, block_diag, gen_J, gen_P, identity_matrix,
                            mat_mul, scalar, skew_transpose)
 from baxt.words import AWord, parse_aword
-
-
-def words_upto(n, max_len):
-    return [AWord(t, n) for L in range(max_len + 1)
-            for t in product(range(1, n + 1), repeat=L)]
+from definitions import words_upto
 
 
 def rank_words(n, max_len=8):

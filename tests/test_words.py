@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_routes as ref
+from baxt.checker import check, check_baxt4plus, check_plain
+from baxt.families import isoterm_search, pk_qk
+from baxt.oracle import brute_force_check, enumerate_classes, sample_check
+from baxt.semiring import identity_matrix
 from baxt.words import (AWord, Atom, Concat, Identity, IVar, ParseError,
                         PivotAbsentError, RangeError, Star, bar, common_ends,
                         content, flatten, format_iword, final_part, id_letter,
@@ -175,6 +179,43 @@ def test_awords_take_int_letters_and_ranks_only():
                          ((1, 4, "x", 0), "4"), ((2, [1]), "[1]")]:
         with pytest.raises(RangeError, match=re.escape(f"letter {bad} is not an int in 1..3")):
             AWord(symbols, 3)
+
+
+XXY = parse_identity("x y x ~= x x y")
+
+#: every entry point that takes a rank, length bound, count or size: the
+#: parameter's name, its least value and a call that passes it a value
+BOUNDED = [pytest.param(name, lo, call, id=id_) for id_, name, lo, call in [
+    ("AWord", "rank", 1, lambda n: AWord((), n)),
+    ("check", "rank", 1, lambda n: check(XXY, n)),
+    ("check-plain", "rank", 1, lambda n: check(XXY, n, "plain")),
+    ("check_plain", "rank", 1, lambda n: check_plain(XXY, n)),
+    ("check_baxt4plus", "rank", 4, lambda n: check_baxt4plus(XXY, n)),
+    ("isoterm_search", "rank", 1,
+     lambda n: isoterm_search(iword("x x* y x y x* x x* y*"), n)),
+    ("pk_qk", "k", 2, pk_qk),
+    ("enumerate_classes", "max_len", 0, lambda m: enumerate_classes(2, m)),
+    ("brute_force_check-rank", "rank", 1, lambda n: brute_force_check(XXY, n)),
+    ("brute_force_check-jobs", "jobs", 1, lambda j: brute_force_check(XXY, 2, jobs=j)),
+    ("brute_force_check-max_len", "max_len", 0,
+     lambda m: brute_force_check(XXY, 2, max_len=m)),
+    ("sample_check-rank", "rank", 1, lambda n: sample_check(XXY, n, 1, 10)),
+    ("sample_check-max_len", "max_len", 0, lambda m: sample_check(XXY, 2, m, 10)),
+    ("sample_check-samples", "samples", 1, lambda s: sample_check(XXY, 2, 1, s)),
+    ("identity_matrix", "size", 0, identity_matrix),
+]]
+
+
+@pytest.mark.parametrize("name, lo, call", BOUNDED)
+def test_every_bound_is_an_int_at_least_its_least_value(name, lo, call):
+    # each of these was once refused with a bare TypeError or another
+    # parameter's message, or read as an int: check(..., 4.0) reported
+    # "n":4.0 and check(..., True) answered at rank 1
+    for value, msg in [(2.5, "an int, got 2.5"), (True, "an int, got True"),
+                       (float(lo), f"an int, got {float(lo)!r}"),
+                       (lo - 1, f">= {lo}, got {lo - 1}")]:
+        with pytest.raises(RangeError, match=f"^{re.escape(f'{name} must be {msg}')}$"):
+            call(value)
 
 
 def test_aword_str():
