@@ -75,6 +75,7 @@ def enumerate_classes(n: int, max_len: int) -> tuple[BaxtElement, ...]:
     """Distinct classes of all words over 1..n of length <= max_len, each
     carrying its first representative in length-then-lex order.  The cache
     is typed, so that True or 1.0 is refused, not read as a cached 1."""
+    _int_at_least(n, 1, "rank")
     _int_at_least(max_len, 0, "max_len")
     classes = []
     seen = set()

@@ -2,12 +2,12 @@
 
 Ranks 1..3 map straight into upper triangular tropical matrices (dims 2, 6,
 15), block diagonal with 1x1 and 2x2 blocks built from four 2x2 generators.
-The generator images are built once, at import, and all images of one rank
-share one block split.  The generator fold multiplies the images of the
-letters one at a time, block column by block column, and keeps that split,
-for the empty word too.  The closed forms are an independent route to the
-same matrices, with the same split: each 2x2 block is P^l K or J Q^r, and
-its count l or r is one left or right precedence triple of the invariants.
+The generator images, built once at import, define the representation, and
+all images of one rank share one block split.  The image of a word is not
+multiplied out letter by letter: it is read off the word's invariants, each
+2x2 block P^l K or J Q^r with its count l or r one left or right precedence
+triple, in the generator images' split, for the empty word too.  So an image
+costs one invariant key, O(|w|), and a class's image is built from its key.
 
 For rank n >= 4 each index pair (i, j) with i < j yields a homomorphism into
 rank-3 pairs.  Both components are interval letter maps: the map a/b on
@@ -28,9 +28,9 @@ from typing import NamedTuple
 
 from .monoid import (BaxtElement, RankMismatchError, canonical,
                      element_to_json_obj, invariant_key, sharp)
-from .semiring import (NEG_INF, UTMatrix, _product, block_diag, from_rows, gen_J,
-                       gen_K, gen_P, gen_Q, mat_mul, scalar)
-from .words import AWord
+from .semiring import (NEG_INF, UTMatrix, block_diag, from_rows, gen_J, gen_K,
+                       gen_P, gen_Q, mat_mul, scalar)
+from .words import AWord, _int_at_least
 
 
 def _check_rank(w: AWord, n: int):
@@ -57,42 +57,15 @@ def _generator_table() -> dict[int, dict[int, UTMatrix]]:
 
 _IMAGES = _generator_table()
 
-# {rank: one (block size, {letter: block}) per block column of the images}
-_COLUMNS = {n: tuple((len(b), {a: M.blocks[c] for a, M in images.items()})
-                     for c, b in enumerate(images[1].blocks))
-            for n, images in _IMAGES.items()}
-
-
-def _fold(w: AWord, n: int) -> UTMatrix:
-    """phi_n for n <= 3: the product of the letters' generator images, one
-    letter at a time.  All images of one rank share a block split, so the
-    product runs block column by block column, with no intermediate matrix,
-    and keeps that split; the empty word gives the identity in it."""
-    _check_rank(w, n)
-    return UTMatrix._of(tuple(_product(map(column.__getitem__, w.symbols), k)
-                              for k, column in _COLUMNS[n]))
-
-
-def phi1(w: AWord) -> UTMatrix:
-    return _fold(w, 1)
-
-
-def phi2(w: AWord) -> UTMatrix:
-    return _fold(w, 2)
-
-
-def phi3(w: AWord) -> UTMatrix:
-    return _fold(w, 3)
-
 
 def generator_images(n: int) -> dict[int, UTMatrix]:
-    if n not in _IMAGES:
+    if _int_at_least(n, 1, "rank") > 3:
         raise ValueError("generator matrices exist for ranks 1..3 only")
     return dict(_IMAGES[n])
 
 
 # ---------------------------------------------------------------------------
-# Closed-form block evaluators (independent route to the same matrices)
+# The images from the invariants
 # ---------------------------------------------------------------------------
 #
 # In every 2x2 block each letter maps to one of P, K and the identity E, or
@@ -118,27 +91,44 @@ def _JQ(r):
     return ((0, r), (NEG_INF, NEG_INF))
 
 
-def _invariants(w: AWord):
+def _invariants(key):
     """From one invariant key: ev, {(a, b): l} for the lpi triples and
     {(b, a): r} for the rpi triples."""
-    ev, lp, rp = invariant_key(w)
+    ev, lp, rp = key
     return ev, {(a, b): l for a, b, l in lp}, {(b, a): r for b, a, r in rp}
 
 
-def phi2_closed(w: AWord) -> UTMatrix:
-    """phi2 from (ev, lpi, rpi) alone, no letter-by-letter product: the P/K
-    block reads (1, 2, l), the 1s before the first 2, and the J/Q block
-    reads (2, 1, r), the 2s after the last 1."""
+def phi1(w: AWord) -> UTMatrix:
+    """The generator goes to P Q = diag(1, 1), so w goes to diag(|w|, |w|),
+    one 2x2 block as the generator image is.  Time O(1): it reads only
+    |w|."""
+    _check_rank(w, 1)
+    k = len(w.symbols)
+    return UTMatrix._of((((k, NEG_INF), (NEG_INF, k)),))
+
+
+def phi2(w: AWord) -> UTMatrix:
+    """The P/K block reads (1, 2, l), the 1s before the first 2, and the
+    J/Q block reads (2, 1, r), the 2s after the last 1.  Time O(|w|): one
+    invariant key."""
     _check_rank(w, 2)
-    (e1, e2), lp, rp = _invariants(w)
-    return UTMatrix([((e1,),),
-                     _PK(lp.get((1, 2), 0)) if e2 else _P(e1),
-                     _JQ(rp.get((2, 1), 0)) if e1 else _Q(e2),
-                     ((e2,),)])
+    (e1, e2), lp, rp = _invariants(invariant_key(w))
+    return UTMatrix._of((((e1,),),
+                         _PK(lp.get((1, 2), 0)) if e2 else _P(e1),
+                         _JQ(rp.get((2, 1), 0)) if e1 else _Q(e2),
+                         ((e2,),)))
 
 
-def phi3_closed(w: AWord) -> UTMatrix:
-    """phi3 from the invariant triple, one precedence triple per 2x2 block.
+def phi3(w: AWord) -> UTMatrix:
+    """The blocks read the precedence triples as `_phi3_of` says.  Time
+    O(|w|): one invariant key."""
+    _check_rank(w, 3)
+    return _phi3_of(invariant_key(w))
+
+
+def _phi3_of(key) -> UTMatrix:
+    """The rank-3 image of the class with this invariant key, one
+    precedence triple per 2x2 block.
 
     lpi holds (a, b, l) when a is the largest letter below b occurring
     before the first b, l counting those a's; rpi holds (b, a, r) when b is
@@ -152,19 +142,23 @@ def phi3_closed(w: AWord) -> UTMatrix:
     1 and 2 comes last: (2, 1) is there iff a 2 follows the last 1, and
     (3, g, r) iff a 3 follows the last g, r counting those 3s.
     """
-    _check_rank(w, 3)
-    (e1, e2, e3), lp, rp = _invariants(w)
+    (e1, e2, e3), lp, rp = _invariants(key)
     f = 2 if e2 and (not e3 or (2, 3) in lp) else 3
     g = 2 if e2 and (not e1 or (2, 1) in rp) else 1
-    return UTMatrix([((e1,),),
-                     _PK(lp.get((1, f), 0)) if e2 or e3 else _P(e1),
-                     _PK(lp.get((1, 2), 0)) if e2 else _P(e1),
-                     _PK(lp.get((2, 3), 0)) if e3 else _P(e2),
-                     ((e2,),),
-                     _JQ(rp.get((2, 1), 0)) if e1 else _Q(e2),
-                     _JQ(rp.get((3, 2), 0)) if e2 else _Q(e3),
-                     _JQ(rp.get((3, g), 0)) if e1 or e2 else _Q(e3),
-                     ((e3,),)])
+    return UTMatrix._of((((e1,),),
+                         _PK(lp.get((1, f), 0)) if e2 or e3 else _P(e1),
+                         _PK(lp.get((1, 2), 0)) if e2 else _P(e1),
+                         _PK(lp.get((2, 3), 0)) if e3 else _P(e2),
+                         ((e2,),),
+                         _JQ(rp.get((2, 1), 0)) if e1 else _Q(e2),
+                         _JQ(rp.get((3, 2), 0)) if e2 else _Q(e3),
+                         _JQ(rp.get((3, g), 0)) if e1 or e2 else _Q(e3),
+                         ((e3,),)))
+
+
+# phi2 and phi3 are the closed forms; these names stay for their callers
+phi2_closed = phi2
+phi3_closed = phi3
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +256,7 @@ def materialize(t: TupleElement) -> UTMatrix:
     """
     firsts = [p.first for _, p in t.coords]
     seconds = [p.second for _, p in reversed(t.coords)]
-    return block_diag(phi3(e.representative) for e in firsts + seconds)
+    return block_diag(_phi3_of(e.key) for e in firsts + seconds)
 
 
 def tuple_to_json_obj(t: TupleElement):

@@ -4,18 +4,18 @@ The semiring is (Z u {-inf}, max, +): exact, idempotent, commutative, with 1
 as an element of infinite multiplicative order (1^k = k).  Every matrix the
 package builds is block diagonal with small upper triangular blocks, so a
 UTMatrix stores only its diagonal blocks; every entry outside them is -inf.
-Products go block by block, and every image the package builds has 1x1 and
-2x2 blocks only, so those two sizes have unrolled products; a generic loop
-takes larger dense blocks.  The skew transposition (reflection across the
-secondary diagonal), an involution antihomomorphism on upper triangular
-matrices, reverses the block order and skews each block.
+Products go block by block, one loop for blocks of every size; matrices
+whose block splits differ are first merged up to the boundaries they share.
+The images of words are read off their invariants (`represent`), so products
+serve the generator table and the tests.  The skew transposition (reflection
+across the secondary diagonal), an involution antihomomorphism on upper
+triangular matrices, reverses the block order and skews each block.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 
 from .words import _int_at_least
@@ -148,36 +148,11 @@ def scalar(value) -> UTMatrix:
     return UTMatrix([[[value]]])
 
 
-def _product1(blocks) -> tuple:
-    """Product of a sequence of 1x1 blocks: the sum of their entries, or
-    -inf if one of them is -inf."""
-    acc = 0
-    for ((x,),) in blocks:
-        acc = acc + x if acc != NEG_INF != x else NEG_INF
-    return ((acc,),)
-
-
-def _product2(blocks) -> tuple:
-    """Product of a sequence of 2x2 upper triangular blocks, unrolled.  The
-    running product ((p, q), (-inf, r)) times ((x, y), (-inf, z)) is
-    ((p x, p y + q z), (-inf, r z)), tropically.  Each -inf test comes
-    before the sum it guards: an int beyond float range plus -inf raises
-    OverflowError."""
-    p, q, r = 0, NEG_INF, 0
-    for (x, y), (_, z) in blocks:
-        pq = p + y if p != NEG_INF != y else NEG_INF
-        if q != NEG_INF != z and q + z > pq:
-            pq = q + z
-        q = pq
-        p = p + x if p != NEG_INF != x else NEG_INF
-        r = r + z if r != NEG_INF != z else NEG_INF
-    return ((p, q), (NEG_INF, r))
-
-
 def _dense_mul(a: tuple, b: tuple) -> tuple:
     """Product of two upper triangular blocks of one size: C[i][j] is the
-    tropical sum over i <= k <= j of A[i][k] * B[k][j].  Only blocks larger
-    than 2x2 come here: dense matrices and merged blocks."""
+    tropical sum over i <= k <= j of A[i][k] * B[k][j].  Each -inf test
+    comes before the sum it guards: an int beyond float range plus -inf
+    raises OverflowError."""
     n = len(a)
     rows = []
     for i in range(n):
@@ -192,17 +167,6 @@ def _dense_mul(a: tuple, b: tuple) -> tuple:
             crow[j] = acc
         rows.append(tuple(crow))
     return tuple(rows)
-
-
-def _product(blocks, k: int) -> tuple:
-    """Product of a sequence of k x k upper triangular blocks, in order.  For
-    k = 1 and 2 the empty product is the identity; larger blocks come only
-    in pairs, from mat_mul."""
-    if k == 1:
-        return _product1(blocks)
-    if k == 2:
-        return _product2(blocks)
-    return reduce(_dense_mul, blocks)
 
 
 def _regroup(A: UTMatrix, cuts: set) -> tuple:
@@ -227,7 +191,7 @@ def mat_mul(A: UTMatrix, B: UTMatrix) -> UTMatrix:
             raise ValueError(f"dimension mismatch: {sum(sa)} vs {sum(sb)}")
         cuts = set(accumulate(sa)) & set(accumulate(sb))
         a, b = _regroup(A, cuts), _regroup(B, cuts)
-    return UTMatrix._of(tuple(_product(pair, len(pair[0])) for pair in zip(a, b)))
+    return UTMatrix._of(tuple(map(_dense_mul, a, b)))
 
 
 def skew_transpose(A: UTMatrix) -> UTMatrix:

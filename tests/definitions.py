@@ -4,8 +4,9 @@ Each is written out as stated, with no speed-up: the segment views pre, suf,
 pren and sufn of the identity characterization, the in-order walk, labels
 and strictness invariants of the twin binary search trees, writing a tree as
 nested JSON objects and reading it back, every word up to a length, the
-support of a word, and the congruence class of a word as the closure under
-one-step rewriting.  The tests check the library's fast routes against them.
+support of a word, the congruence class of a word as the closure under
+one-step rewriting, and a class's invariant key read back from its tropical
+image at ranks 1..3.  The tests check the library's fast routes against them.
 """
 
 from __future__ import annotations
@@ -175,3 +176,47 @@ def congruence_class(w: AWord, limit: int = 100000) -> set[AWord]:
                         raise RuntimeError("congruence class exceeded limit")
         frontier = nxt
     return seen
+
+
+# ---------------------------------------------------------------------------
+# The tropical images of ranks 1..3 read back
+# ---------------------------------------------------------------------------
+#
+# Each decodeN takes the rank-N image of a class and gives back its invariant
+# key.  ev sits on the 1x1 diagonal blocks.  A P/K block P^l K holds l at its
+# corner and a J/Q block J Q^r holds r there, each the count of one
+# precedence triple, which is present when its count is nonzero; a block with
+# no K- or J-letter holds -inf at its corner.
+
+def _present(counts: dict) -> frozenset:
+    """The triples (a, b, c) of {(a, b): c} whose count c is nonzero."""
+    return frozenset((a, b, c) for (a, b), c in counts.items() if c > 0)
+
+
+def decode1(M) -> tuple:
+    """phi1 is diag(|w|, |w|): ev alone, and no precedence at rank 1."""
+    return (M[0, 0],), frozenset(), frozenset()
+
+
+def decode2(M) -> tuple:
+    """ev at 0 and 5, (1, 2, l) in the P/K block, (2, 1, r) in the J/Q one."""
+    return ((M[0, 0], M[5, 5]), _present({(1, 2): M[1, 2]}),
+            _present({(2, 1): M[3, 4]}))
+
+
+def decode3(M) -> tuple:
+    """ev at 0, 7 and 14.  The P/K blocks [P/K/E] and [E/P/K] hold (1, 2)
+    and (2, 3) of lpi, and [P/K/K] holds (1, f), with f whichever of 2 and
+    3 comes first: 2 when a 2 occurs and either no 3 does or a 2 precedes
+    the first 3.  Dually the J/Q blocks [J/Q/E] and [E/J/Q] hold (2, 1) and
+    (3, 2) of rpi, and [J/J/Q] holds (3, g), with g whichever of 1 and 2
+    comes last.  With f = 2 (g = 2) that block repeats the (1, 2) ((3, 2))
+    count and is not read."""
+    e1, e2, e3 = ev = (M[0, 0], M[7, 7], M[14, 14])
+    lp = {(1, 2): M[3, 4], (2, 3): M[5, 6]}
+    if not (e2 and (not e3 or lp[2, 3] > 0)):
+        lp[1, 3] = M[1, 2]
+    rp = {(2, 1): M[8, 9], (3, 2): M[10, 11]}
+    if not (e2 and (not e1 or rp[2, 1] > 0)):
+        rp[3, 1] = M[12, 13]
+    return ev, _present(lp), _present(rp)

@@ -13,8 +13,9 @@ search that checks every rearrangement of a word, enumerated recursively,
 the twin trees as nested nodes built by recursive persistent insertion,
 with their DOT writer, the oracle's evaluation loop that compares the
 keys of both sides on every assignment, equal image words included, its
-common prefix and suffix found by index loops, and the generator fold as
-a product of dense rows.  The tests assert that the library returns the
+common prefix and suffix found by index loops, and the generator fold that
+the representation defines, block by block through `mat_mul` and as a
+product of dense rows.  The tests assert that the library returns the
 same reports, words, errors, letter ids, letter maps, keys, isoterm
 partners, trees, witnesses, common ends, evaluation counts and matrices.
 The rank-2 class key reads the procedure's statistics off one word, so a test
@@ -27,6 +28,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import reduce
 from itertools import product
 from operator import add
 from typing import Optional
@@ -36,7 +38,7 @@ from baxt.checker import (CheckReport, _balance_witness, _no, _subset_violation,
 from baxt.monoid import key_of as fast_key_of, sharp_word
 from baxt.oracle import enumerate_classes
 from baxt.represent import generator_images
-from baxt.semiring import NEG_INF
+from baxt.semiring import NEG_INF, UTMatrix, mat_mul
 from baxt.trees import BST
 from baxt.words import (AWord, Atom, Concat, Identity, IVar, IWord, ParseError,
                         Star, Term, id_letter, letter_ids)
@@ -806,8 +808,34 @@ def oracle_sample(ident: Identity, n: int, max_len: int, samples: int,
 
 
 # ---------------------------------------------------------------------------
-# Representation: the generator fold on dense rows
+# Representation: the generator fold, block by block and on dense rows
 # ---------------------------------------------------------------------------
+
+def _unit(n: int) -> UTMatrix:
+    """The identity in the block split of the rank-n generator images."""
+    return UTMatrix([[[0 if i == j else NEG_INF for j in range(k)] for i in range(k)]
+                     for k in generator_images(n)[1].sizes])
+
+
+def product_fold(w: AWord) -> UTMatrix:
+    """phi_n(w), n <= 3, as defined: the identity times the generator image
+    of each letter in turn, by `mat_mul`, so it keeps the images' split."""
+    gens = generator_images(w.rank)
+    return reduce(mat_mul, map(gens.__getitem__, w.symbols), _unit(w.rank))
+
+
+def product_images(n: int, max_len: int) -> dict:
+    """{symbols: product_fold image} for every word over 1..n of length
+    <= max_len, each the image of its prefix times one generator image."""
+    gens = generator_images(n)
+    images = {(): _unit(n)}
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [syms + (a,) for syms in frontier for a in gens]
+        for syms in frontier:
+            images[syms] = mat_mul(images[syms[:-1]], gens[syms[-1]])
+    return images
+
 
 def _dense_product(a, b):
     """The tropical product of two square matrices given as full rows: every

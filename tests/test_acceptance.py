@@ -19,8 +19,8 @@ from baxt.monoid import (equivalent, invariant_key, lpi, rewrite_neighbors,
                          rpi, sharp_word)
 from baxt.oracle import (brute_force_check, comm_assignments, comm_check,
                          comm_eval, sample_check)
-from baxt.represent import (materialize, phi2, phi2_closed, phi3, phi3_closed,
-                            phi_n, tuple_equal, tuple_sharp)
+from baxt.represent import (materialize, phi2, phi3, phi_n, tuple_equal,
+                            tuple_sharp)
 from baxt.semiring import identity_matrix, mat_mul, skew_transpose
 from baxt.trees import p_baxt, p_sylv, p_sylv_sharp
 from baxt.words import (AWord, Identity, IVar, flatten, ident, iword, occ,
@@ -230,9 +230,7 @@ def _images_by_word(n, max_len, gens, dim):
 def test_criterion_05_representations():
     from baxt.represent import generator_images
     with _Timer() as t:
-        for n, max_len, phi, closed_phi, closed_len, dim in (
-                (2, 8, phi2, phi2_closed, 8, 6),
-                (3, 6, phi3, phi3_closed, 5, 15)):
+        for n, max_len, phi, dim in ((2, 8, phi2, 6), (3, 6, phi3, 15)):
             images = _images_by_word(n, max_len, generator_images(n), dim)
             by_key = {}
             for syms, mat in images.items():
@@ -243,9 +241,8 @@ def test_criterion_05_representations():
                 # involution compatibility
                 sh = sharp_word(w).symbols
                 assert images[sh] == skew_transpose(mat)
-                # closed-form route agrees with the generator products
-                if len(syms) <= closed_len:
-                    assert closed_phi(w) == mat
+                # the image read off the invariants is the generator product
+                assert phi(w) == mat
             # injectivity across classes
             assert len(set(by_key.values())) == len(by_key)
             # sampled homomorphism check
@@ -285,8 +282,9 @@ def test_criterion_05_representations():
             assert materialize(tuple_sharp(tup)) \
                 == skew_transpose(materialize(tup))
     assert t.seconds < 120.0
-    _report(5, t, "phi2/phi3 faithful and sharp-compatible; closed forms "
-                  "match; tuples decide equivalence; materialize respects ^D")
+    _report(5, t, "phi2/phi3 faithful and sharp-compatible, and equal to the "
+                  "generator products; tuples decide equivalence; materialize "
+                  "respects ^D")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ and the encoded identities against ones built from `IVar` sides.  The
 misaligned letters that both NO witness searches start from are tested
 against the pivots whose counts differ, letter by letter.  A guard times
 `check` at 1,000 and 4,000 variables on families whose routes are linear
-in the number of variables."""
+in the number of variables, and the tropical images at 50,000 and 200,000
+letters."""
 
 import gc
 import pickle
@@ -15,9 +16,11 @@ import random
 import re
 import sys
 import time
+import timeit
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +29,11 @@ import reference_routes as ref
 from baxt import checker
 from baxt.checker import CheckReport, check
 from baxt.families import basis2, basis4, pk_qk
-from baxt.words import (Identity, IVar, ParseError, common_ends, format_iword,
-                        id_letter, ident, iword, letter_ids, occ_after, occ_before,
-                        parse_identity, parse_side, parse_term, restrict,
-                        star_word, v)
+from baxt.represent import phi1, phi2, phi3
+from baxt.words import (AWord, Identity, IVar, ParseError, common_ends,
+                        format_iword, id_letter, ident, iword, letter_ids,
+                        occ_after, occ_before, parse_identity, parse_side,
+                        parse_term, restrict, star_word, v)
 from definitions import pre, pren, suf, sufn
 
 TEMPLATES = basis2() + basis4() + [pk_qk(2), pk_qk(3)]
@@ -717,6 +721,35 @@ def test_check_time_is_linear_in_the_variables(family, n, mode, witness):
     # 4 times the variables: about 4 times the time if linear, 16 if
     # quadratic
     small, large = _best_times([family(1000), family(4000)], n, mode, witness)
+    assert large < 8 * small, (small, large)
+
+
+def _best_image_times(phi, words):
+    """The least time of phi on each word over 3 rounds, one timing of each
+    per round, the collector off.  phi1 takes about a microsecond whatever
+    the word, so each timing repeats its call, doubling the count until the
+    first word's takes 5 ms, and the timer's resolution does not decide the
+    ratio."""
+    timers = [timeit.Timer(partial(phi, w)) for w in words]
+    number = 1
+    while timers[0].timeit(number) < 0.005:
+        number *= 2
+    best = [float("inf")] * len(timers)
+    for _ in range(3):
+        for i, t in enumerate(timers):
+            best[i] = min(best[i], t.timeit(number))
+    return best
+
+
+@pytest.mark.parametrize("phi, n", [(phi1, 1), (phi2, 2), (phi3, 3)],
+                         ids=["phi1", "phi2", "phi3"])
+def test_image_time_is_linear_in_the_word(phi, n):
+    # 4 times the letters: at most 4 times the time, the bound each image's
+    # docstring states
+    rng = random.Random(n)
+    words = [AWord(tuple(rng.choices(range(1, n + 1), k=k)), n)
+             for k in (50_000, 200_000)]
+    small, large = _best_image_times(phi, words)
     assert large < 8 * small, (small, large)
 
 

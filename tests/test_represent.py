@@ -8,12 +8,11 @@ from baxt.monoid import (RankMismatchError, canonical, equivalent,
                          invariant_key, sharp_word)
 from baxt.represent import (PairElement, _letter_pair_words, generator_images,
                             index_pairs, materialize, pair_sharp, phi1, phi2,
-                            phi2_closed, phi3, phi3_closed, phi_ij, phi_n,
-                            tuple_equal, tuple_sharp)
+                            phi3, phi_ij, phi_n, tuple_equal, tuple_sharp)
 from baxt.semiring import (NEG_INF, block_diag, gen_J, gen_P, identity_matrix,
                            mat_mul, scalar, skew_transpose)
 from baxt.words import AWord, parse_aword
-from definitions import words_upto
+from definitions import decode1, decode2, decode3, words_upto
 
 
 def rank_words(n, max_len=8):
@@ -83,27 +82,53 @@ def test_phi2_separates_small_classes():
 
 
 def test_closed_forms_small():
-    # the same blocks, not only the same matrix: the fold keeps the images'
-    # block split, the empty word's identity included
-    for w in words_upto(2, 5):
-        assert phi2_closed(w).blocks == phi2(w).blocks
-    for w in words_upto(3, 4):
-        assert phi3_closed(w).blocks == phi3(w).blocks
+    # the same blocks, not only the same matrix, as the product of the
+    # generator images: the images' block split, the empty word's included
+    for n, phi, max_len in ((1, phi1, 5), (2, phi2, 5), (3, phi3, 4)):
+        for syms, image in ref.product_images(n, max_len).items():
+            assert phi(AWord(syms, n)).blocks == image.blocks, syms
     # long words, where the counts of the precedence triples grow large
     rng = random.Random(17)
-    for n, phi, closed in ((2, phi2, phi2_closed), (3, phi3, phi3_closed)):
+    for n, phi in ((2, phi2), (3, phi3)):
         for _ in range(40):
             syms = rng.choices(range(1, n + 1), k=rng.randint(50, 400))
             w = AWord(tuple(syms), n)
-            assert closed(w).blocks == phi(w).blocks, w
+            assert phi(w).blocks == ref.product_fold(w).blocks, w
 
 
-def test_fold_matches_the_dense_reference_fold():
+def test_images_match_the_dense_reference_fold():
     rng = random.Random(29)
     for n, phi in ((1, phi1), (2, phi2), (3, phi3)):
         for length in [0, 1, 2, 300] + [rng.randint(3, 300) for _ in range(6)]:
             w = AWord(tuple(rng.choices(range(1, n + 1), k=length)), n)
             assert phi(w).rows == ref.dense_fold(w), w
+
+
+def _runs_word(rng, n, length):
+    """A word of a few long stretches, each over a random set of letters, so
+    that first and last occurrences fall deep inside it and the precedence
+    counts grow with its length."""
+    cuts = sorted(rng.sample(range(1, length), rng.randint(1, 5)))
+    syms = []
+    for lo, hi in zip([0] + cuts, cuts + [length]):
+        letters = rng.sample(range(1, n + 1), rng.randint(1, n))
+        syms += rng.choices(letters, k=hi - lo)
+    return AWord(tuple(syms), n)
+
+
+def test_images_decode_to_the_invariant_key():
+    # the faithfulness theorem read constructively: an image alone gives
+    # back its class's key, for the product of the generator images of
+    # every short word and for the library's images of long words
+    decode = {1: decode1, 2: decode2, 3: decode3}
+    for n, max_len in ((1, 8), (2, 8), (3, 6)):
+        for syms, image in ref.product_images(n, max_len).items():
+            assert decode[n](image) == invariant_key(AWord(syms, n)), syms
+    rng = random.Random(19)
+    for n, phi in ((1, phi1), (2, phi2), (3, phi3)):
+        for _ in range(6):
+            w = _runs_word(rng, n, 10**5)
+            assert decode[n](phi(w)) == invariant_key(w)
 
 
 def test_empty_word_keeps_the_images_split():

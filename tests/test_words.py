@@ -9,6 +9,7 @@ import reference_routes as ref
 from baxt.checker import check, check_baxt4plus, check_plain
 from baxt.families import isoterm_search, pk_qk
 from baxt.oracle import brute_force_check, enumerate_classes, sample_check
+from baxt.represent import generator_images
 from baxt.semiring import identity_matrix
 from baxt.words import (AWord, Atom, Concat, Identity, IVar, ParseError,
                         PivotAbsentError, RangeError, Star, bar, common_ends,
@@ -195,6 +196,7 @@ BOUNDED = [pytest.param(name, lo, call, id=id_) for id_, name, lo, call in [
      lambda n: isoterm_search(iword("x x* y x y x* x x* y*"), n)),
     ("pk_qk", "k", 2, pk_qk),
     ("enumerate_classes", "max_len", 0, lambda m: enumerate_classes(2, m)),
+    ("enumerate_classes-rank", "rank", 1, lambda n: enumerate_classes(n, 1)),
     ("brute_force_check-rank", "rank", 1, lambda n: brute_force_check(XXY, n)),
     ("brute_force_check-jobs", "jobs", 1, lambda j: brute_force_check(XXY, 2, jobs=j)),
     ("brute_force_check-max_len", "max_len", 0,
@@ -203,6 +205,7 @@ BOUNDED = [pytest.param(name, lo, call, id=id_) for id_, name, lo, call in [
     ("sample_check-max_len", "max_len", 0, lambda m: sample_check(XXY, 2, m, 10)),
     ("sample_check-samples", "samples", 1, lambda s: sample_check(XXY, 2, 1, s)),
     ("identity_matrix", "size", 0, identity_matrix),
+    ("generator_images", "rank", 1, generator_images),
 ]]
 
 
