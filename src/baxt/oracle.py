@@ -22,15 +22,21 @@ with a letter at a position where X and Y differ is assigned, if at each
 such position the two letters' images are equal, then x and y are the
 same concatenation and p x s == p y s for every completion
 (`_middle_pairs`).  Each assignment that both rules leave builds the
-middles' images, and full words and keys only where they differ: equal
-middles give equal words, one class.  So a scan costs time in the blocks
-it tries and the assignments left undecided, not in the grid.  The class
-words and their content masks are built once per (n, max_len), like the
-class table.  Sides that are one word visit nothing.  The full scan is
-cut into chunks of first-base class indices, in order, and stops at the
-first refuting chunk; the chunks run in this process, or with jobs > 1 in
-a pool of processes, and give the same witness either way.  The sampler
-checks the rule on each seeded random draw.
+middles' images once, in the scan, and full words and keys only where
+they differ: equal middles give equal words, one class.  The scan also
+keeps a per-search record of dead blocks: blocks, keyed by their depth
+and masks, whose walk found nothing to test.  A later block with the same
+key is passed over whole, where the key alone decides that it holds
+nothing: before the first base of the middles, or once the equal-middles
+filter has run (`_blocks` gives the proofs).  So a scan costs time in the
+blocks it tries and the assignments left undecided, not in the grid.
+The class words and their content masks are built once per (n, max_len),
+like the class table.  Sides that are one word visit nothing.  The full
+scan is cut into chunks of first-base class indices, in order, and stops
+at the first refuting chunk; each chunk keeps its own record.  The chunks
+run in this process, or with jobs > 1 in a pool of processes, and give
+the same witness either way.  The sampler checks the rule on each seeded
+random draw.
 
 The second engine evaluates identities in the two-generator commutative
 involution monoid a^m b^n (product adds exponents, star swaps them), whose
@@ -136,7 +142,8 @@ def _side_images(u, v, words):
     to its class's word in words (`_class_words`); starred letters go to
     the involution of the base image."""
     # per letter id a: base a >> 1, class words by starred a & 1
-    lhs_ops, rhs_ops = ([(a >> 1, words[a & 1]) for a in w] for w in (u, v))
+    lhs_ops = [(a >> 1, words[a & 1]) for a in u]
+    rhs_ops = [(a >> 1, words[a & 1]) for a in v]
 
     def image(ops, idxs):
         out = []
@@ -215,41 +222,73 @@ def _settles(cover, idxs):
 def _middle_pairs(u, v, ends, words):
     """The equal-middles rule on sides u = P X S and v = P Y S, letter ids
     whose middles X and Y hold the same letters (so `_cover` applies), made
-    once per search over the class words of `_table_images`: (top, pairs),
-    where pairs holds each distinct pair of letter ids at a position where
-    X and Y differ, as (base, class words, base, class words) with the
-    class words picked by starred flag, and top is the largest base among
-    them.
+    once per search over the class words of `_table_images`: (first, top,
+    pairs), where pairs holds each distinct pair of letter ids at a
+    position where X and Y differ, as (base, class words, base, class
+    words) with the class words picked by starred flag, top is the largest
+    base among them, and first is the least base with a letter in X.
 
     The rule: X and Y have one length, so once bases 0..top are assigned,
     if the two class words of every pair are equal then the images x and y
     are the same concatenation, and p x s == p y s whatever classes the
     later bases take.  No completion refutes."""
     p, s = ends
-    pairs = sorted({(min(a, b), max(a, b)) for a, b in
-                    zip(u[p:len(u) - s], v[p:len(v) - s]) if a != b})
-    top = max(b for _, b in pairs) >> 1
-    return top, tuple((a >> 1, words[a & 1], b >> 1, words[b & 1])
-                      for a, b in pairs)
+    mid = u[p:len(u) - s]
+    pairs = sorted({(a, b) if a < b else (b, a) for a, b in
+                    zip(mid, v[p:len(v) - s]) if a != b})
+    first, top = min(mid) >> 1, max(b for _, b in pairs) >> 1
+    return first, top, tuple((a >> 1, words[a & 1], b >> 1, words[b & 1])
+                             for a, b in pairs)
 
 
-def _blocks(cover, m, first_range, same):
+def _blocks(cover, m, first_range, same, middles):
     """The assignments whose first-base class index lies in first_range,
     row-major over m classes for each remaining base, that the content cover
-    rule of `_cover` leaves undecided, and that the equal-middles rule of
-    same, `_middle_pairs`'s (top, pairs), leaves too (a top of -1 applies no
-    such rule).  Bases 0..d are assigned one at a time, each depth keeps the
-    ORs of the masks so far, and a block whose masks settle it is passed
-    over whole.  The classes tried at depth top are filtered, lazily, to
-    those under which some pair's two class words differ, so a block whose
-    middles have equal images is passed over whole too.  When top is the
-    last base that block is one assignment, whose middles `_refutes`
-    compares anyway, so the filter is left out.  The loop is iterative, so
-    any number of bases is safe."""
+    rule of `_cover` leaves undecided and whose middles have different
+    images, each as (assignment, x, y) with x and y the images that the
+    function middles (`_middle_images`) builds for it, once.  same is
+    `_middle_pairs`'s (first, top, pairs); a top of -1 leaves out the
+    equal-middles filter below.
+
+    Bases 0..d are assigned one at a time, each depth keeps the ORs of the
+    masks so far, and a block whose masks settle it is passed over whole.
+    The classes tried at depth top are filtered, lazily, to those under
+    which some pair's two class words differ, so a block whose middles
+    have equal images is passed over whole too.  When top is the last base
+    that block is one assignment, whose middles are compared anyway, so the
+    filter is left out.
+
+    A block is keyed by its depth d and the masks (mp, ms, mx) after base
+    d.  When the walk finishes a block whose key can be recorded and found
+    nothing in it, the key goes into a per-search record of dead blocks,
+    and a later block with that key is passed over whole.  Two facts make
+    the record exact, since the cover rule decides every later depth from
+    the masks and the later bases' classes alone:
+    (a) for d < first, no base of X or Y is assigned yet: the middles'
+        images, and the filter at depth top >= first, depend only on the
+        later bases.  So whether the block holds an assignment that the
+        cover rule leaves with middles whose images differ depends only on
+        the key;
+    (b) for d >= top, or at any depth when the filter is left out, the
+        filter has already run: every completion the cover rule leaves is
+        visited.  So whether the block holds an assignment that the cover
+        rule leaves at all depends only on the key; a block with none is
+        dead, and one with any leaf, equal middles or not, is not.
+    Between first and top no block is recorded, and (a) decides every
+    depth below first.  A block passed over under (b) holds no assignment
+    that the cover rule leaves, and one passed over under (a) none with
+    middles that differ, with only (a) blocks above it: so the counts that
+    decide its ancestors miss nothing.  The record holds at most one entry
+    per (depth, mask triple), so at most bases * 2^(3n) entries at rank n,
+    and never more than the blocks visited.  The walk stays one pass in
+    row-major order, and the loop is iterative, so any number of bases is
+    safe."""
     p, s, x, last_x, full = cover
     last = len(p) - 1
     idxs = [0] * (last + 1)
-    top, pairs = same if same[0] < last else (-1, ())
+    first, top, pairs = same
+    if top == last:
+        top, pairs = -1, ()
 
     def differs(c):  # at depth top, with bases 0..top - 1 in idxs
         idxs[top] = c
@@ -261,11 +300,19 @@ def _blocks(cover, m, first_range, same):
     mp, ms, mx = [0] * (last + 1), [0] * (last + 1), [0] * (last + 1)
     todo = [filter(differs, first_range) if top == 0 else iter(first_range)]
     todo += [None] * last
+    # the keys of the dead blocks; per depth d < last, the key of the block
+    # open there and what was found before it opened: hits under (a),
+    # leaves under (b), and -1 where neither holds
+    dead = set()
+    keys, marks = [None] * last, [-1] * last
+    hits = leaves = 0
     d = 0
     while d >= 0:
         c = next(todo[d], None)
         if c is None:
             d -= 1
+            if d >= 0 and marks[d] == (hits if d < first else leaves):
+                dead.add(keys[d])
             continue
         gp, gs, gx = mp[d] | p[d][c], ms[d] | s[d][c], mx[d] | x[d][c]
         both = gp & gs
@@ -273,30 +320,45 @@ def _blocks(cover, m, first_range, same):
             continue
         idxs[d] = c
         if d == last:
-            yield tuple(idxs)
+            leaves += 1
+            x_img, y_img = middles(idxs)
+            if x_img != y_img:
+                hits += 1
+                yield tuple(idxs), x_img, y_img
             continue
+        if d < first or d >= top:
+            key = d, gp, gs, gx
+            if key in dead:
+                continue
+            keys[d], marks[d] = key, hits if d < first else leaves
         d += 1
         mp[d], ms[d], mx[d] = gp, gs, gx
         todo[d] = filter(differs, range(m)) if d == top else iter(range(m))
 
 
+def _middle_images(u, v, ends, words):
+    """The images of the middles X and Y of the sides u = P X S and
+    v = P Y S, letter ids whose common prefix P and suffix S have lengths
+    ends: a function of class indices, one per base (`_side_images`).
+    The words p x s and p y s are equal iff x and y are."""
+    p, s = ends
+    return _side_images(u[p:len(u) - s], v[p:len(v) - s], words)
+
+
 def _refutes(u, v, ends, words, n):
-    """A predicate on assignments (class indices, one per base): do the
+    """A predicate on an assignment idxs (class indices, one per base) and
+    the images x and y of the middles under it (`_middle_images`): do the
     sides u = P X S and v = P Y S, letter ids whose common prefix P and
     suffix S have lengths ends, have different classes under it?  Made
-    once per search, over the class words of `_table_images`.  Per
-    assignment it builds the images x and y of the middles, O(|X| + |Y|)
-    max_len; the words p x s and p y s are equal iff x and y are.  Only
-    where they differ does it build p and s and compare the keys of the
-    full words: congruent words can have middles that are not congruent."""
+    once per search, over the class words of `_table_images`.  It builds
+    the images p and s and compares the keys of the full words p x s and
+    p y s.  Equal middles give equal words, so callers ask it only where x
+    and y differ; there the keys decide, since congruent words can have
+    middles that are not congruent."""
     p, s = ends
-    middles = _side_images(u[p:len(u) - s], v[p:len(v) - s], words)
     outer = _side_images(u[:p], u[len(u) - s:], words)
 
-    def refutes(idxs):
-        x, y = middles(idxs)
-        if x == y:
-            return False
+    def refutes(idxs, x, y):
         head, tail = outer(idxs)
         return key_of(head + x + tail, n) != key_of(head + y + tail, n)
     return refutes
@@ -345,19 +407,29 @@ def _scan(u, v, ends, words, cover, nbases, n, first_range):
     bases) that refutes the identity, among those whose first-base class
     index lies in first_range, row-major over the remaining bases; None if
     there is none.  cover is `_cover`'s, and leaves some assignment
-    undecided; where it applies, the blocks that the content cover rule or
-    the equal-middles rule of `_middle_pairs` settles are passed over
-    whole, since under both every assignment has congruent sides.  The
-    cost is a few ORs per block tried, one comparison of class words per
-    pair for each class tried at the equal-middles depth, and `_refutes`'s
-    per assignment that no block settles."""
+    undecided; where it applies, `_blocks` passes over the blocks that the
+    content cover rule or the equal-middles rule of `_middle_pairs`
+    settles, since under both every assignment has congruent sides, and
+    the blocks its record of dead blocks holds, which have no assignment
+    left to test.  Each assignment the scan reaches builds the middles'
+    images once, and only those whose middles differ go to `_refutes`.
+    The cost is a few ORs and at most one set lookup per block tried, one
+    comparison of class words per pair for each class tried at the
+    equal-middles depth, the middles' images per assignment that no block
+    settles, and `_refutes`'s where they differ."""
     m = len(words[0])
+    middles = _middle_images(u, v, ends, words)
     if cover is None:
-        undecided = product(first_range, *[range(m)] * (nbases - 1))
+        grid = product(first_range, *[range(m)] * (nbases - 1))
+        undecided = ((a, x, y) for a in grid for x, y in (middles(a),) if x != y)
     else:
         undecided = _blocks(cover, m, first_range,
-                            _middle_pairs(u, v, ends, words))
-    return next(filter(_refutes(u, v, ends, words, n), undecided), None)
+                            _middle_pairs(u, v, ends, words), middles)
+    refutes = _refutes(u, v, ends, words, n)
+    for a, x, y in undecided:
+        if refutes(a, x, y):
+            return a
+    return None
 
 
 def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
@@ -367,9 +439,11 @@ def brute_force_check(ident: Identity, n: int, max_len: Optional[int] = None,
     Bases are tried in sorted order and classes in length-then-lex order, so
     the reported witness is the first in that fixed enumeration.  The scan
     yields only the assignments that the content cover rule and the
-    equal-middles rule leave, and stops at the first that refutes;
-    evaluations is the witness's place in the enumeration, its row-major
-    rank plus one, or the whole grid when there is none.  A grid larger
+    equal-middles rule leave with middles whose images differ, passes over
+    the blocks that its per-search record of dead blocks holds (`_blocks`),
+    and stops at the first assignment that refutes; evaluations is the
+    witness's place in the enumeration, its row-major rank plus one, or
+    the whole grid when there is none.  A grid larger
     than DEFAULT_BUDGET raises instead of silently truncating, and before
     the classes are enumerated when a lower bound on its size, or the class
     table itself, is already larger.  The grid is cut into one chunk per
@@ -458,10 +532,14 @@ def sample_check(ident: Identity, n: int, max_len: int, samples: int,
     if cover is not None and cover[3] < 0:  # every draw would be settled
         return OracleResult(None, samples, n, max_len, False)
     rng = random.Random(seed)
+    middles = _middle_images(u, v, ends, words)
     refutes = _refutes(u, v, ends, words, n)
     for count in range(1, samples + 1):
         idxs = [rng.randrange(len(classes)) for _ in bases]
-        if (cover is None or not _settles(cover, idxs)) and refutes(idxs):
+        if cover is not None and _settles(cover, idxs):
+            continue
+        x, y = middles(idxs)
+        if x != y and refutes(idxs, x, y):
             return OracleResult({b: classes[i] for b, i in zip(bases, idxs)},
                                 count, n, max_len, False)
     return OracleResult(None, samples, n, max_len, False)

@@ -13,6 +13,8 @@ search that checks every rearrangement of a word, enumerated recursively,
 the twin trees as nested nodes built by recursive persistent insertion,
 with their DOT writer, the oracle's evaluation loop that compares the
 keys of both sides on every assignment, equal image words included, its
+full scan with every assignment of the grid put to the library's own
+refutation test, with no block, rule or record passing over any, its
 common prefix and suffix found by index loops, and the generator fold that
 the representation defines, block by block through `mat_mul` and as a
 product of dense rows.  The tests assert that the library returns the
@@ -33,6 +35,7 @@ from itertools import product
 from operator import add
 from typing import Optional
 
+from baxt import oracle
 from baxt.checker import (CheckReport, _balance_witness, _no, _subset_violation,
                           check, is_balanced)
 from baxt.monoid import key_of as fast_key_of, sharp_word
@@ -41,7 +44,7 @@ from baxt.represent import generator_images
 from baxt.semiring import NEG_INF, UTMatrix, mat_mul
 from baxt.trees import BST
 from baxt.words import (AWord, Atom, Concat, Identity, IVar, IWord, ParseError,
-                        Star, Term, id_letter, letter_ids)
+                        Star, Term, common_ends, id_letter, letter_ids)
 from definitions import from_json_obj
 
 
@@ -795,6 +798,27 @@ def oracle_scan(ident: Identity, n: int, max_len: int):
     nbases = len({x.base for x in ident.lhs + ident.rhs})
     return _oracle_evaluate(ident, n, max_len,
                             product(range(m), repeat=nbases))
+
+
+def reference_scan(ident: Identity, n: int, max_len: int):
+    """The full grid, row-major over the bases in sorted order, with no
+    block, rule or record of `oracle._blocks` passing over any assignment:
+    the first assignment that `oracle._refutes` accepts on its middles'
+    images, as a base -> class map (None if there is none), and its place
+    in the enumeration (the grid's size if there is none).  Equal middles
+    give equal words, which `_refutes` never accepts, so they skip it."""
+    classes = enumerate_classes(n, max_len)
+    bases, u, v = letter_ids(ident)
+    words = oracle._table_images(n, max_len)[0]
+    ends = common_ends(u, v)
+    middles = oracle._middle_images(u, v, ends, words)
+    refutes = oracle._refutes(u, v, ends, words, n)
+    grid = product(range(len(classes)), repeat=len(bases))
+    for count, idxs in enumerate(grid, 1):
+        x, y = middles(idxs)
+        if x != y and refutes(idxs, x, y):
+            return {b: classes[i] for b, i in zip(bases, idxs)}, count
+    return None, len(classes) ** len(bases)
 
 
 def oracle_sample(ident: Identity, n: int, max_len: int, samples: int,

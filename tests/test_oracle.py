@@ -327,9 +327,12 @@ _COVERS = ("x x* x y x* y* ~= x x* y x x* y*", "y* x* x y y* y ~= y* x* y x y* y
            "x h x y h* y ~= x h y x h* y", "h x y h* ~= h y x h*")
 
 #: middles that differ in one to three pairs of letters, all of bases
-#: that sort before the last base
+#: that sort before the last base; in the last, the pair's bases c and i
+#: sort first and third, so a block that assigns c but not i has masks
+#: that do not decide the equal-middles filter
 _MIDDLES = ("z a a* z ~= z a* a z", "z x y x* z ~= z y x* x z",
-            "y a z b a* y ~= y b z a* a y", "z a b c a z ~= z b a a c z")
+            "y a z b a* y ~= y b z a* a y", "z a b c a z ~= z b a a c z",
+            "j* i* i j c g* c* i i* i ~= j* i* i j i g* c* c i* i")
 
 #: sides with no common prefix, and unbalanced sides with a common prefix
 #: and suffix: the content cover rule never runs on them
@@ -343,12 +346,25 @@ def _cover(u, v, n, max_len):
                          oracle._table_images(n, max_len)[1], n)
 
 
+def _middles(u, v, n, max_len):
+    """The middles' image function of the sides u and v, letter ids, over
+    the class table of (n, max_len)."""
+    return oracle._middle_images(u, v, common_ends(u, v),
+                                 oracle._table_images(n, max_len)[0])
+
+
+def _differ(middles, idxs):
+    x, y = middles(idxs)
+    return x != y
+
+
 def test_the_cover_rule_settles_only_congruent_assignments():
     # the scan passes over whole blocks of the grid that the content cover
     # rule settles, statically settled grids included: every assignment in
-    # them has image words with equal keys, the blocks leave exactly what
-    # the rule leaves one assignment at a time, and the rule settles some
-    # assignments and declines others
+    # them has image words with equal keys, the blocks leave exactly the
+    # assignments that the rule leaves one assignment at a time and whose
+    # middles' images differ, each with those images, and the rule settles
+    # some assignments and declines others
     settled = declined = static = 0
     for idn, n, max_len in _differential_cases():
         classes = enumerate_classes(n, max_len)
@@ -363,18 +379,25 @@ def test_the_cover_rule_settles_only_congruent_assignments():
         assert is_balanced(idn) and idn.lhs[0] == idn.rhs[0] \
             and idn.lhs[-1] == idn.rhs[-1], idn
         static += cover[3] < 0
-        undecided = list(oracle._blocks(cover, m, range(m), (-1, ())))
+        middles = _middles(u, v, n, max_len)
+        # no equal-middles filter: only the content cover rule and the
+        # record of dead blocks pass over blocks
+        same = (oracle._middle_pairs(u, v, common_ends(u, v), words)[0], -1, ())
+        found = list(oracle._blocks(cover, m, range(m), same, middles))
         grid = list(product(range(m), repeat=len(bases)))
-        assert undecided == [a for a in grid if not oracle._settles(cover, a)], idn
-        for sub in set(grid) - set(undecided):
+        left = [a for a in grid if not oracle._settles(cover, a)]
+        assert [a for a, _, _ in found] \
+            == [a for a in left if _differ(middles, a)], idn
+        assert all((x, y) == middles(a) for a, x, y in found), idn
+        for sub in set(grid) - set(left):
             lhs, rhs = images(sub)
             assert oracle.key_of(lhs, n) == oracle.key_of(rhs, n), (idn, sub)
-        settled += len(grid) - len(undecided)
-        declined += len(undecided)
+        settled += len(grid) - len(left)
+        declined += len(left)
         # the chunks of a parallel scan, in order, leave the same assignments
         halves = [a for r in (range(m // 2), range(m // 2, m))
-                  for a in oracle._blocks(cover, m, r, (-1, ()))]
-        assert halves == undecided, idn
+                  for a in oracle._blocks(cover, m, r, same, middles)]
+        assert halves == found, idn
     assert settled and declined and static
     for text in _NO_COVER:
         _, u, v = letter_ids(parse_identity(text))
@@ -395,9 +418,11 @@ def _equal_middles(x, y, words, nbases, idxs):
 def test_the_equal_middles_rule_passes_over_only_equal_middles():
     # of the assignments the content cover rule leaves, the scan passes
     # over whole blocks whose middles have equal images letter by letter:
-    # each such assignment has equal middle images, and the blocks leave
-    # exactly what both rules leave one assignment at a time, whole and in
-    # the two chunks of a parallel scan
+    # each such assignment has equal middle images.  The scan, with the
+    # rule and the record of dead blocks, yields exactly the assignments
+    # that the cover rule leaves and whose middles' images differ, in
+    # row-major order, whole and in the two chunks of a parallel scan, and
+    # so does the scan without the rule
     passed = kept = grids = 0
     for idn, n, max_len in _differential_cases() + _spliced_corpus():
         m = len(enumerate_classes(n, max_len))
@@ -417,11 +442,13 @@ def test_the_equal_middles_rule_passes_over_only_equal_middles():
                 images = middles(a)
                 assert images[0] == images[1], (idn, n, max_len, a)
         same = oracle._middle_pairs(u, v, ends, words)
-        scan = list(oracle._blocks(cover, m, range(m), same))
-        assert scan == [a for a, over in zip(left, rule) if not over], idn
+        scan = [a for a, _, _ in oracle._blocks(cover, m, range(m), same, middles)]
+        assert scan == [a for a in left if _differ(middles, a)], idn
         halves = [a for r in (range(m // 2), range(m // 2, m))
-                  for a in oracle._blocks(cover, m, r, same)]
+                  for a, _, _ in oracle._blocks(cover, m, r, same, middles)]
         assert halves == scan, idn
+        plain = oracle._blocks(cover, m, range(m), (same[0], -1, ()), middles)
+        assert [a for a, _, _ in plain] == scan, idn
         passed += sum(rule)
         kept += len(scan)
         grids += 0 < sum(rule) < len(left)
@@ -458,6 +485,25 @@ def test_pk_qk_scans_build_no_image(monkeypatch, k, n, max_len):
     res = brute_force_check(pk_qk(k), n, max_len)
     assert built == []
     assert (res.witness, res.evaluations) == (None, m ** (2 * k + 1))
+
+
+@pytest.mark.parametrize("max_len, images", [(1, 1504), (2, 4592)])
+def test_basis2_scans_build_few_middle_images(monkeypatch, max_len, images):
+    # the swapped bases x and y of a rank-2 basis row sort last, so the
+    # equal-middles filter is left out; the record of dead blocks passes
+    # over the blocks of the four bases before them that repeat the masks
+    # of a block which held nothing to test.  Without it the 44 rows build
+    # 6,880 and 290,768 middle images, every pair of them equal; no key
+    # is computed, so no image but the middles' is built
+    m = len(enumerate_classes(2, max_len))
+    built = _record_images(monkeypatch)
+    keys = []
+    real = oracle.key_of
+    monkeypatch.setattr(oracle, "key_of", lambda w, n: keys.append(w) or real(w, n))
+    for row in basis2():
+        res = brute_force_check(row, 2, max_len)
+        assert (res.witness, res.evaluations) == (None, m ** 6), row
+    assert (len(built), keys) == (images, [])
 
 
 def test_a_deep_block_scan_needs_no_recursion():
@@ -566,6 +612,27 @@ def test_block_scan_matches_the_reference_on_random_splices():
                      ("none", True), ("none", False)}
 
 
+def test_block_scan_matches_the_reference_scan_on_random_identities():
+    # 3,000 seeded random splices over 1-4 bases, each grid at most 4,000
+    # assignments: the scan, with its blocks, both rules and its record of
+    # dead blocks, finds the witness and count of a walk over the whole
+    # grid that puts each assignment to the same refutation test
+    cases = _spliced_corpus(3000, seed=37)
+    kinds = set()
+    for idn, n, max_len in cases:
+        witness, count = ref.reference_scan(idn, n, max_len)
+        res = brute_force_check(idn, n, max_len)
+        assert (_reps(res.witness), res.evaluations) == (_reps(witness), count), \
+            (idn, n, max_len)
+        _, u, v = letter_ids(idn)
+        cover = _cover(u, v, n, max_len)
+        kinds.add(("none" if cover is None else "static" if cover[3] < 0
+                   else "blocks", witness is None))
+    assert len(cases) == 3000
+    assert kinds == {("static", True), ("blocks", True), ("blocks", False),
+                     ("none", True), ("none", False)}
+
+
 def test_equal_image_words_are_decided_without_keys(monkeypatch):
     for n, max_len in ((3, 2), (4, 1), (2, 3)):
         enumerate_classes(n, max_len)  # cached before counting
@@ -650,15 +717,16 @@ def test_middle_first_refutation_matches_the_full_words():
         if m ** len(bases) > 4000:
             continue
         words = oracle._table_images(n, max_len)[0]
-        p, s = ends = common_ends(u, v)
+        ends = common_ends(u, v)
         refutes = oracle._refutes(u, v, ends, words, n)
         images = oracle._side_images(u, v, words)
-        middles = oracle._side_images(u[p:len(u) - s], v[p:len(v) - s], words)
+        middles = oracle._middle_images(u, v, ends, words)
         for sub in product(range(m), repeat=len(bases)):
             lhs, rhs = images(sub)
             differ = oracle.key_of(lhs, n) != oracle.key_of(rhs, n)
-            assert refutes(sub) == differ, (idn, n, max_len, sub)
             x, y = middles(sub)
+            assert (lhs == rhs) == (x == y), (idn, n, max_len, sub)
+            assert refutes(sub, x, y) == differ, (idn, n, max_len, sub)
             equal += x == y
             if x != y and not differ:
                 congruent += 1
@@ -684,7 +752,9 @@ def test_keys_only_where_the_middles_differ(monkeypatch, idn, n, max_len):
     p, s = common_ends(u, v)
     words = oracle._table_images(n, max_len)[0]
     middles = oracle._side_images(u[p:len(u) - s], v[p:len(v) - s], words)
-    undecided = list(oracle._blocks(_cover(u, v, n, max_len), m, range(m), (-1, ())))
+    cover = _cover(u, v, n, max_len)
+    undecided = [a for a in product(range(m), repeat=len(bases))
+                 if not oracle._settles(cover, a)]
     calls = []
     real = oracle.key_of
     monkeypatch.setattr(oracle, "key_of",
